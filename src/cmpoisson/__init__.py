@@ -24,6 +24,7 @@ from .cm import (
     CMPoint,
     MatrixPair,
     PointEvaluator,
+    PointPool,
     child_rng,
     evaluate,
     numeric_bracket,

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .cm import PointPool
 from .poly import PLAIN, TRACELESS, TracePolynomial
 from .ring import QnCoeff
+from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND, CyclicWord, canonicalize, splice_cuts
 
 RawTerm = tuple[QnCoeff, tuple[int, int], tuple[CyclicWord, ...]]
@@ -196,25 +198,24 @@ def fit_tail_on_variety(
     diff: TracePolynomial,
     reference: TracePolynomial,
     degree_bound: int,
-    evaluators,
+    pool,
 ) -> float:
     """Least-squares residual of diff against the full monomial basis of
     degree <= degree_bound, evaluated on rank-one variety points.
 
-    A small residual certifies that diff restricts on the variety to a
-    function of degree <= degree_bound; the scale is set by the reference
-    polynomial's values."""
-    from .span import enumerate_trace_monomials, lstsq_fit
-
-    target = [ev.poly_value(diff) for ev in evaluators]
+    pool is a cm.PointPool, or a list of cm.PointEvaluators whose points
+    make one.  A small residual certifies that diff restricts on the variety
+    to a function of degree <= degree_bound; the scale is set by the
+    reference polynomial's values."""
+    if not isinstance(pool, PointPool):
+        pool = PointPool(ev.point for ev in pool)
+    target = pool.values_and_magnitudes(diff)[0]
     if degree_bound >= 0:
         basis = enumerate_trace_monomials(degree_bound, diff.mode)
     else:
         basis = []
-    matrix = [[ev.poly_value(b) for b in basis] for ev in evaluators]
-    scale = max(
-        1.0, max((abs(ev.poly_value(reference)) for ev in evaluators), default=1.0)
-    )
+    matrix = value_matrix(pool, basis)
+    scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(reference)[0]).max()))
     residual, _, _ = lstsq_fit(matrix, target, scale=scale)
     return residual
 
@@ -229,20 +230,15 @@ def verify_catalog(
     """Check every catalog entry; exact entries symbolically, leading entries
     symbolically on the straightened top part plus numerically on the variety."""
     from .grammar import format_polynomial
-    from .cm import sample_cm, PointEvaluator
 
     report = CatalogReport(n_value=n_value, sample_count=sample_count)
-    evaluators: list[PointEvaluator] | None = None
+    pool: PointPool | None = None
 
-    def get_evaluators() -> list[PointEvaluator]:
-        nonlocal evaluators
-        if evaluators is None:
-            pts = [
-                sample_cm(n_value, traceless=True, seed=seed, index=i)
-                for i in range(sample_count)
-            ]
-            evaluators = [PointEvaluator(p) for p in pts]
-        return evaluators
+    def get_pool() -> PointPool:
+        nonlocal pool
+        if pool is None:
+            pool = PointPool.sample(n_value, sample_count, seed)
+        return pool
 
     for entry in entries:
         computed = bracket(entry.lhs, entry.rhs)
@@ -279,7 +275,7 @@ def verify_catalog(
             continue
         # numeric variety-residual certification of the lower-degree tail
         diff = computed - entry.expected
-        residual = fit_tail_on_variety(diff, computed, bound, get_evaluators())
+        residual = fit_tail_on_variety(diff, computed, bound, get_pool())
         if residual < fit_tolerance:
             report.results.append(
                 CatalogEntryResult(entry.id, "pass", fit_residual=residual)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .bracket import EXACT, LEADING, bracket, fit_tail_on_variety, leading_part
 from .catalog import poly_text, term_text
-from .cm import PointEvaluator, sample_cm
+from .cm import PointPool
 from .grammar import format_polynomial, parse_polynomial
 from .poly import TRACELESS, TracePolynomial
 
@@ -256,16 +256,13 @@ def replay_lemma_chain(
 
     Stops at the first failing step and reports its symbolic difference."""
     report = ChainReport(lemma_id=chain["lemma_id"], n_value=n_value)
-    evaluators: list[PointEvaluator] | None = None
+    pool: PointPool | None = None
 
-    def get_evaluators():
-        nonlocal evaluators
-        if evaluators is None:
-            evaluators = [
-                PointEvaluator(sample_cm(n_value, traceless=True, seed=seed, index=i))
-                for i in range(sample_count)
-            ]
-        return evaluators
+    def get_pool() -> PointPool:
+        nonlocal pool
+        if pool is None:
+            pool = PointPool.sample(n_value, sample_count, seed)
+        return pool
 
     results: list[TracePolynomial] = []
     for idx, step in enumerate(chain["steps"]):
@@ -307,7 +304,7 @@ def replay_lemma_chain(
             )
             return report
         residual = fit_tail_on_variety(
-            computed - expected, computed, bound, get_evaluators()
+            computed - expected, computed, bound, get_pool()
         )
         if residual < fit_tolerance:
             report.results.append(ChainStepResult(idx, "pass", fit_residual=residual))

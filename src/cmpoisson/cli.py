@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ from .closure import (
     check_membership,
     default_depth_cap,
     standard_generators,
+    validate_target,
 )
 from .cm import sample_cm, save_points
 from .flows import FAMILY_IDS, FlowFamily, apply_family, certify_symplectic, family_hamiltonian, ode_flow
@@ -48,11 +50,27 @@ TOLERANCES = {
 }
 
 
+class UsageError(Exception):
+    """Bad input; main() reports it on one line and exits with EXIT_USAGE."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        return value
+
+    return parse
 
 
 def _default_seed() -> int:
@@ -60,19 +78,23 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _parse_tols(pairs: list[str]) -> dict[str, float]:
     out = {name: default for name, (default, _, _) in TOLERANCES.items()}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(EXIT_USAGE)
+            raise UsageError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
         if name not in TOLERANCES:
-            print(f"error: unknown tolerance {name!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        val = float(value)
+            raise UsageError(f"unknown tolerance {name!r}")
+        try:
+            val = float(value)
+        except ValueError:
+            raise UsageError(f"tolerance {name}={value!r} is not a number") from None
+        if not (math.isfinite(val) and val > 0):
+            raise UsageError(f"tolerance {name}={value} must be a positive finite number")
         _, lo, hi = TOLERANCES[name]
         if not (lo <= val <= hi):
             print(
@@ -359,6 +381,10 @@ def cmd_closure(args) -> int:
 
 def cmd_membership(args, tols) -> int:
     target = parse_polynomial(args.target, TRACELESS)
+    try:
+        validate_target(target, args.degree)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     basis = _build_closure_from_args(args)
     cert = check_membership(
         target, basis, sample_count=args.samples or None, tolerance=tols["membership"]
@@ -408,7 +434,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write a JSON report to this path")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
         if seed:
-            p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
 
     p = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     p.add_argument("--mode", choices=(PLAIN, TRACELESS), default=TRACELESS)
@@ -418,13 +444,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="Cayley-Hamilton reduction at a matrix size")
     p.add_argument("--mode", choices=(PLAIN, TRACELESS), default=TRACELESS)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("poly")
     common(p, seed=False)
 
     p = sub.add_parser("sample", help="sample rank-one variety points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--count", type=_at_least(1), default=1)
     p.add_argument("--traceless", action="store_true")
     common(p)
 
@@ -432,36 +458,36 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILY_IDS)
     p.add_argument("--hamiltonian", help="integrate this Hamiltonian instead of a family")
     p.add_argument("--t", required=True, help="complex parameter, e.g. 0.3 or 1+1i")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--points", type=int, default=3)
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), default=2)
+    p.add_argument("--points", type=_at_least(1), default=3)
+    p.add_argument("--steps", type=_at_least(0), default=0)
     common(p)
 
     p = sub.add_parser("verify", help="verify the pinned bracket catalog")
     p.add_argument("--catalog", default="default")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=3)
+    p.add_argument("--samples", type=_at_least(1), default=50)
     common(p)
 
     p = sub.add_parser("replay", help="replay proof chains step by step")
     p.add_argument("--chain", default="all")
     p.add_argument("--catalog", default="default")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--n", type=_at_least(1), default=3)
+    p.add_argument("--samples", type=_at_least(1), default=40)
     common(p)
 
     p = sub.add_parser("closure", help="build the Lie closure of the generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--depth", type=_at_least(0), default=0)
     p.add_argument("--degree", type=int, default=8)
     common(p)
 
     p = sub.add_parser("membership", help="certify membership in the Lie closure")
     p.add_argument("--target", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--depth", type=_at_least(0), default=0)
     p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(0), default=0)
     common(p)
 
     return parser
@@ -471,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         tols = _parse_tols(args.tol)
         if args.command == "bracket":
             code = cmd_bracket(args)
@@ -492,6 +520,8 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_membership(args, tols)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command!r}")
+    except UsageError as exc:
+        parser.error(str(exc))
     except PolynomialParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

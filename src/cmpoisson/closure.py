@@ -18,9 +18,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bracket import bracket_traceless
-from .cm import PointEvaluator, sample_cm
+from .cm import PointPool
 from .poly import TRACELESS, TracePolynomial
-from .span import SpanTracker, enumerate_trace_monomials, lstsq_fit
+from .span import SpanTracker, enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND
 
 MEMBERSHIP_POOL_STREAM = 1_000_000  # index offset for fresh certification points
@@ -113,10 +113,7 @@ def build_closure(
     monomials = enumerate_trace_monomials(degree_cap, TRACELESS)
     if pool_size is None:
         pool_size = 4 * min(len(monomials), 250)
-    pool = [
-        PointEvaluator(sample_cm(n_value, traceless=True, seed=seed, index=i))
-        for i in range(pool_size)
-    ]
+    pool = PointPool.sample(n_value, pool_size, seed)
     tracker = SpanTracker(pool_size, tol=rank_threshold)
     # every element lives in the span of degree<=cap monomial functions on the
     # variety; their numeric rank on the pool caps the attainable basis size.
@@ -124,10 +121,8 @@ def build_closure(
     # at n=2) evaluate to cancellation noise and must not count as directions.
     mono_rows = []
     for m in monomials:
-        pairs = [ev.poly_value_and_magnitude(m) for ev in pool]
-        values = np.array([v for v, _ in pairs], dtype=complex)
-        magnitude = max(mag for _, mag in pairs)
-        if np.abs(values).max() > rank_threshold * magnitude:
+        values, magnitudes = pool.values_and_magnitudes(m)
+        if np.abs(values).max() > rank_threshold * magnitudes.max():
             mono_rows.append(values / np.linalg.norm(values))
     mono_sv = np.linalg.svd(np.array(mono_rows), compute_uv=False)
     span_dimension = int((mono_sv > rank_threshold * mono_sv[0]).sum())
@@ -152,10 +147,8 @@ def build_closure(
         if key in seen:
             return False
         seen.add(key)
-        pairs = [ev.poly_value_and_magnitude(p) for ev in pool]
-        values = np.array([v for v, _ in pairs], dtype=complex)
-        magnitudes = max(m for _, m in pairs)
-        if np.abs(values).max() <= rank_threshold * magnitudes:
+        values, magnitudes = pool.values_and_magnitudes(p)
+        if np.abs(values).max() <= rank_threshold * magnitudes.max():
             # vanishes on the variety up to cancellation noise (a rank-condition
             # relation); its normalized value row would be rounding noise
             return False
@@ -222,13 +215,13 @@ class MembershipCertificate:
         return self.status == "member" and self.residual < self.tolerance
 
 
-def _fresh_evaluators(basis: LieClosureBasis, count: int, stream: int) -> list[PointEvaluator]:
-    return [
-        PointEvaluator(
-            sample_cm(basis.n_value, traceless=True, seed=basis.seed, index=stream + i)
-        )
-        for i in range(count)
-    ]
+def validate_target(target: TracePolynomial, degree_cap: int) -> None:
+    """Raise ValueError unless target can be certified against a closure
+    built with this degree cap."""
+    if target.mode != TRACELESS:
+        raise ValueError("membership targets must be traceless-mode polynomials")
+    if target.degree() > degree_cap:
+        raise ValueError(f"target degree {target.degree()} exceeds basis degree cap {degree_cap}")
 
 
 class MembershipChecker:
@@ -247,23 +240,18 @@ class MembershipChecker:
         if sample_count is None:
             sample_count = max(2 * len(basis.elements), 64)
         self.sample_count = sample_count
-        self.evaluators = _fresh_evaluators(basis, sample_count, MEMBERSHIP_POOL_STREAM)
-        self.rows = [
-            [ev.poly_value(e) for e in basis.elements] for ev in self.evaluators
-        ]
+        self.pool = PointPool.sample(
+            basis.n_value, sample_count, basis.seed, MEMBERSHIP_POOL_STREAM
+        )
+        self.matrix = value_matrix(self.pool, basis.elements)
 
     def check(self, target: TracePolynomial) -> MembershipCertificate:
         basis = self.basis
-        if target.mode != TRACELESS:
-            raise ValueError("membership targets must be traceless-mode polynomials")
-        if target.degree() > basis.degree_cap:
-            raise ValueError(
-                f"target degree {target.degree()} exceeds basis degree cap {basis.degree_cap}"
-            )
+        validate_target(target, basis.degree_cap)
         reduced = reduce_pipeline(target, basis.n_value, normalize=False)
-        b = [ev.poly_value(reduced) for ev in self.evaluators]
-        scale = max(1.0, max((abs(v) for v in b), default=0.0))
-        residual, coeffs, cond = lstsq_fit(self.rows, b, scale=scale)
+        b = self.pool.values_and_magnitudes(reduced)[0]
+        scale = max(1.0, float(self.pool.abs(b).max()))
+        residual, coeffs, cond = lstsq_fit(self.matrix, b, scale=scale)
         if cond > self.max_condition:
             status = "inconclusive"
         elif residual < self.tolerance:
@@ -297,15 +285,13 @@ def recheck_certificate(
     cert: MembershipCertificate, basis: LieClosureBasis, factor: int = 10
 ) -> float:
     """Residual of the certified combination on factor-times fresh points."""
-    count = factor * cert.sample_count
-    evs = _fresh_evaluators(basis, count, RECHECK_STREAM)
+    pool = PointPool.sample(
+        basis.n_value, factor * cert.sample_count, basis.seed, RECHECK_STREAM
+    )
     reduced = reduce_pipeline(cert.target, basis.n_value, normalize=False)
-    worst = 0.0
-    for ev in evs:
-        target_val = ev.poly_value(reduced)
-        combo = sum(
-            c * ev.poly_value(e) for c, e in zip(cert.coefficients, basis.elements)
-        )
-        scale = max(1.0, abs(target_val))
-        worst = max(worst, abs(combo - target_val) / scale)
-    return worst
+    target = pool.values_and_magnitudes(reduced)[0]
+    combo = sum(
+        pool.multiply(c, pool.values_and_magnitudes(e)[0])
+        for c, e in zip(cert.coefficients, basis.elements)
+    )
+    return float((pool.abs(combo - target) / np.maximum(1.0, pool.abs(target))).max())

@@ -12,13 +12,15 @@ conjugation-invariant, so representatives suffice.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .poly import PLAIN, TRACELESS, TracePolynomial
+from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord, Word, splice_cuts
 
 DEFAULT_LAMBDA = -1j
@@ -163,6 +165,38 @@ def sample_cm(
 # evaluation
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=65536)
+def _coefficient_value(coeff: QnCoeff, n: int) -> complex:
+    return complex(coeff.evaluate(n))
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b on complex columns, rounded like Python's complex product
+    (numpy's vectorized complex multiply may fuse a multiply and an add)."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sum_terms(ev: "PointEvaluator | PointPool", p: TracePolynomial, total, magnitude):
+    """Add the terms of p at the evaluator's point(s) to (total, magnitude).
+
+    The same operations in the same order on scalars and on length-N
+    columns, so entry i of a pool's result equals the single-point result
+    at point i bit for bit."""
+    for (central, factors), coeff in p.items():
+        val = _coefficient_value(coeff, ev.n)
+        for letter, exp in zip((FIRST, SECOND), central):
+            if exp:
+                val = ev.multiply(val, ev.central_power(letter, exp))
+        for w in factors:
+            val = ev.multiply(val, ev.word_trace(w, p.mode))
+        total = total + val
+        magnitude = magnitude + ev.abs(val)
+    return total, magnitude
+
+
 class PointEvaluator:
     """Evaluates trace polynomials at one point, caching word traces.
 
@@ -170,6 +204,9 @@ class PointEvaluator:
     A = X - (tr X/n) I, B = Y - (tr Y/n) I with the central symbols taking
     the values tr X, tr Y; on the traceless locus this is A = X, B = Y.
     """
+
+    multiply = staticmethod(operator.mul)
+    abs = staticmethod(abs)
 
     def __init__(self, pt: CMPoint):
         self.point = pt
@@ -210,35 +247,99 @@ class PointEvaluator:
             self._word_traces[key] = val
         return val
 
+    def central_power(self, letter: int, exp: int) -> complex:
+        return (self.tr_x if letter == FIRST else self.tr_y) ** exp
+
     def poly_value(self, p: TracePolynomial) -> complex:
-        total = 0j
-        for (central, factors), coeff in p.items():
-            val = complex(Fraction(coeff.evaluate(self.n)))
-            if central[0]:
-                val *= self.tr_x ** central[0]
-            if central[1]:
-                val *= self.tr_y ** central[1]
-            for w in factors:
-                val *= self.word_trace(w, p.mode)
-            total += val
-        return total
+        return _sum_terms(self, p, 0j, 0.0)[0]
 
     def poly_value_and_magnitude(self, p: TracePolynomial) -> tuple[complex, float]:
         """(value, sum of term magnitudes); their ratio bounds the relative
         cancellation, hence the rounding noise of the value."""
-        total = 0j
-        magnitude = 0.0
-        for (central, factors), coeff in p.items():
-            val = complex(Fraction(coeff.evaluate(self.n)))
-            if central[0]:
-                val *= self.tr_x ** central[0]
-            if central[1]:
-                val *= self.tr_y ** central[1]
-            for w in factors:
-                val *= self.word_trace(w, p.mode)
-            total += val
-            magnitude += abs(val)
-        return total, magnitude
+        return _sum_terms(self, p, 0j, 0.0)
+
+
+class PointPool:
+    """Evaluates trace polynomials on a whole pool of points at once.
+
+    The pool's matrices are stacked as (N, n, n) arrays.  Each word trace is
+    computed once for all N points by batched matrix products and cached as a
+    length-N column per (mode, cyclic word), so a polynomial costs a few
+    vector operations per term.  Entry i equals what PointEvaluator gives at
+    point i, bit for bit.
+    """
+
+    multiply = staticmethod(_product)
+
+    def __init__(self, points: Iterable[CMPoint]):
+        self.points = list(points)
+        # np.stack raises ValueError for an empty pool or mixed sizes n
+        X = np.stack([pt.pair.X for pt in self.points])
+        Y = np.stack([pt.pair.Y for pt in self.points])
+        self.n = n = X.shape[1]
+        self.tr_x = np.trace(X, axis1=1, axis2=2)
+        self.tr_y = np.trace(Y, axis1=1, axis2=2)
+        eye = np.eye(n, dtype=complex)
+        # Python's complex division, as PointEvaluator takes it; numpy's
+        # multiplies by 1/n, which rounds differently at n = 3
+        A = X - np.array([t / n for t in self.tr_x.tolist()])[:, None, None] * eye
+        B = Y - np.array([t / n for t in self.tr_y.tolist()])[:, None, None] * eye
+        self._letter = {
+            PLAIN: {FIRST: X, SECOND: Y},
+            TRACELESS: {FIRST: A, SECOND: B},
+        }
+        self._powers: dict[tuple[str, int], list[np.ndarray]] = {}
+        self._word_traces: dict[tuple[str, CyclicWord], np.ndarray] = {}
+        self._central_powers: dict[tuple[int, int], np.ndarray] = {}
+
+    @classmethod
+    def sample(cls, n: int, count: int, seed: int, start: int = 0) -> "PointPool":
+        """Traceless points (seed, start), ..., (seed, start + count - 1)."""
+        return cls(
+            sample_cm(n, traceless=True, seed=seed, index=start + i) for i in range(count)
+        )
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def _power(self, mode: str, letter: int, exp: int) -> np.ndarray:
+        powers = self._powers.setdefault((mode, letter), [None, self._letter[mode][letter]])
+        while len(powers) <= exp:
+            powers.append(powers[-1] @ powers[1])
+        return powers[exp]
+
+    def word_trace(self, w: CyclicWord, mode: str) -> np.ndarray:
+        key = (mode, w)
+        col = self._word_traces.get(key)
+        if col is None:
+            if w.runs:
+                out = None
+                for letter, exp in w.runs:
+                    power = self._power(mode, letter, exp)
+                    out = power if out is None else out @ power
+                col = np.trace(out, axis1=1, axis2=2)
+            else:
+                col = np.full(len(self), complex(self.n))
+            self._word_traces[key] = col
+        return col
+
+    def central_power(self, letter: int, exp: int) -> np.ndarray:
+        key = (letter, exp)
+        col = self._central_powers.get(key)
+        if col is None:
+            # Python's complex power, point by point, as PointEvaluator takes it
+            traces = (self.tr_x if letter == FIRST else self.tr_y).tolist()
+            col = self._central_powers[key] = np.array([t ** exp for t in traces])
+        return col
+
+    @staticmethod
+    def abs(val: np.ndarray) -> np.ndarray:
+        """|val| by hypot, as Python's abs() of a complex; np.abs may round differently."""
+        return np.hypot(val.real, val.imag)
+
+    def values_and_magnitudes(self, p: TracePolynomial) -> tuple[np.ndarray, np.ndarray]:
+        """Length-N columns of p's values and of its sums of term magnitudes."""
+        return _sum_terms(self, p, np.zeros(len(self), dtype=complex), np.zeros(len(self)))
 
 
 def evaluate(p: TracePolynomial, pt: CMPoint, n_symbol_value: int | None = None) -> complex:
@@ -275,7 +376,7 @@ def numeric_gradient(p: TracePolynomial, pt: CMPoint) -> tuple[np.ndarray, np.nd
     dY = np.zeros((n, n), dtype=complex)
     traceless = p.mode == TRACELESS
     for (central, factors), coeff in p.items():
-        base = complex(Fraction(coeff.evaluate(n)))
+        base = _coefficient_value(coeff, n)
         factor_values = [ev.word_trace(w, p.mode) for w in factors]
         sx = ev.tr_x ** central[0] if central[0] else 1.0
         sy = ev.tr_y ** central[1] if central[1] else 1.0

@@ -59,17 +59,25 @@ def enumerate_trace_monomials(
     return tuple(out)
 
 
-def lstsq_fit(matrix_rows, target, scale: float = 1.0):
+def value_matrix(pool, polys) -> np.ndarray:
+    """(points x polynomials) matrix of values on a cm.PointPool."""
+    columns = [pool.values_and_magnitudes(p)[0] for p in polys]
+    if not columns:
+        return np.zeros((len(pool), 0), dtype=complex)
+    return np.stack(columns, axis=1)
+
+
+def lstsq_fit(matrix, target, scale: float = 1.0):
     """Least-squares fit target ~ matrix @ coeffs.
 
     Returns (residual, coeffs, condition) with residual the max absolute
     misfit divided by scale.  Empty basis gives the zero fit.
     """
     b = np.asarray(target, dtype=complex)
-    if not matrix_rows or (len(matrix_rows[0]) == 0):
+    A = np.asarray(matrix, dtype=complex)
+    if A.size == 0:
         residual = float(np.abs(b).max() / scale) if b.size else 0.0
         return residual, np.zeros(0, dtype=complex), 1.0
-    A = np.asarray(matrix_rows, dtype=complex)
     col_norms = np.linalg.norm(A, axis=0)
     col_norms[col_norms == 0.0] = 1.0
     A_scaled = A / col_norms
@@ -118,8 +126,3 @@ class SpanTracker:
             return False
         self._q.append(unit)
         return True
-
-    def singular_values(self) -> np.ndarray:
-        if not self._q:
-            return np.zeros(0)
-        return np.linalg.svd(np.vstack(self._q), compute_uv=False)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cmpoisson import cli
 from cmpoisson.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
@@ -155,3 +156,56 @@ def test_unknown_tolerance_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--tol", "bogus=1"])
     assert exc.value.code == EXIT_USAGE
+
+
+def usage_error(capsys, *argv):
+    """Run a command that must fail as a usage error; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_over_cap_membership_target_is_rejected_before_the_build(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_closure must not run for an over-cap target")
+
+    monkeypatch.setattr(cli, "build_closure", no_build)
+    err = usage_error(capsys, "membership", "--target", "tr(A^10)", "--n", "2")
+    assert "target degree 10 exceeds basis degree cap 8" in err
+
+
+def test_non_numeric_tolerance_is_usage_error(capsys):
+    err = usage_error(capsys, "verify", "--tol", "rank=abc")
+    assert "rank='abc' is not a number" in err
+
+
+def test_tolerance_without_value_is_usage_error(capsys):
+    err = usage_error(capsys, "verify", "--tol", "rank")
+    assert "NAME=VALUE" in err
+
+
+def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CMPOISSON_SEED", "xyz")
+    err = usage_error(capsys, "sample", "--n", "2")
+    assert "CMPOISSON_SEED='xyz'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--n", "0", "tr(A^2)"),
+        ("sample", "--n", "0"),
+        ("flow", "--family", "scaling", "--t", "1", "--n", "0"),
+        ("verify", "--n", "0"),
+        ("replay", "--n", "0"),
+        ("closure", "--n", "0"),
+        ("membership", "--target", "tr(A^2)", "--n", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_matrix_size_below_one_is_usage_error(capsys, argv):
+    err = usage_error(capsys, *argv)
+    assert "--n" in err and "below the minimum 1" in err

@@ -6,6 +6,8 @@ import pytest
 from cmpoisson.cm import (
     CMPoint,
     MatrixPair,
+    PointEvaluator,
+    PointPool,
     child_rng,
     diagonal_normal_form,
     evaluate,
@@ -22,6 +24,7 @@ from cmpoisson.cm import (
 )
 from cmpoisson.bracket import bracket_standard, bracket_traceless
 from cmpoisson.grammar import parse_polynomial as P
+from cmpoisson.words import FIRST
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
 from conftest import random_polynomial
@@ -112,6 +115,99 @@ def test_conjugation_invariance(rng):
             p = random_polynomial(rng, PLAIN, max_degree=4)
             a, b = evaluate(p, pt), evaluate(p, conj)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+# ---------------- point pools ----------------
+
+def explicit_values(p, points):
+    """Values and term-magnitude sums of p by a plain per-point np.trace of
+    matrix products, independent of the evaluators' caches."""
+    values, magnitudes = [], []
+    for pt in points:
+        n, X, Y = pt.pair.n, pt.pair.X, pt.pair.Y
+        tr_x, tr_y = np.trace(X), np.trace(Y)
+        if p.mode == TRACELESS:
+            X = X - tr_x / n * np.eye(n)
+            Y = Y - tr_y / n * np.eye(n)
+        total, magnitude = 0j, 0.0
+        for (central, factors), coeff in p.items():
+            term = complex(coeff.evaluate(n)) * tr_x ** central[0] * tr_y ** central[1]
+            for w in factors:
+                m = np.eye(n, dtype=complex)
+                for letter in w.letters():
+                    m = m @ (X if letter == FIRST else Y)
+                term *= np.trace(m)
+            total += term
+            magnitude += abs(term)
+        values.append(total)
+        magnitudes.append(magnitude)
+    return np.array(values), np.array(magnitudes)
+
+
+def assert_pool_matches(p, points):
+    values, magnitudes = PointPool(points).values_and_magnitudes(p)
+    want_values, want_magnitudes = explicit_values(p, points)
+    assert values.shape == magnitudes.shape == (len(points),)
+    scale = np.maximum(want_magnitudes, 1.0)
+    assert np.all(np.abs(values - want_values) <= 1e-12 * scale)
+    assert np.all(np.abs(magnitudes - want_magnitudes) <= 1e-12 * scale)
+    # a sum of terms is at most the sum of their sizes (up to one rounding)
+    assert np.all(magnitudes >= np.abs(values) * (1 - 1e-14))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_point_pool_matches_explicit_traces(rng, n):
+    traceless_points = [sample_cm(n, traceless=True, seed=31, index=i) for i in range(5)]
+    general_points = [sample_cm(n, traceless=False, seed=32, index=i) for i in range(5)]
+    for points in (traceless_points, general_points):
+        for _ in range(6):
+            assert_pool_matches(random_polynomial(rng, PLAIN, max_degree=5, max_terms=3), points)
+            assert_pool_matches(
+                random_polynomial(rng, TRACELESS, max_degree=5, max_terms=3), points
+            )
+    # central symbols tr X, tr Y only show on points that are not traceless
+    for _ in range(6):
+        p = random_polynomial(rng, TRACELESS, max_degree=5, max_terms=3, allow_central=True)
+        assert_pool_matches(p, general_points)
+    assert_pool_matches(P("tr(X)*tr(X)*tr(A B) - 3*tr(Y)", TRACELESS), general_points)
+
+
+def test_point_pool_zero_and_constant():
+    points = [sample_cm(3, traceless=False, seed=33, index=i) for i in range(4)]
+    pool = PointPool(points)
+    values, magnitudes = pool.values_and_magnitudes(TracePolynomial.zero(TRACELESS))
+    assert np.array_equal(values, np.zeros(4)) and np.array_equal(magnitudes, np.zeros(4))
+    constant = TracePolynomial.constant(QnCoeff.of(-3, 1), PLAIN)  # -3 n
+    values, magnitudes = pool.values_and_magnitudes(constant)
+    assert np.array_equal(values, np.full(4, -9.0 + 0j))
+    assert np.array_equal(magnitudes, np.full(4, 9.0))
+    assert_pool_matches(constant, points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_point_pool_equals_point_evaluator_bit_for_bit(rng, n):
+    # the pool repeats PointEvaluator's operations in the same order, so
+    # pool-based certificates reproduce per-point ones exactly
+    for traceless in (True, False):
+        points = [sample_cm(n, traceless=traceless, seed=34, index=i) for i in range(6)]
+        pool = PointPool(points)
+        evaluators = [PointEvaluator(pt) for pt in points]
+        for _ in range(8):
+            for p in (
+                random_polynomial(rng, PLAIN, max_degree=6, max_terms=4),
+                random_polynomial(rng, TRACELESS, max_degree=6, max_terms=4, allow_central=True),
+            ):
+                values, magnitudes = pool.values_and_magnitudes(p)
+                pairs = [ev.poly_value_and_magnitude(p) for ev in evaluators]
+                assert values.tolist() == [v for v, _ in pairs]
+                assert magnitudes.tolist() == [m for _, m in pairs]
+
+
+def test_point_pool_rejects_empty_and_mixed_sizes():
+    with pytest.raises(ValueError):
+        PointPool([])
+    with pytest.raises(ValueError):
+        PointPool([sample_cm(2, traceless=True, seed=0), sample_cm(3, traceless=True, seed=0)])
 
 
 # ---------------- gradients ----------------
