@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .cm import PointPool
-from .poly import PLAIN, TRACELESS, TracePolynomial
+from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
 from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND, CyclicWord, canonicalize, splice_cuts
@@ -65,7 +65,7 @@ def _word_bracket(v: CyclicWord, w: CyclicWord, mode: str) -> TracePolynomial:
 
 
 def _poly_bracket(f: TracePolynomial, g: TracePolynomial, mode: str) -> TracePolynomial:
-    out = TracePolynomial.zero(mode)
+    acc: dict = {}
     for (cen_f, fac_f), cf in f.items():
         for (cen_g, fac_g), cg in g.items():
             scale = cf * cg
@@ -75,8 +75,7 @@ def _poly_bracket(f: TracePolynomial, g: TracePolynomial, mode: str) -> TracePol
                 for j, w in enumerate(fac_g):
                     rest_g = fac_g[:j] + fac_g[j + 1:]
                     env_key = ((cen_f[0] + cen_g[0], cen_f[1] + cen_g[1]), rest_f + rest_g)
-                    env = TracePolynomial(mode, [(env_key, scale)])
-                    out = out + env * _word_bracket(v, w, mode)
+                    merge_product(acc, env_key, scale, _word_bracket(v, w, mode))
             # central-central contribution: {tr X, tr Y} = n
             if mode == TRACELESS:
                 ax, ay = cen_f
@@ -85,10 +84,9 @@ def _poly_bracket(f: TracePolynomial, g: TracePolynomial, mode: str) -> TracePol
                 if weight:
                     central = (ax + bx - 1, ay + by - 1)
                     key = (central, fac_f + fac_g)
-                    out = out + TracePolynomial(
-                        mode, [(key, scale * QnCoeff.of(weight, 1))]
-                    )
-    return out
+                    term = TracePolynomial(mode, [(key, scale * QnCoeff.of(weight, 1))])
+                    merge_terms(acc, term.items())
+    return TracePolynomial.from_canonical(mode, acc)
 
 
 def bracket_standard(f: TracePolynomial, g: TracePolynomial) -> TracePolynomial:

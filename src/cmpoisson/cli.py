@@ -20,10 +20,11 @@ from . import catalog as catalog_mod
 from . import chains as chains_mod
 from .bracket import bracket, bracket_raw_terms, verify_catalog
 from .closure import (
+    MembershipChecker,
     build_closure,
-    check_membership,
     default_depth_cap,
     standard_generators,
+    validate_degree_cap,
     validate_target,
 )
 from .cm import sample_cm, save_points
@@ -345,10 +346,20 @@ def cmd_replay(args, tols) -> int:
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
+def _as_usage_error(fn, *args, **kwargs):
+    """Call fn; a ValueError it raises on bad input becomes a UsageError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_closure_from_args(args):
+    generators = standard_generators()
+    _as_usage_error(validate_degree_cap, generators, args.degree)
     depth = args.depth if args.depth else default_depth_cap(args.n)
     return build_closure(
-        standard_generators(),
+        generators,
         depth_cap=depth,
         degree_cap=args.degree,
         n_value=args.n,
@@ -381,14 +392,12 @@ def cmd_closure(args) -> int:
 
 def cmd_membership(args, tols) -> int:
     target = parse_polynomial(args.target, TRACELESS)
-    try:
-        validate_target(target, args.degree)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _as_usage_error(validate_target, target, args.degree)
     basis = _build_closure_from_args(args)
-    cert = check_membership(
-        target, basis, sample_count=args.samples or None, tolerance=tols["membership"]
+    checker = _as_usage_error(
+        MembershipChecker, basis, args.samples or None, tolerance=tols["membership"]
     )
+    cert = checker.check(target)
     if cert.status == "member":
         print(f"member: residual {cert.residual:.3e} over {cert.sample_count} points")
         code = EXIT_PASS

@@ -43,6 +43,14 @@ def standard_generators() -> list[TracePolynomial]:
     ]
 
 
+def validate_degree_cap(generators: Iterable[TracePolynomial], degree_cap: int) -> None:
+    """Raise ValueError when the degree cap is below every generator's degree,
+    so that no generator could enter the closure."""
+    smallest = min(g.degree() for g in generators)
+    if degree_cap < smallest:
+        raise ValueError(f"degree cap {degree_cap} is below the smallest generator degree {smallest}")
+
+
 def reduce_pipeline(
     p: TracePolynomial, n_value: int, normalize: bool = True
 ) -> TracePolynomial:
@@ -110,6 +118,7 @@ def build_closure(
     for g in generators:
         if g.mode != TRACELESS:
             raise ValueError("closure generators must be traceless-mode polynomials")
+    validate_degree_cap(generators, degree_cap)
     monomials = enumerate_trace_monomials(degree_cap, TRACELESS)
     if pool_size is None:
         pool_size = 4 * min(len(monomials), 250)
@@ -239,6 +248,12 @@ class MembershipChecker:
         self.max_condition = max_condition
         if sample_count is None:
             sample_count = max(2 * len(basis.elements), 64)
+        if sample_count <= len(basis.elements):
+            # with no more points than unknowns the fit is exact for any target
+            raise ValueError(
+                f"membership needs more sample points than the {len(basis.elements)} "
+                f"basis elements, got {sample_count}"
+            )
         self.sample_count = sample_count
         self.pool = PointPool.sample(
             basis.n_value, sample_count, basis.seed, MEMBERSHIP_POOL_STREAM

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Iterator
 
@@ -80,6 +81,15 @@ class TracePolynomial:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def from_canonical(cls, mode: str, terms: dict[MonKey, QnCoeff]) -> "TracePolynomial":
+        """Wrap a dict of canonical keys and nonzero coefficients without copying."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "mode", mode)
+        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TracePolynomial is immutable")
@@ -154,14 +164,20 @@ class TracePolynomial:
         if self.mode != other.mode:
             raise ValueError(f"mode mismatch: {self.mode} vs {other.mode}")
 
+    # Operands are canonical, so results are built by merging terms straight
+    # into one dict (merge_terms, merge_product): the same get/add/pop sequence
+    # as the constructor, in the same order, without normalizing each key again.
+
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
         if not isinstance(other, TracePolynomial):
             return NotImplemented
         self._require_same_mode(other)
-        return TracePolynomial(self.mode, list(self._terms.items()) + list(other._terms.items()))
+        acc = dict(self._terms)
+        merge_terms(acc, other._terms.items())
+        return TracePolynomial.from_canonical(self.mode, acc)
 
     def __neg__(self) -> "TracePolynomial":
-        return TracePolynomial(self.mode, [(k, -c) for k, c in self._terms.items()])
+        return TracePolynomial.from_canonical(self.mode, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
         return self + (-other)
@@ -169,16 +185,16 @@ class TracePolynomial:
     def __mul__(self, other) -> "TracePolynomial":
         if isinstance(other, (int, Fraction, QnCoeff)):
             c = other if isinstance(other, QnCoeff) else QnCoeff.of(other)
-            return TracePolynomial(self.mode, [(k, v * c) for k, v in self._terms.items()])
+            if c.is_zero():  # Q[n, n^-1] has no zero divisors
+                return TracePolynomial.zero(self.mode)
+            return TracePolynomial.from_canonical(self.mode, {k: v * c for k, v in self._terms.items()})
         if not isinstance(other, TracePolynomial):
             return NotImplemented
         self._require_same_mode(other)
-        terms = []
-        for (c1, f1), v1 in self._terms.items():
-            for (c2, f2), v2 in other._terms.items():
-                central = (c1[0] + c2[0], c1[1] + c2[1])
-                terms.append(((central, f1 + f2), v1 * v2))
-        return TracePolynomial(self.mode, terms)
+        acc: dict[MonKey, QnCoeff] = {}
+        for key, coeff in self._terms.items():
+            merge_product(acc, key, coeff, other)
+        return TracePolynomial.from_canonical(self.mode, acc)
 
     __rmul__ = __mul__
 
@@ -215,8 +231,8 @@ class TracePolynomial:
 
     def truncate_below_degree(self, d: int) -> "TracePolynomial":
         """Drop all monomials of degree <= d (compare results 'mod d')."""
-        return TracePolynomial(
-            self.mode, [(k, c) for k, c in self._terms.items() if _term_degree(k) > d]
+        return TracePolynomial.from_canonical(
+            self.mode, {k: c for k, c in self._terms.items() if _term_degree(k) > d}
         )
 
     # ---------------- substitutions ----------------
@@ -253,9 +269,12 @@ class TracePolynomial:
 
     def specialize_n(self, n_value: int) -> "TracePolynomial":
         """Collapse all coefficient powers of n at n = n_value."""
-        return TracePolynomial(
-            self.mode, [(k, c.specialize(n_value)) for k, c in self._terms.items()]
-        )
+        terms = {}
+        for k, c in self._terms.items():
+            c = c.specialize(n_value)
+            if not c.is_zero():
+                terms[k] = c
+        return TracePolynomial.from_canonical(self.mode, terms)
 
     def substitute_central(self, x_value=0, y_value=0) -> "TracePolynomial":
         """Replace the central symbols tr X, tr Y by exact scalars (default 0)."""
@@ -298,10 +317,6 @@ class TracePolynomial:
         """
         if n_value < 1:
             raise ValueError("n_value must be >= 1")
-        elementary = {
-            FIRST: _elementary_in_power_traces(FIRST, n_value, self.mode),
-            SECOND: _elementary_in_power_traces(SECOND, n_value, self.mode),
-        }
         work = self.specialize_n(n_value)
         while True:
             offender = _find_long_run(work, n_value)
@@ -311,11 +326,45 @@ class TracePolynomial:
             central, factors = key
             w = factors[factor_idx]
             others = factors[:factor_idx] + factors[factor_idx + 1:]
-            rest_mono = TracePolynomial(self.mode, [(((central), others), coeff)])
-            replacement = _reduce_word_once(w, run_idx, n_value, elementary, self.mode)
-            work = TracePolynomial(
-                self.mode, [(k, c) for k, c in work._terms.items() if k != key]
-            ) + rest_mono * replacement.specialize_n(n_value)
+            remaining = dict(work._terms)
+            del remaining[key]
+            replacement = _reduce_word_once(w, run_idx, n_value, self.mode)
+            merge_product(remaining, (central, others), coeff, replacement)
+            work = TracePolynomial.from_canonical(self.mode, remaining)
+
+
+def merge_terms(acc: dict[MonKey, QnCoeff], terms: Iterable[tuple[MonKey, QnCoeff]]) -> None:
+    """Add canonical terms with nonzero coefficients into acc in place, in
+    order, dropping keys that cancel."""
+    for key, coeff in terms:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = coeff
+            continue
+        coeff = old + coeff
+        if coeff.is_zero():
+            del acc[key]
+        else:
+            acc[key] = coeff
+
+
+def merge_product(acc: dict[MonKey, QnCoeff], key: MonKey, coeff: QnCoeff, p: TracePolynomial) -> None:
+    """Add coeff * monomial(key) * p into acc, term by term in p's order.
+
+    key's factors must be canonical words (no empty or, in traceless mode,
+    length-1 word) in any order, and coeff nonzero."""
+    (cx, cy), f1 = key
+    merge_terms(
+        acc,
+        (
+            (((cx + c2x, cy + c2y), _sorted_factors(f1 + f2)), coeff * v2)
+            for ((c2x, c2y), f2), v2 in p._terms.items()
+        ),
+    )
+
+
+def _sorted_factors(factors: tuple[CyclicWord, ...]) -> tuple[CyclicWord, ...]:
+    return tuple(sorted(factors, key=_factor_sort_key)) if len(factors) > 1 else factors
 
 
 def _term_degree(key: MonKey) -> int:
@@ -373,9 +422,11 @@ def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomia
     return out
 
 
-def _elementary_in_power_traces(letter: int, n_value: int, mode: str) -> list[TracePolynomial]:
+@lru_cache(maxsize=256)
+def _elementary_in_power_traces(letter: int, n_value: int, mode: str) -> tuple[TracePolynomial, ...]:
     """e_0..e_{n_value} of one letter's eigenvalues, in power traces p_i = tr L^i
-    via Newton's identities k e_k = sum_{i<=k} (-1)^{i-1} e_{k-i} p_i."""
+    via Newton's identities k e_k = sum_{i<=k} (-1)^{i-1} e_{k-i} p_i.
+    Cached: one table per (letter, n_value, mode)."""
     p = [None] + [
         TracePolynomial.trace(((letter, i),), mode) for i in range(1, n_value + 1)
     ]
@@ -386,7 +437,7 @@ def _elementary_in_power_traces(letter: int, n_value: int, mode: str) -> list[Tr
             term = e[k - i] * p[i]
             acc = acc + (term if i % 2 == 1 else -term)
         e.append(acc * Fraction(1, k))
-    return e
+    return tuple(e)
 
 
 def _find_long_run(p: TracePolynomial, n_value: int):
@@ -399,16 +450,17 @@ def _find_long_run(p: TracePolynomial, n_value: int):
     return None
 
 
-def _reduce_word_once(
-    w: CyclicWord, run_idx: int, n_value: int, elementary, mode: str
-) -> TracePolynomial:
-    """Apply L^n = sum_k (-1)^{k-1} e_k L^{n-k} to the run at run_idx of tr(w)."""
+@lru_cache(maxsize=65536)
+def _reduce_word_once(w: CyclicWord, run_idx: int, n_value: int, mode: str) -> TracePolynomial:
+    """Apply L^n = sum_k (-1)^{k-1} e_k L^{n-k} to the run at run_idx of tr(w),
+    with coefficients specialized at n = n_value.  Cached per argument tuple."""
     runs = w.runs
     letter, exp = runs[run_idx]
+    elementary = _elementary_in_power_traces(letter, n_value, mode)
     rest = runs[run_idx + 1:] + runs[:run_idx]  # cut the cycle after the big run
     out = TracePolynomial.zero(mode)
     for k in range(1, n_value + 1):
         reduced = canonicalize(Word(merge_runs(((letter, exp - k),) + rest)))
-        term = elementary[letter][k] * TracePolynomial.trace(reduced, mode)
+        term = elementary[k] * TracePolynomial.trace(reduced, mode)
         out = out + (term if k % 2 == 1 else -term)
-    return out
+    return out.specialize_n(n_value)

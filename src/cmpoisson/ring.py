@@ -19,7 +19,7 @@ class QnCoeff:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         acc: dict[int, Fraction] = {}
         for power, coeff in items:
             c = Fraction(coeff)
@@ -34,8 +34,17 @@ class QnCoeff:
         self._hash = None
 
     @classmethod
+    def _trusted(cls, terms: dict[int, Fraction]) -> "QnCoeff":
+        """Wrap an already-normalized dict (nonzero Fraction values) without copying."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def of(cls, coeff: Rat, n_power: int = 0) -> "QnCoeff":
-        return cls(((n_power, Fraction(coeff)),))
+        c = Fraction(coeff)
+        return cls._trusted({n_power: c} if c else {})
 
     @classmethod
     def zero(cls) -> "QnCoeff":
@@ -55,41 +64,38 @@ class QnCoeff:
     def __add__(self, other: "QnCoeff") -> "QnCoeff":
         if not isinstance(other, QnCoeff):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for power, coeff in other._terms.items():
-            c = merged.get(power, Fraction(0)) + coeff
-            if c == 0:
-                merged.pop(power, None)
-            else:
-                merged[power] = c
-        return QnCoeff(merged)
+            _accumulate(merged, power, coeff)
+        return QnCoeff._trusted(merged)
 
     def __neg__(self) -> "QnCoeff":
-        return QnCoeff({p: -c for p, c in self._terms.items()})
+        return QnCoeff._trusted({p: -c for p, c in self._terms.items()})
 
     def __sub__(self, other: "QnCoeff") -> "QnCoeff":
         return self + (-other)
 
     def __mul__(self, other: "QnCoeff | Rat") -> "QnCoeff":
         if isinstance(other, (int, Fraction)):
-            other = QnCoeff.of(other)
+            if other == 0:
+                return _ZERO
+            return QnCoeff._trusted({p: c * other for p, c in self._terms.items()})
         if not isinstance(other, QnCoeff):
             return NotImplemented
         acc: dict[int, Fraction] = {}
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():
-                p = p1 + p2
-                c = acc.get(p, Fraction(0)) + c1 * c2
-                if c == 0:
-                    acc.pop(p, None)
-                else:
-                    acc[p] = c
-        return QnCoeff(acc)
+                _accumulate(acc, p1 + p2, c1 * c2)
+        return QnCoeff._trusted(acc)
 
     __rmul__ = __mul__
 
     def times_n_power(self, k: int) -> "QnCoeff":
-        return QnCoeff({p + k: c for p, c in self._terms.items()})
+        return QnCoeff._trusted({p + k: c for p, c in self._terms.items()})
 
     def evaluate(self, n_value: int) -> Fraction:
         """Specialize n to a concrete positive integer; result is an exact rational."""
@@ -102,6 +108,8 @@ class QnCoeff:
 
     def specialize(self, n_value: int) -> "QnCoeff":
         """Collapse all powers of n at n = n_value; result has only the n^0 term."""
+        if n_value >= 1 and self._terms.keys() <= {0}:
+            return self  # already constant
         return QnCoeff.of(self.evaluate(n_value))
 
     def __eq__(self, other: object) -> bool:
@@ -125,5 +133,18 @@ class QnCoeff:
         return f"QnCoeff({body})"
 
 
-_ZERO = QnCoeff()
-_ONE = QnCoeff(((0, Fraction(1)),))
+def _accumulate(acc: dict[int, Fraction], power: int, c: Fraction) -> None:
+    """acc[power] += c for a nonzero c, dropping the power if it cancels."""
+    old = acc.get(power)
+    if old is None:
+        acc[power] = c
+        return
+    c = old + c
+    if c:
+        acc[power] = c
+    else:
+        del acc[power]
+
+
+_ZERO = QnCoeff._trusted({})
+_ONE = QnCoeff._trusted({0: Fraction(1)})

@@ -126,11 +126,14 @@ def least_rotation(letters: Sequence[int]) -> int:
 class CyclicWord:
     """Rotation class of a Word, stored in the canonical (least) rotation."""
 
-    __slots__ = ("runs",)
+    __slots__ = ("runs", "_degree", "_hash")
 
     def __init__(self, runs: Runs):
         # Trusted constructor: `runs` must already be canonical. Use canonicalize().
+        # Degree and hash are computed once; words are dict keys on every hot path.
         object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_degree", sum(e for _, e in runs))
+        object.__setattr__(self, "_hash", hash(("CyclicWord", runs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
@@ -141,7 +144,7 @@ class CyclicWord:
         return (first, second)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.runs)
+        return self._degree
 
     def is_empty(self) -> bool:
         return not self.runs
@@ -159,7 +162,7 @@ class CyclicWord:
         return _sort_key(self.runs) < _sort_key(other.runs)
 
     def __hash__(self) -> int:
-        return hash(("CyclicWord", self.runs))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.runs:

@@ -177,6 +177,33 @@ def test_over_cap_membership_target_is_rejected_before_the_build(capsys, monkeyp
     assert "target degree 10 exceeds basis degree cap 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("closure", "--n", "2", "--degree", "1"),
+        ("membership", "--target", "1", "--n", "2", "--degree", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_degree_cap_below_every_generator_is_rejected_before_the_build(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_closure must not run for an unusable degree cap")
+
+    monkeypatch.setattr(cli, "build_closure", no_build)
+    err = usage_error(capsys, *argv)
+    assert "degree cap 1 is below the smallest generator degree 2" in err
+
+
+@pytest.mark.parametrize("samples", ["5", "9"])
+def test_membership_samples_not_above_basis_size_is_usage_error(capsys, samples):
+    # depth 1 at n=3 gives 9 elements; 5 points used to certify any target
+    err = usage_error(
+        capsys, "membership", "--target", "tr(A^3 B^3)", "--n", "3",
+        "--depth", "1", "--samples", samples, "--seed", "0",
+    )
+    assert f"more sample points than the 9 basis elements, got {samples}" in err
+
+
 def test_non_numeric_tolerance_is_usage_error(capsys):
     err = usage_error(capsys, "verify", "--tol", "rank=abc")
     assert "rank='abc' is not a number" in err

@@ -5,6 +5,7 @@ import pytest
 from cmpoisson.bracket import bracket_traceless
 from cmpoisson.closure import (
     LieClosureBasis,
+    MembershipChecker,
     PoolTooSmallError,
     build_closure,
     check_membership,
@@ -100,6 +101,20 @@ def test_degree_cap_bounds_elements(basis_n2):
 def test_target_above_degree_cap_rejected(basis_n2):
     with pytest.raises(ValueError):
         check_membership(P("tr(A^4 B^4)", TRACELESS), basis_n2)
+
+
+def test_membership_needs_more_points_than_basis_elements(basis_n2):
+    # with no more points than unknowns the fit is exact for any target
+    size = len(basis_n2.elements)
+    for count in (5, size):
+        with pytest.raises(ValueError, match="more sample points than the 16 basis elements"):
+            MembershipChecker(basis_n2, sample_count=count)
+    assert MembershipChecker(basis_n2, sample_count=size + 1).sample_count == size + 1
+
+
+def test_degree_cap_below_every_generator_rejected():
+    with pytest.raises(ValueError, match="degree cap 1 is below the smallest generator degree 2"):
+        build_closure(standard_generators(), depth_cap=2, degree_cap=1, n_value=2)
 
 
 def test_ill_conditioned_fit_is_inconclusive(basis_n2):
