@@ -21,10 +21,11 @@ results are returned in canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Optional
 
 from .cm import PointPool
+from .grammar import format_polynomial
 from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
 from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
@@ -140,23 +141,26 @@ def jacobi_check(f: TracePolynomial, g: TracePolynomial, h: TracePolynomial) -> 
 
 
 # ----------------------------------------------------------------------
-# pinned identity catalog
+# identity checks: the pinned catalog and the lemma chains
 # ----------------------------------------------------------------------
 
 EXACT = "exact"
 LEADING = "leading-mod-degree"
 
 
+def check_kind(kind, degree_bound, where: str) -> None:
+    """Raise ValueError unless kind is EXACT, or LEADING with an integer
+    degree_bound; where names the identity in the message."""
+    if kind not in (EXACT, LEADING):
+        raise ValueError(f"{where}: unknown kind {kind!r}, expected {EXACT!r} or {LEADING!r}")
+    if kind == LEADING and not isinstance(degree_bound, int):
+        raise ValueError(f"{where}: kind {LEADING!r} needs an integer degree_bound")
+
+
 @dataclass(frozen=True)
 class BracketCatalogEntry:
-    """One pinned bracket identity.
-
-    kind 'exact': bracket(lhs, rhs) == expected in canonical form, n symbolic.
-    kind 'leading-mod-degree': the straightened bracket truncated above
-    degree_bound equals expected, and the full difference restricts on the
-    rank-condition variety to a function of degree <= degree_bound
-    (certified by least-squares fitting on sampled points).
-    """
+    """One pinned bracket identity {lhs, rhs} = expected, checked by
+    check_identity according to its kind."""
 
     id: str
     lhs: TracePolynomial
@@ -164,12 +168,14 @@ class BracketCatalogEntry:
     expected: TracePolynomial
     kind: str
     degree_bound: Optional[int] = None
-    mode: str = TRACELESS
 
 
 @dataclass
-class CatalogEntryResult:
-    id: str
+class IdentityResult:
+    """Verdict on one identity: id is a catalog entry's name or a chain
+    step's index."""
+
+    id: str | int
     status: str  # "pass" | "fail"
     detail: str = ""
     symbolic_difference: str = ""
@@ -177,10 +183,10 @@ class CatalogEntryResult:
 
 
 @dataclass
-class CatalogReport:
-    n_value: int
-    sample_count: int
-    results: list[CatalogEntryResult] = field(default_factory=list)
+class IdentityReport:
+    """The results of a catalog verification or of one chain replay."""
+
+    results: list[IdentityResult] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -208,14 +214,44 @@ def fit_tail_on_variety(
     if not isinstance(pool, PointPool):
         pool = PointPool(ev.point for ev in pool)
     target = pool.values_and_magnitudes(diff)[0]
-    if degree_bound >= 0:
-        basis = enumerate_trace_monomials(degree_bound, diff.mode)
-    else:
-        basis = []
-    matrix = value_matrix(pool, basis)
+    matrix = value_matrix(pool, enumerate_trace_monomials(degree_bound, diff.mode))
     scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(reference)[0]).max()))
     residual, _, _ = lstsq_fit(matrix, target, scale=scale)
     return residual
+
+
+def check_identity(
+    id: str | int,
+    computed: TracePolynomial,
+    expected: TracePolynomial,
+    kind: str,
+    degree_bound: Optional[int],
+    pool: Callable[[], PointPool],
+    fit_tolerance: float,
+) -> IdentityResult:
+    """Check that the computed bracket equals expected as an identity of this kind.
+
+    kind 'exact': equality in canonical form, n symbolic.
+    kind 'leading-mod-degree': the straightened part above degree_bound
+    equals expected's, and the full difference restricts on the rank-condition
+    variety to a function of degree <= degree_bound, certified by a tail fit
+    on the points of pool(), which only this kind calls."""
+    check_kind(kind, degree_bound, f"identity {id}")
+    if kind == EXACT:
+        diff = computed - expected
+        if diff.is_zero():
+            return IdentityResult(id, "pass")
+        return IdentityResult(id, "fail", "exact identity failed", format_polynomial(diff))
+    lead_diff = leading_part(computed, degree_bound) - expected.straighten()
+    if not lead_diff.is_zero():
+        return IdentityResult(
+            id, "fail", "straightened leading part mismatch", format_polynomial(lead_diff)
+        )
+    residual = fit_tail_on_variety(computed - expected, computed, degree_bound, pool())
+    if residual < fit_tolerance:
+        return IdentityResult(id, "pass", fit_residual=residual)
+    detail = f"variety residual {residual:.3e} above {fit_tolerance:.1e}"
+    return IdentityResult(id, "fail", detail, fit_residual=residual)
 
 
 def verify_catalog(
@@ -224,67 +260,12 @@ def verify_catalog(
     sample_count: int,
     seed: int = 0,
     fit_tolerance: float = 1e-8,
-) -> CatalogReport:
-    """Check every catalog entry; exact entries symbolically, leading entries
-    symbolically on the straightened top part plus numerically on the variety."""
-    from .grammar import format_polynomial
-
-    report = CatalogReport(n_value=n_value, sample_count=sample_count)
-    pool: PointPool | None = None
-
-    def get_pool() -> PointPool:
-        nonlocal pool
-        if pool is None:
-            pool = PointPool.sample(n_value, sample_count, seed)
-        return pool
-
-    for entry in entries:
-        computed = bracket(entry.lhs, entry.rhs)
-        if entry.kind == EXACT:
-            diff = computed - entry.expected
-            if diff.is_zero():
-                report.results.append(CatalogEntryResult(entry.id, "pass"))
-            else:
-                report.results.append(
-                    CatalogEntryResult(
-                        entry.id,
-                        "fail",
-                        detail="exact identity failed",
-                        symbolic_difference=format_polynomial(diff),
-                    )
-                )
-            continue
-        if entry.kind != LEADING:
-            raise ValueError(f"unknown catalog kind {entry.kind!r}")
-        bound = entry.degree_bound
-        if bound is None:
-            raise ValueError(f"entry {entry.id}: leading kind needs degree_bound")
-        lead = leading_part(computed, bound)
-        sym_diff = lead - entry.expected.straighten()
-        if not sym_diff.is_zero():
-            report.results.append(
-                CatalogEntryResult(
-                    entry.id,
-                    "fail",
-                    detail="straightened leading part mismatch",
-                    symbolic_difference=format_polynomial(sym_diff),
-                )
-            )
-            continue
-        # numeric variety-residual certification of the lower-degree tail
-        diff = computed - entry.expected
-        residual = fit_tail_on_variety(diff, computed, bound, get_pool())
-        if residual < fit_tolerance:
-            report.results.append(
-                CatalogEntryResult(entry.id, "pass", fit_residual=residual)
-            )
-        else:
-            report.results.append(
-                CatalogEntryResult(
-                    entry.id,
-                    "fail",
-                    detail=f"variety residual {residual:.3e} above {fit_tolerance:.1e}",
-                    fit_residual=residual,
-                )
-            )
-    return report
+) -> IdentityReport:
+    """Check every catalog entry; the leading entries share one point pool."""
+    pool = cache(lambda: PointPool.sample(n_value, sample_count, seed))
+    return IdentityReport([
+        check_identity(
+            e.id, bracket(e.lhs, e.rhs), e.expected, e.kind, e.degree_bound, pool, fit_tolerance
+        )
+        for e in entries
+    ])

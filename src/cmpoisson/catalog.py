@@ -20,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable
 
-from .bracket import EXACT, LEADING, BracketCatalogEntry
+from .bracket import EXACT, LEADING, BracketCatalogEntry, check_kind
 from .grammar import parse_polynomial
 from .poly import PLAIN, TRACELESS
 
@@ -105,7 +105,6 @@ def make_bracketformular_entry(j: int, k: int, p: int, q: int) -> BracketCatalog
         expected=expected,
         kind=LEADING,
         degree_bound=j + k + p + q - 6,
-        mode=TRACELESS,
     )
 
 
@@ -210,21 +209,58 @@ def record_to_entry(record: dict) -> BracketCatalogEntry:
         expected=expected,
         kind=record["kind"],
         degree_bound=record.get("degree_bound"),
-        mode=mode,
     )
 
 
-def load_catalog_records(path: str | None = None) -> list[dict]:
+def read_records(path: str | None, default_name: str) -> list:
+    """The JSON list in the file at path, or in the shipped data/<default_name>.
+
+    Raises ValueError when the file cannot be read or holds no JSON list."""
     if path is None:
-        text = resources.files("cmpoisson").joinpath("data/catalog.json").read_text()
+        text = resources.files("cmpoisson").joinpath(f"data/{default_name}").read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
-    return json.loads(text)
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    records = json.loads(text)  # a json.JSONDecodeError is a ValueError
+    if not isinstance(records, list):
+        raise ValueError(f"{path or default_name} holds no JSON list of records")
+    return records
+
+
+def check_fields(record, where: str, fields: dict[str, type]) -> None:
+    """Raise ValueError unless record is a JSON object with a value of the
+    given type under each key in fields."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key, expected_type in fields.items():
+        if not isinstance(record.get(key), expected_type):
+            raise ValueError(f"{where} needs a {expected_type.__name__} {key!r}")
+
+
+def load_catalog_records(path: str | None = None) -> list[dict]:
+    return read_records(path, "catalog.json")
 
 
 def load_catalog_entries(path: str | None = None) -> list[BracketCatalogEntry]:
-    return [record_to_entry(r) for r in load_catalog_records(path)]
+    """The entries of a catalog file (default: the shipped data/catalog.json).
+
+    Raises ValueError, naming the record, for one that lacks a field, breaks
+    the check_kind rule or holds text that does not parse."""
+    entries = []
+    for i, record in enumerate(load_catalog_records(path)):
+        where = f"catalog record {i}"
+        check_fields(record, where, {"id": str, "lhs": str, "expected": str})
+        rhs_key = "rhs_from_traceless" if "rhs_from_traceless" in record else "rhs"
+        check_fields(record, where, {rhs_key: str})
+        check_kind(record.get("kind"), record.get("degree_bound"), where)
+        try:
+            entries.append(record_to_entry(record))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return entries
 
 
 def catalog_json(records: list[dict]) -> str:

@@ -3,9 +3,8 @@ power-trace and product generation arguments.
 
 Each chain is an ordered list of bracket identities; a step's operands are
 polynomial texts or references "$k" to the exact result of step k, so the
-replay follows the argument literally.  Exact steps are checked by canonical
-equality; 'leading-mod-degree' steps by the straightened leading part plus a
-numeric variety-residual fit of the tail.
+replay follows the argument literally.  Every step is checked by
+bracket.check_identity, as the catalog entries are.
 
 Expected values come from closed-form splice computations done by hand, not
 from the engine under test.  Two constants differ from the written sources:
@@ -17,35 +16,13 @@ bracket), and the triple application of {tr B^2, .} to tr A^3 ends at
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Optional
+from functools import cache
 
-from .bracket import EXACT, LEADING, bracket, fit_tail_on_variety, leading_part
-from .catalog import poly_text, term_text
+from .bracket import EXACT, LEADING, IdentityReport, bracket, check_identity, check_kind
+from .catalog import check_fields, poly_text, read_records, term_text
 from .cm import PointPool
-from .grammar import format_polynomial, parse_polynomial
+from .grammar import parse_polynomial
 from .poly import TRACELESS, TracePolynomial
-
-
-@dataclass
-class ChainStepResult:
-    step: int
-    status: str
-    detail: str = ""
-    symbolic_difference: str = ""
-    fit_residual: Optional[float] = None
-
-
-@dataclass
-class ChainReport:
-    lemma_id: str
-    n_value: int
-    results: list[ChainStepResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.results)
 
 
 def _w(i: int, j: int) -> str:
@@ -251,83 +228,52 @@ def replay_lemma_chain(
     sample_count: int = 40,
     seed: int = 0,
     fit_tolerance: float = 1e-8,
-) -> ChainReport:
+) -> IdentityReport:
     """Execute a chain's bracket sequence, checking every step as specified.
 
     Stops at the first failing step and reports its symbolic difference."""
-    report = ChainReport(lemma_id=chain["lemma_id"], n_value=n_value)
-    pool: PointPool | None = None
-
-    def get_pool() -> PointPool:
-        nonlocal pool
-        if pool is None:
-            pool = PointPool.sample(n_value, sample_count, seed)
-        return pool
-
+    report = IdentityReport()
+    pool = cache(lambda: PointPool.sample(n_value, sample_count, seed))
     results: list[TracePolynomial] = []
+
+    def resolve(text: str) -> TracePolynomial:
+        if text.startswith("$"):
+            return results[int(text[1:])]
+        return parse_polynomial(text, TRACELESS)
+
     for idx, step in enumerate(chain["steps"]):
-
-        def resolve(text: str) -> TracePolynomial:
-            if text.startswith("$"):
-                return results[int(text[1:])]
-            return parse_polynomial(text, TRACELESS)
-
         lhs = resolve(step["lhs"])
         rhs = resolve(step["rhs"])
         expected = parse_polynomial(step["expected"], TRACELESS)
         computed = bracket(lhs, rhs)
         results.append(computed)
-        if step["kind"] == EXACT:
-            diff = computed - expected
-            if diff.is_zero():
-                report.results.append(ChainStepResult(idx, "pass"))
-                continue
-            report.results.append(
-                ChainStepResult(
-                    idx,
-                    "fail",
-                    detail="exact identity failed",
-                    symbolic_difference=format_polynomial(diff),
-                )
-            )
-            return report
-        bound = step["degree_bound"]
-        lead_diff = leading_part(computed, bound) - expected.straighten()
-        if not lead_diff.is_zero():
-            report.results.append(
-                ChainStepResult(
-                    idx,
-                    "fail",
-                    detail="straightened leading part mismatch",
-                    symbolic_difference=format_polynomial(lead_diff),
-                )
-            )
-            return report
-        residual = fit_tail_on_variety(
-            computed - expected, computed, bound, get_pool()
+        result = check_identity(
+            idx, computed, expected, step.get("kind"), step.get("degree_bound"),
+            pool, fit_tolerance,
         )
-        if residual < fit_tolerance:
-            report.results.append(ChainStepResult(idx, "pass", fit_residual=residual))
-        else:
-            report.results.append(
-                ChainStepResult(
-                    idx,
-                    "fail",
-                    detail=f"variety residual {residual:.3e} above {fit_tolerance:.1e}",
-                    fit_residual=residual,
-                )
-            )
-            return report
+        report.results.append(result)
+        if result.status != "pass":
+            break
     return report
 
 
 def load_chain_records(path: str | None = None) -> list[dict]:
-    if path is None:
-        text = resources.files("cmpoisson").joinpath("data/chains.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return json.loads(text)
+    """The chains in a JSON file (default: the shipped data/chains.json).
+
+    Raises ValueError for a chain replay_lemma_chain cannot run: one that lacks
+    a field, breaks the check_kind rule or refers to a step that has not run."""
+    records = read_records(path, "chains.json")
+    for i, record in enumerate(records):
+        check_fields(record, f"chain {i}", {"lemma_id": str, "steps": list})
+        for idx, step in enumerate(record["steps"]):
+            at = f"chain {i} step {idx}"
+            check_fields(step, at, {"lhs": str, "rhs": str, "expected": str})
+            check_kind(step.get("kind"), step.get("degree_bound"), at)
+            for side in ("lhs", "rhs"):
+                ref = step[side]
+                if ref.startswith("$") and not (ref[1:].isdecimal() and int(ref[1:]) < idx):
+                    raise ValueError(f"{at}: {side} {ref!r} does not name an earlier step")
+    return records
 
 
 def chains_json(records: list[dict]) -> str:

@@ -272,10 +272,23 @@ def cmd_flow(args, tols) -> int:
     return EXIT_FAIL if failed else EXIT_PASS
 
 
+def _identity_records(results, key: str) -> list[dict]:
+    """--out records of identity results, each naming its identity under key."""
+    return [
+        {
+            key: r.id,
+            "status": r.status,
+            "detail": r.detail,
+            "symbolic_difference": r.symbolic_difference,
+            "fit_residual": r.fit_residual,
+        }
+        for r in results
+    ]
+
+
 def cmd_verify(args, tols) -> int:
-    entries = catalog_mod.load_catalog_entries(
-        None if args.catalog == "default" else args.catalog
-    )
+    path = None if args.catalog == "default" else args.catalog
+    entries = _as_usage_error(catalog_mod.load_catalog_entries, path)
     report = verify_catalog(
         entries, args.n, args.samples, seed=args.seed, fit_tolerance=tols["fit"]
     )
@@ -289,16 +302,7 @@ def cmd_verify(args, tols) -> int:
             "command": "verify",
             "n": args.n,
             "samples": args.samples,
-            "results": [
-                {
-                    "id": r.id,
-                    "status": r.status,
-                    "detail": r.detail,
-                    "symbolic_difference": r.symbolic_difference,
-                    "fit_residual": r.fit_residual,
-                }
-                for r in report.results
-            ],
+            "results": _identity_records(report.results, "id"),
         },
         args.out,
     )
@@ -306,9 +310,8 @@ def cmd_verify(args, tols) -> int:
 
 
 def cmd_replay(args, tols) -> int:
-    records = chains_mod.load_chain_records(
-        None if args.catalog == "default" else args.catalog
-    )
+    path = None if args.catalog == "default" else args.catalog
+    records = _as_usage_error(chains_mod.load_chain_records, path)
     if args.chain != "all":
         records = [r for r in records if r["lemma_id"] == args.chain]
         if not records:
@@ -322,24 +325,15 @@ def cmd_replay(args, tols) -> int:
         )
         all_pass = all_pass and report.passed
         status = "pass" if report.passed else "FAIL"
-        print(f"{status} {report.lemma_id} ({len(report.results)} steps)")
+        print(f"{status} {record['lemma_id']} ({len(report.results)} steps)")
         for r in report.results:
             if r.status != "pass":
-                print(f"  step {r.step}: {r.detail} {r.symbolic_difference}")
+                print(f"  step {r.id}: {r.detail} {r.symbolic_difference}")
         out_reports.append(
             {
-                "lemma_id": report.lemma_id,
+                "lemma_id": record["lemma_id"],
                 "passed": report.passed,
-                "steps": [
-                    {
-                        "step": r.step,
-                        "status": r.status,
-                        "detail": r.detail,
-                        "symbolic_difference": r.symbolic_difference,
-                        "fit_residual": r.fit_residual,
-                    }
-                    for r in report.results
-                ],
+                "steps": _identity_records(report.results, "step"),
             }
         )
     _write_report({"command": "replay", "n": args.n, "chains": out_reports}, args.out)

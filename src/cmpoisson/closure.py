@@ -23,6 +23,8 @@ from .poly import TRACELESS, TracePolynomial
 from .span import SpanTracker, enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND
 
+RANK_THRESHOLD = 1e-10  # relative size below which a value row or singular value is noise
+MAX_CONDITION = 1e12  # membership fits with a worse-conditioned value matrix are inconclusive
 MEMBERSHIP_POOL_STREAM = 1_000_000  # index offset for fresh certification points
 RECHECK_STREAM = 2_000_000
 
@@ -80,7 +82,6 @@ class LieClosureBasis:
     n_value: int
     seed: int
     pool_size: int
-    rank_threshold: float = 1e-10
 
     def evaluate_tree(self, tree: Tree) -> TracePolynomial:
         """Re-run the bracket/reduction pipeline recorded in a provenance tree."""
@@ -111,7 +112,6 @@ def build_closure(
     n_value: int,
     seed: int = 0,
     pool_size: Optional[int] = None,
-    rank_threshold: float = 1e-10,
 ) -> LieClosureBasis:
     """Breadth-first nested bracketing with numeric span pruning."""
     generators = list(generators)
@@ -123,7 +123,7 @@ def build_closure(
     if pool_size is None:
         pool_size = 4 * min(len(monomials), 250)
     pool = PointPool.sample(n_value, pool_size, seed)
-    tracker = SpanTracker(pool_size, tol=rank_threshold)
+    tracker = SpanTracker(pool_size, tol=RANK_THRESHOLD)
     # every element lives in the span of degree<=cap monomial functions on the
     # variety; their numeric rank on the pool caps the attainable basis size.
     # Monomials that vanish identically on the variety (e.g. odd power traces
@@ -131,10 +131,10 @@ def build_closure(
     mono_rows = []
     for m in monomials:
         values, magnitudes = pool.values_and_magnitudes(m)
-        if np.abs(values).max() > rank_threshold * magnitudes.max():
+        if np.abs(values).max() > RANK_THRESHOLD * magnitudes.max():
             mono_rows.append(values / np.linalg.norm(values))
     mono_sv = np.linalg.svd(np.array(mono_rows), compute_uv=False)
-    span_dimension = int((mono_sv > rank_threshold * mono_sv[0]).sum())
+    span_dimension = int((mono_sv > RANK_THRESHOLD * mono_sv[0]).sum())
 
     basis = LieClosureBasis(
         generators=generators,
@@ -157,7 +157,7 @@ def build_closure(
             return False
         seen.add(key)
         values, magnitudes = pool.values_and_magnitudes(p)
-        if np.abs(values).max() <= rank_threshold * magnitudes.max():
+        if np.abs(values).max() <= RANK_THRESHOLD * magnitudes.max():
             # vanishes on the variety up to cancellation noise (a rank-condition
             # relation); its normalized value row would be rounding noise
             return False
@@ -241,11 +241,9 @@ class MembershipChecker:
         basis: LieClosureBasis,
         sample_count: Optional[int] = None,
         tolerance: float = 1e-8,
-        max_condition: float = 1e12,
     ):
         self.basis = basis
         self.tolerance = tolerance
-        self.max_condition = max_condition
         if sample_count is None:
             sample_count = max(2 * len(basis.elements), 64)
         if sample_count <= len(basis.elements):
@@ -267,7 +265,7 @@ class MembershipChecker:
         b = self.pool.values_and_magnitudes(reduced)[0]
         scale = max(1.0, float(self.pool.abs(b).max()))
         residual, coeffs, cond = lstsq_fit(self.matrix, b, scale=scale)
-        if cond > self.max_condition:
+        if cond > MAX_CONDITION:
             status = "inconclusive"
         elif residual < self.tolerance:
             status = "member"
@@ -290,10 +288,9 @@ def check_membership(
     basis: LieClosureBasis,
     sample_count: Optional[int] = None,
     tolerance: float = 1e-8,
-    max_condition: float = 1e12,
 ) -> MembershipCertificate:
     """Least-squares fit of the target against basis-element values on fresh points."""
-    return MembershipChecker(basis, sample_count, tolerance, max_condition).check(target)
+    return MembershipChecker(basis, sample_count, tolerance).check(target)
 
 
 def recheck_certificate(

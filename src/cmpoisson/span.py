@@ -24,14 +24,15 @@ def enumerate_cyclic_words(degree: int) -> tuple[CyclicWord, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_trace_monomials(
-    max_degree: int, mode: str = TRACELESS, include_constant: bool = True
-) -> tuple[TracePolynomial, ...]:
-    """All products of trace factors with total degree <= max_degree.
+def enumerate_trace_monomials(max_degree: int, mode: str = TRACELESS) -> tuple[TracePolynomial, ...]:
+    """The constant 1 and all products of trace factors with total degree <= max_degree;
+    none for a negative max_degree.
 
     In traceless mode factors have degree >= 2 (length-1 traces vanish);
     central symbols are excluded (they vanish on the traceless locus).
     """
+    if max_degree < 0:
+        return ()
     min_factor = 2 if mode == TRACELESS else 1
     words_by_degree = {
         d: enumerate_cyclic_words(d) for d in range(min_factor, max_degree + 1)
@@ -51,9 +52,7 @@ def enumerate_trace_monomials(
             extend(i, remaining - w.degree(), chosen + (w,))
 
     extend(0, max_degree, ())
-    out = []
-    if include_constant:
-        out.append(TracePolynomial.constant(1, mode))
+    out = [TracePolynomial.constant(1, mode)]
     for factors in monomials:
         out.append(TracePolynomial(mode, [(((0, 0), factors), QnCoeff.one())]))
     return tuple(out)

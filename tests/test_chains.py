@@ -2,6 +2,8 @@
 
 import copy
 
+import pytest
+
 from cmpoisson.chains import (
     chains_json,
     default_chain_records,
@@ -49,6 +51,17 @@ def test_tampered_step_fails_with_difference():
     report = replay_lemma_chain(record, n_value=3)
     assert not report.passed
     failed = [r for r in report.results if r.status == "fail"]
-    assert failed and failed[0].step == 1 and failed[0].symbolic_difference == "tr(A B^2)"
+    assert failed and failed[0].id == 1 and failed[0].symbolic_difference == "tr(A B^2)"
     # replay stops at the first failing step
     assert len(report.results) == 2
+
+
+def test_unknown_step_kind_is_rejected():
+    # a mistyped "exact" must not be certified under the weaker leading test
+    record = copy.deepcopy(
+        next(r for r in load_chain_records() if r["lemma_id"] == "transport-right-p3q3")
+    )
+    record["steps"][0]["kind"] = "exactt"
+    record["steps"][0]["degree_bound"] = 2
+    with pytest.raises(ValueError, match="unknown kind 'exactt'"):
+        replay_lemma_chain(record, n_value=3, sample_count=30, seed=0)

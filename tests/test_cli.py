@@ -236,3 +236,64 @@ def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch):
 def test_matrix_size_below_one_is_usage_error(capsys, argv):
     err = usage_error(capsys, *argv)
     assert "--n" in err and "below the minimum 1" in err
+
+
+GOOD_STEP = {"lhs": "tr(A^2)", "rhs": "tr(B^2)", "expected": "4*tr(A B)", "kind": "exact"}
+GOOD_ENTRY = {"id": "splice", **GOOD_STEP}
+
+
+def two_chains(*bad_steps):
+    """A valid chain followed by one made of bad_steps."""
+    return [{"lemma_id": "good", "steps": [GOOD_STEP]}, {"lemma_id": "bad", "steps": list(bad_steps)}]
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        pytest.param("verify", None, "cannot read", id="verify-missing-file"),
+        pytest.param("replay", None, "cannot read", id="replay-missing-file"),
+        pytest.param("verify", "[{", "line 1 column 3", id="verify-not-json"),
+        pytest.param("verify", {"splice": GOOD_ENTRY}, "holds no JSON list", id="verify-not-a-list"),
+        pytest.param("replay", {"good": GOOD_STEP}, "holds no JSON list", id="replay-not-a-list"),
+        pytest.param(
+            "verify", [{k: v for k, v in GOOD_ENTRY.items() if k != "lhs"}],
+            "catalog record 0 needs a str 'lhs'", id="verify-missing-text",
+        ),
+        pytest.param(
+            "verify", [GOOD_ENTRY, {**GOOD_ENTRY, "kind": "leading-mod-degree"}],
+            "catalog record 1: kind 'leading-mod-degree' needs an integer degree_bound",
+            id="verify-missing-degree-bound",
+        ),
+        pytest.param(
+            "replay", two_chains({**GOOD_STEP, "kind": "leading-mod-degree"}),
+            "chain 1 step 0: kind 'leading-mod-degree' needs an integer degree_bound",
+            id="replay-missing-degree-bound",
+        ),
+        pytest.param(
+            "verify", [{**GOOD_ENTRY, "kind": "exactt", "degree_bound": 2}],
+            "unknown kind 'exactt'", id="verify-unknown-kind",
+        ),
+        pytest.param(
+            "replay", two_chains({**GOOD_STEP, "kind": "exactt", "degree_bound": 2}),
+            "unknown kind 'exactt'", id="replay-unknown-kind",
+        ),
+        pytest.param(
+            "replay", two_chains(GOOD_STEP, {**GOOD_STEP, "rhs": "$1"}),
+            "chain 1 step 1: rhs '$1' does not name an earlier step", id="replay-forward-reference",
+        ),
+        pytest.param(
+            "verify", [{**GOOD_ENTRY, "lhs": "tr(Q)"}], "catalog record 0: ", id="verify-parse-error",
+        ),
+    ],
+)
+def test_malformed_catalog_file_is_usage_error(tmp_path, capsys, monkeypatch, command, content, message):
+    def no_check(*args, **kwargs):
+        raise AssertionError("no identity may be checked before the whole file is")
+
+    monkeypatch.setattr(cli, "verify_catalog", no_check)
+    monkeypatch.setattr(cli.chains_mod, "replay_lemma_chain", no_check)
+    path = tmp_path / "catalog.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    err = usage_error(capsys, command, "--catalog", str(path), "--n", "2")
+    assert message in err

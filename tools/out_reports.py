@@ -39,6 +39,12 @@ JOBS += [
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
     ("bracket_plain", ["bracket", "--mode", "plain", "tr(X^3 Y^2)", "tr(X Y^4)"]),
+    ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
+    ("flow_cubicShear_n2", ["flow", "--family", "cubicShear", "--t", "0.3", "--n", "2",
+                            "--steps", "40", "--seed", "0"]),
+    ("flow_scaling_n2", ["flow", "--family", "scaling", "--t", "0.5+0.5i", "--n", "2", "--seed", "0"]),
+    ("flow_hamiltonian_n3", ["flow", "--hamiltonian", "tr(A^2 B)", "--t", "0.2", "--n", "3",
+                             "--steps", "40", "--seed", "0"]),
 ]
 
 
