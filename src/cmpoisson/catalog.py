@@ -198,6 +198,8 @@ def record_to_entry(record: dict) -> BracketCatalogEntry:
     mode = record.get("mode", TRACELESS)
     lhs = parse_polynomial(record["lhs"], mode)
     if "rhs_from_traceless" in record:
+        if mode != PLAIN:
+            raise ValueError(f"rhs_from_traceless needs mode {PLAIN!r}, not {mode!r}")
         rhs = parse_polynomial(record["rhs_from_traceless"], TRACELESS).to_plain()
     else:
         rhs = parse_polynomial(record["rhs"], mode)

@@ -261,7 +261,8 @@ def load_chain_records(path: str | None = None) -> list[dict]:
     """The chains in a JSON file (default: the shipped data/chains.json).
 
     Raises ValueError for a chain replay_lemma_chain cannot run: one that lacks
-    a field, breaks the check_kind rule or refers to a step that has not run."""
+    a field, breaks the check_kind rule, holds text that does not parse or
+    refers to a step that has not run."""
     records = read_records(path, "chains.json")
     for i, record in enumerate(records):
         check_fields(record, f"chain {i}", {"lemma_id": str, "steps": list})
@@ -269,10 +270,16 @@ def load_chain_records(path: str | None = None) -> list[dict]:
             at = f"chain {i} step {idx}"
             check_fields(step, at, {"lhs": str, "rhs": str, "expected": str})
             check_kind(step.get("kind"), step.get("degree_bound"), at)
-            for side in ("lhs", "rhs"):
-                ref = step[side]
-                if ref.startswith("$") and not (ref[1:].isdecimal() and int(ref[1:]) < idx):
-                    raise ValueError(f"{at}: {side} {ref!r} does not name an earlier step")
+            for side in ("lhs", "rhs", "expected"):
+                text = step[side]
+                if side != "expected" and text.startswith("$"):
+                    if not (text[1:].isdecimal() and int(text[1:]) < idx):
+                        raise ValueError(f"{at}: {side} {text!r} does not name an earlier step")
+                    continue
+                try:
+                    parse_polynomial(text, TRACELESS)
+                except ValueError as exc:
+                    raise ValueError(f"{at}: {side}: {exc}") from None
     return records
 
 

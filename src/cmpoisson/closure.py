@@ -3,11 +3,12 @@
 The closure of a generator set under the traceless bracket is built breadth
 first: each new bracket is Cayley-Hamilton-reduced at the working matrix size,
 discarded if its degree exceeds the degree cap, deduplicated by canonical
-form, and kept only when it enlarges the numeric span of values on a fixed
-pool of traceless rank-one points.  Function equality on the variety is
-certified numerically (the rank-condition ideal has no tractable symbolic
-normal form at this scale), so a membership failure is always reported as
-"not found at depth d", never as non-membership.
+form, and kept only when it enlarges the span of its values mod p on a fixed
+pool of exact traceless rank-one points (modp.py).  Membership in the
+closure is certified numerically, by least squares on fresh float points
+(the rank-condition ideal has no tractable symbolic normal form at this
+scale), so a membership failure is always reported as "not found at depth
+d", never as non-membership.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from .bracket import bracket_traceless
 from .cm import PointPool
 from .poly import TRACELESS, TracePolynomial
-from .span import SpanTracker, enumerate_trace_monomials, lstsq_fit, value_matrix
+from .modp import Echelon, ExactPool, rank
+from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND
 
-RANK_THRESHOLD = 1e-10  # relative size below which a value row or singular value is noise
 MAX_CONDITION = 1e12  # membership fits with a worse-conditioned value matrix are inconclusive
 MEMBERSHIP_POOL_STREAM = 1_000_000  # index offset for fresh certification points
 RECHECK_STREAM = 2_000_000
@@ -59,8 +60,8 @@ def reduce_pipeline(
     """Canonical post-bracket reduction: CH-reduce, collapse n, renormalize.
 
     The exact rescaling by the largest coefficient magnitude keeps nested
-    brackets' coefficients O(1), so evaluation noise stays far below the
-    span test's rank threshold.  Membership targets skip the rescaling so
+    brackets' coefficients O(1), so float evaluation noise in membership
+    fits stays small.  Membership targets skip the rescaling so
     certificates refer to the target exactly as given."""
     reduced = p.cayley_hamilton_reduce(n_value).specialize_n(n_value)
     if not normalize or reduced.is_zero():
@@ -113,7 +114,8 @@ def build_closure(
     seed: int = 0,
     pool_size: Optional[int] = None,
 ) -> LieClosureBasis:
-    """Breadth-first nested bracketing with numeric span pruning."""
+    """Breadth-first nested bracketing, pruned by an exact span test mod p
+    on pool_size random points."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
@@ -122,19 +124,11 @@ def build_closure(
     monomials = enumerate_trace_monomials(degree_cap, TRACELESS)
     if pool_size is None:
         pool_size = 4 * min(len(monomials), 250)
-    pool = PointPool.sample(n_value, pool_size, seed)
-    tracker = SpanTracker(pool_size, tol=RANK_THRESHOLD)
+    pool = ExactPool.sample(n_value, pool_size, seed)
+    span = Echelon(pool_size)
     # every element lives in the span of degree<=cap monomial functions on the
-    # variety; their numeric rank on the pool caps the attainable basis size.
-    # Monomials that vanish identically on the variety (e.g. odd power traces
-    # at n=2) evaluate to cancellation noise and must not count as directions.
-    mono_rows = []
-    for m in monomials:
-        values, magnitudes = pool.values_and_magnitudes(m)
-        if np.abs(values).max() > RANK_THRESHOLD * magnitudes.max():
-            mono_rows.append(values / np.linalg.norm(values))
-    mono_sv = np.linalg.svd(np.array(mono_rows), compute_uv=False)
-    span_dimension = int((mono_sv > RANK_THRESHOLD * mono_sv[0]).sum())
+    # variety; their rank on the pool caps the attainable basis size
+    span_dimension = rank(pool, monomials)
 
     basis = LieClosureBasis(
         generators=generators,
@@ -156,18 +150,15 @@ def build_closure(
         if key in seen:
             return False
         seen.add(key)
-        values, magnitudes = pool.values_and_magnitudes(p)
-        if np.abs(values).max() <= RANK_THRESHOLD * magnitudes.max():
-            # vanishes on the variety up to cancellation noise (a rank-condition
-            # relation); its normalized value row would be rounding noise
+        if not span.add(pool.values(p)):
             return False
-        if not tracker.add(values):
-            return False
-        if 4 * (len(basis.elements) + 1) > pool_size:
+        if len(basis.elements) + 1 >= pool_size:
+            # a basis as large as the pool spans every value column, so no
+            # further candidate could be told apart from it
             raise PoolTooSmallError(
                 f"point pool of size {pool_size} is too small for degree cap "
                 f"{degree_cap} (basis reached {len(basis.elements) + 1} elements; "
-                f"need pool >= 4x basis size)"
+                f"the basis must stay below the pool size)"
             )
         basis.elements.append(p)
         basis.trees.append(tree)

@@ -377,9 +377,6 @@ def numeric_gradient(p: TracePolynomial, pt: CMPoint) -> tuple[np.ndarray, np.nd
         factor_values = [ev.word_trace(w, p.mode) for w in factors]
         sx = ev.tr_x ** central[0] if central[0] else 1.0
         sy = ev.tr_y ** central[1] if central[1] else 1.0
-        prod_all = base * sx * sy
-        for v in factor_values:
-            prod_all *= v
         # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
         if central[0]:
             env = base * (ev.tr_x ** (central[0] - 1)) * central[0] * sy

@@ -159,9 +159,9 @@ def _parse_word(sc: _Scanner, mode: str):
     entries: list[tuple[str, int, int]] = []  # (letter char, exponent, position)
     while True:
         sc.skip_ws()
-        ch = sc.text[sc.pos] if sc.pos < len(sc.text) else ""
-        if ch not in "ABXY":
+        if sc.pos == len(sc.text) or sc.text[sc.pos] not in "ABXY":
             break
+        ch = sc.text[sc.pos]
         pos = sc.pos
         sc.pos += 1
         exp = 1

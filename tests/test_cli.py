@@ -284,6 +284,20 @@ def two_chains(*bad_steps):
         pytest.param(
             "verify", [{**GOOD_ENTRY, "lhs": "tr(Q)"}], "catalog record 0: ", id="verify-parse-error",
         ),
+        pytest.param(
+            "replay", two_chains({**GOOD_STEP, "lhs": "tr(Q)"}), "chain 1 step 0: lhs: ",
+            id="replay-parse-error",
+        ),
+        pytest.param(
+            "replay", two_chains(GOOD_STEP, {**GOOD_STEP, "lhs": "$0", "expected": "$0"}),
+            "chain 1 step 1: expected: ", id="replay-step-reference-as-expected",
+        ),
+        pytest.param(
+            "verify",
+            [{"id": "x", "lhs": "tr(A^2)", "rhs_from_traceless": "tr(B^2)", "expected": "0", "kind": "exact"}],
+            "catalog record 0: rhs_from_traceless needs mode 'plain', not 'traceless'",
+            id="verify-rhs-from-traceless-in-traceless-mode",
+        ),
     ],
 )
 def test_malformed_catalog_file_is_usage_error(tmp_path, capsys, monkeypatch, command, content, message):
@@ -297,3 +311,4 @@ def test_malformed_catalog_file_is_usage_error(tmp_path, capsys, monkeypatch, co
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     err = usage_error(capsys, command, "--catalog", str(path), "--n", "2")
     assert message in err
+

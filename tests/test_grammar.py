@@ -58,6 +58,12 @@ def test_error_carries_line_and_column():
     assert err.value.column >= 2
 
 
+@pytest.mark.parametrize("text", ["tr(A^2 B", "tr(A", "tr("])
+def test_text_ending_inside_a_trace_is_an_error(text):
+    with pytest.raises(PolynomialParseError, match="expected"):
+        P(text, TRACELESS)
+
+
 def test_word_exponent_must_be_positive():
     with pytest.raises(PolynomialParseError):
         P("tr(X^0)", PLAIN)

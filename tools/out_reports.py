@@ -4,9 +4,9 @@
 
 For each job NAME it writes NAME.json (the --out report), NAME.stdout and
 NAME.exit (the exit code).  Every job runs the CLI of the checkout that holds
-this script in its own process; jobs that take a seed use seed 0.  Two
-checkouts produce the same results when `diff -r` finds no difference
-between their output directories.
+this script in its own process; jobs that take a seed use seed 0, except two
+closure jobs at seeds 1 and 2.  Two checkouts produce the same results when
+`diff -r` finds no difference between their output directories.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ for _n in (2, 3):
         for name, target in MEMBERSHIP_TARGETS.items()
     ]
 JOBS += [
+    ("closure_n2_degree6_seed1", ["closure", "--n", "2", "--degree", "6", "--seed", "1"]),
+    ("closure_n3_degree6_depth2_seed2",
+     ["closure", "--n", "3", "--degree", "6", "--depth", "2", "--seed", "2"]),
+    ("closure_n4", ["closure", "--n", "4", "--seed", "0"]),
     ("reduce_traceless_n2", ["reduce", "--mode", "traceless", "--n", "2", "tr(A^5 B^3)"]),
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
