@@ -9,6 +9,7 @@ with a human-readable summary on stdout.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -119,8 +120,14 @@ def _write_report(report: dict, path: str | None) -> None:
             fh.write("\n")
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+def _finite_complex(text: str) -> complex:
+    try:
+        value = complex(text.replace("i", "j").replace(" ", ""))
+    except ValueError:
+        value = complex("nan")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite complex number")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +203,9 @@ def cmd_sample(args, tols) -> int:
 
 
 def cmd_flow(args, tols) -> int:
-    t = _parse_complex(args.t)
+    t = args.t
+    if args.hamiltonian and not args.steps:
+        raise UsageError("--hamiltonian needs --steps of at least 1")
     points = [
         sample_cm(args.n, traceless=True, seed=args.seed, index=i)
         for i in range(args.points)
@@ -236,19 +245,12 @@ def cmd_flow(args, tols) -> int:
             for pt in points:
                 closed = apply_family(fam, pt, rank_tol=tols["flow_rank"], trace_tol=tols["flow_trace"])
                 integrated = ode_flow(ham, pt, t, args.steps)
-                scale = max(
-                    1.0,
-                    float(max(np.abs(closed.pair.X).max(), np.abs(closed.pair.Y).max())),
+                scale = max(1.0, np.abs(closed.pair.X).max(), np.abs(closed.pair.Y).max())
+                gap = max(
+                    np.abs(integrated.pair.X - closed.pair.X).max(),
+                    np.abs(integrated.pair.Y - closed.pair.Y).max(),
                 )
-                diffs.append(
-                    float(
-                        max(
-                            np.abs(integrated.pair.X - closed.pair.X).max(),
-                            np.abs(integrated.pair.Y - closed.pair.Y).max(),
-                        )
-                    )
-                    / scale
-                )
+                diffs.append(float(gap / scale))
             ode_max = max(diffs)
         for r in report.records:
             records.append(
@@ -458,9 +460,10 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("flow", help="apply/integrate a flow and certify it")
-    p.add_argument("--family", choices=FAMILY_IDS)
-    p.add_argument("--hamiltonian", help="integrate this Hamiltonian instead of a family")
-    p.add_argument("--t", required=True, help="complex parameter, e.g. 0.3 or 1+1i")
+    flow = p.add_mutually_exclusive_group(required=True)
+    flow.add_argument("--family", choices=FAMILY_IDS)
+    flow.add_argument("--hamiltonian", help="integrate this Hamiltonian instead of a family")
+    p.add_argument("--t", type=_finite_complex, required=True, help="complex parameter, e.g. 0.3 or 1+1i")
     p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--points", type=_at_least(1), default=3)
     p.add_argument("--steps", type=_at_least(0), default=0)
@@ -510,8 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sample":
             code = cmd_sample(args, tols)
         elif args.command == "flow":
-            if not args.family and not args.hamiltonian:
-                parser.error("flow needs --family or --hamiltonian")
             code = cmd_flow(args, tols)
         elif args.command == "verify":
             code = cmd_verify(args, tols)

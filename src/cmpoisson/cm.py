@@ -459,7 +459,8 @@ PointMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 def symplectic_pullback_residual(
     map_fn: PointMap, pt: CMPoint, h: float = 1e-4
 ) -> float:
-    """|J^T S J - S|_F / |S|_F with J the central-difference Jacobian of the map.
+    """|J^T S J - S|_F / |S|_F with J the central-difference Jacobian of the map:
+    the finite-difference reference for closed-form Jacobians (`flows.family_jacobian`).
 
     The Jacobian combines the step-h and step-h/2 central differences,
     (4 J_{h/2} - J_h)/3 (Richardson extrapolation), cancelling the leading
@@ -471,7 +472,6 @@ def symplectic_pullback_residual(
         raise ValueError("step underflow")
     n = pt.pair.n
     dim = 2 * n * n
-    S = symplectic_structure_matrix(n)
 
     def apply_flat(z: np.ndarray) -> np.ndarray:
         X = z[: n * n].reshape(n, n)
@@ -490,9 +490,14 @@ def symplectic_pullback_residual(
             J[:, b] = (apply_flat(z0 + e) - apply_flat(z0 - e)) / (2 * step)
         return J
 
-    J = (4 * jacobian(h / 2) - jacobian(h)) / 3
+    return pullback_residual((4 * jacobian(h / 2) - jacobian(h)) / 3, n)
+
+
+def pullback_residual(J: np.ndarray, n: int) -> float:
+    """|J^T S J - S|_F / |S|_F for a Jacobian J in flattened (X, Y) coordinates."""
     if not np.all(np.isfinite(J)):
         raise FloatingPointError("non-finite entries in the Jacobian")
+    S = symplectic_structure_matrix(n)
     return float(np.linalg.norm(J.T @ S @ J - S) / np.linalg.norm(S))
 
 

@@ -26,8 +26,8 @@ from .cm import (
     CMPoint,
     MatrixPair,
     numeric_gradient,
+    pullback_residual,
     rank_residual,
-    symplectic_pullback_residual,
     trace_residual,
 )
 from .poly import TRACELESS, TracePolynomial
@@ -60,51 +60,77 @@ def family_hamiltonian(fam: FlowFamily | str) -> TracePolynomial:
     raise ValueError(f"unknown family {fam_id!r}")
 
 
+def _traceless_image(fam: FlowFamily, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The traceless parts (A', B') of a family's image; tr X and tr Y are conserved."""
+    t = fam.t
+    n = A.shape[0]
+    if fam.id == "shearB":
+        return A, B - 2 * t * A
+    if fam.id == "shearA":
+        return A + 2 * t * B, B
+    if fam.id == "cubicShear":
+        A2 = A @ A
+        return A, B - 3 * t * A2 + (3 * t / n) * np.trace(A2) * np.eye(n)
+    # split form: A and B scale by exp(+-2tu); the equivalent
+    # X + A(e^c - 1) cancels catastrophically when e^c ~ 0
+    w = np.exp(2 * t * np.trace(A @ B))
+    return A * w, B / w
+
+
+def _central_split(X: np.ndarray, Y: np.ndarray):
+    """(A, B, tr X/n I, tr Y/n I) for one pair or a stack of pairs."""
+    n = X.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    cX = (np.trace(X, axis1=-2, axis2=-1) / n)[..., None, None] * eye
+    cY = (np.trace(Y, axis1=-2, axis2=-1) / n)[..., None, None] * eye
+    return X - cX, Y - cY, cX, cY
+
+
 def family_map(fam: FlowFamily) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Closed-form point map of a family on ambient matrix pairs."""
+
+    def mapper(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        A, B, cX, cY = _central_split(X, Y)
+        Ap, Bp = _traceless_image(fam, A, B)
+        return Ap + cX, Bp + cY
+
+    return mapper
+
+
+def family_jacobian(fam: FlowFamily, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The closed-form Jacobian of a family at (X, Y), in the flattened (X, Y)
+    coordinates of `cm.symplectic_structure_matrix`.
+
+    Column b is the image of the b-th of the 2n^2 basis directions (dX, dY),
+    all computed at once as a (2n^2, n, n) stack.  The shears are linear, and
+    cubicShear has dB' = dB - 3t(dA A + A dA) + (6t/n) tr(A dA) I.
+
+    For scaling the result is the Jacobian of the flow followed by the
+    rescaling (X, Y) -> (A/s + (tr X/n) I, s B + (tr Y/n) I), s = e^{2tu} at
+    the point: dA' = dA + 2t du A, dB' = dB - 2t du B, du = tr(dA B + A dB).
+    For any scalar s the rescaling preserves tr(dX ^ dY) exactly (tr dA =
+    tr dB = 0 kills the cross terms), so the composition is symplectic exactly
+    when the flow is, and its entries stay O(1) however large |t tr AB| is.
+    """
+    n = X.shape[0]
+    dim = n * n
+    units = np.eye(dim, dtype=complex).reshape(dim, n, n)
+    zeros = np.zeros_like(units)
+    dA, dB, dcX, dcY = _central_split(np.concatenate([units, zeros]), np.concatenate([zeros, units]))
+    A, B, _, _ = _central_split(X, Y)
     t = fam.t
-
-    def mapper(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = X.shape[0]
-        eye = np.eye(n, dtype=complex)
-        A = X - (np.trace(X) / n) * eye
-        B = Y - (np.trace(Y) / n) * eye
-        if fam.id == "shearB":
-            return X, Y - 2 * t * A
-        if fam.id == "shearA":
-            return X + 2 * t * B, Y
-        if fam.id == "cubicShear":
-            A2 = A @ A
-            return X, Y - 3 * t * A2 + (3 * t / n) * np.trace(A2) * eye
-        # split form: tr X, tr Y are conserved and A, B scale by exp(+-2tu);
-        # the equivalent X + A(e^c - 1) cancels catastrophically when e^c ~ 0
-        w = np.exp(2 * t * np.trace(A @ B))
-        return A * w + (np.trace(X) / n) * eye, B / w + (np.trace(Y) / n) * eye
-
-    return mapper
-
-
-def conditioned_scaling_map(
-    t: complex, u0: complex
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The scaling family composed with the exact symplectic renormalization
-    (X, Y) -> (s^-1 A + (tr X/n) I, s B + (tr Y/n) I), s = exp(2 t u0).
-
-    For any scalar s that map preserves tr(dX ^ dY) exactly (tr dA = 0 kills
-    the cross terms), so the composition is symplectic iff the family is.
-    Evaluating the composition in split form keeps every value scale O(1)
-    near a point with tr AB = u0, which is what makes the finite-difference
-    pullback residual resolvable at large |t|."""
-
-    def mapper(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = X.shape[0]
-        eye = np.eye(n, dtype=complex)
-        A = X - (np.trace(X) / n) * eye
-        B = Y - (np.trace(Y) / n) * eye
-        w = np.exp(2 * t * (np.trace(A @ B) - u0))
-        return A * w + (np.trace(X) / n) * eye, B / w + (np.trace(Y) / n) * eye
-
-    return mapper
+    if fam.id == "shearB":
+        dAp, dBp = dA, dB - 2 * t * dA
+    elif fam.id == "shearA":
+        dAp, dBp = dA + 2 * t * dB, dB
+    elif fam.id == "cubicShear":
+        trace_term = (6 * t / n) * np.einsum("ij,bji->b", A, dA)[:, None, None] * np.eye(n)
+        dAp, dBp = dA, dB - 3 * t * (dA @ A + A @ dA) + trace_term
+    else:
+        du = (np.einsum("bij,ji->b", dA, B) + np.einsum("ij,bji->b", A, dB))[:, None, None]
+        dAp, dBp = dA + 2 * t * du * A, dB - 2 * t * du * B
+    images = np.concatenate([(dAp + dcX).reshape(2 * dim, dim), (dBp + dcY).reshape(2 * dim, dim)], axis=1)
+    return images.T
 
 
 def apply_family(
@@ -209,66 +235,29 @@ class FlowReport:
         return all(r.passed for r in self.records)
 
 
-def _scaling_image_rank_residual(fam: FlowFamily, pt: CMPoint) -> float:
-    """Rank residual of the scaling image via the split commutator.
-
-    [A w, B/w] entries are sums of same-scale products, so this resolves at
-    any |t|; forming the commutator from the stored image matrices would mix
-    the e^{+-2tu} scales with the trace parts and drown in absorption."""
-    n = pt.pair.n
-    eye = np.eye(n, dtype=complex)
-    A = pt.pair.X - (np.trace(pt.pair.X) / n) * eye
-    B = pt.pair.Y - (np.trace(pt.pair.Y) / n) * eye
-    w = np.exp(2 * fam.t * np.trace(A @ B))
-    Ap = A * w
-    Bp = B / w
-    m = Ap @ Bp - Bp @ Ap + pt.lambda_const * eye
-    s = np.linalg.svd(m, compute_uv=False)
-    if len(s) < 2 or s[0] == 0.0:
-        return 0.0
-    return float(s[1] / s[0])
-
-
 def certify_symplectic(
-    fam_or_map,
+    fam: FlowFamily,
     pts: list[CMPoint],
-    h: float = 1e-4,
     symplectic_tol: float = 1e-7,
     rank_tol: float = 1e-9,
     trace_tol: float = 1e-10,
-    label: str | None = None,
 ) -> FlowReport:
-    """Certify that a family (or raw point map) is symplectic and preserves the
-    rank condition and the traceless locus on the given sample points."""
-    if isinstance(fam_or_map, FlowFamily):
-        mapper = family_map(fam_or_map)
-        name = fam_or_map.id
-        t = fam_or_map.t
-    else:
-        mapper = fam_or_map
-        name = label or getattr(fam_or_map, "__name__", "map")
-        t = complex("nan")
+    """Certify that a family is symplectic and preserves the rank condition and
+    the traceless locus on the given sample points.
+
+    The symplectic residual comes from the closed-form `family_jacobian`.  The
+    rank test uses [A', B'] + lambda I of the traceless image parts, which
+    equals [X', Y'] + lambda I and stays resolvable when the trace parts dwarf
+    a scaled B' = B e^{-2tu}."""
     report = FlowReport()
     for idx, pt in enumerate(pts):
-        residual_map = mapper
-        if isinstance(fam_or_map, FlowFamily) and fam_or_map.id == "scaling":
-            # measure through the exact symplectic renormalization so the
-            # residual stays resolvable when |t tr AB| is large
-            n = pt.pair.n
-            eye = np.eye(n, dtype=complex)
-            A = pt.pair.X - (np.trace(pt.pair.X) / n) * eye
-            B = pt.pair.Y - (np.trace(pt.pair.Y) / n) * eye
-            residual_map = conditioned_scaling_map(fam_or_map.t, np.trace(A @ B))
-        res = symplectic_pullback_residual(residual_map, pt, h)
-        Xp, Yp = mapper(pt.pair.X, pt.pair.Y)
-        image = MatrixPair(pt.pair.n, np.asarray(Xp, complex), np.asarray(Yp, complex))
-        if isinstance(fam_or_map, FlowFamily) and fam_or_map.id == "scaling":
-            rres = _scaling_image_rank_residual(fam_or_map, pt)
-        else:
-            rres = rank_residual(image, pt.lambda_const)
-        tres = trace_residual(image) if pt.traceless else 0.0
+        X, Y = pt.pair.X, pt.pair.Y
+        n = pt.pair.n
+        res = pullback_residual(family_jacobian(fam, X, Y), n)
+        A, B, cX, cY = _central_split(X, Y)
+        Ap, Bp = _traceless_image(fam, A, B)
+        rres = rank_residual(MatrixPair(n, Ap, Bp), pt.lambda_const)
+        tres = trace_residual(MatrixPair(n, Ap + cX, Bp + cY)) if pt.traceless else 0.0
         ok = res < symplectic_tol and rres < rank_tol and tres < trace_tol
-        report.records.append(
-            FlowCheckRecord(name, t, pt.pair.n, idx, res, rres, tres, ok)
-        )
+        report.records.append(FlowCheckRecord(fam.id, fam.t, n, idx, res, rres, tres, ok))
     return report

@@ -93,6 +93,12 @@ def test_flow_family_certifies(capsys):
     assert "pass" in out
 
 
+def test_flow_scaling_at_large_t_passes(capsys):
+    code, out, _ = run(capsys, "flow", "--family", "scaling", "--t", "50", "--n", "2")
+    assert code == EXIT_PASS
+    assert "pass" in out
+
+
 def test_replay_single_chain(capsys):
     code, out, _ = run(capsys, "replay", "--chain", "cube-transfer", "--n", "3", "--seed", "0")
     assert code == EXIT_PASS
@@ -312,3 +318,26 @@ def test_malformed_catalog_file_is_usage_error(tmp_path, capsys, monkeypatch, co
     err = usage_error(capsys, command, "--catalog", str(path), "--n", "2")
     assert message in err
 
+
+
+@pytest.mark.parametrize("text", ["abc", "inf", "nan", "1e400", "1+nani"])
+def test_flow_parameter_must_be_finite_complex(capsys, monkeypatch, text):
+    monkeypatch.setattr(cli, "sample_cm", None)
+    err = usage_error(capsys, "flow", "--family", "shearB", "--t", text)
+    assert f"argument --t: {text!r} is not a finite complex number" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--hamiltonian", "tr(A^2)"), "--hamiltonian needs --steps of at least 1"),
+        (("--family", "shearB", "--hamiltonian", "tr(A^2)", "--steps", "10"),
+         "argument --hamiltonian: not allowed with argument --family"),
+        ((), "one of the arguments --family --hamiltonian is required"),
+    ],
+    ids=["hamiltonian-without-steps", "family-and-hamiltonian", "neither"],
+)
+def test_flow_option_conflicts_are_usage_errors(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "sample_cm", None)
+    err = usage_error(capsys, "flow", *argv, "--t", "1")
+    assert message in err

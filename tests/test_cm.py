@@ -17,6 +17,7 @@ from cmpoisson.cm import (
     numeric_gradient,
     point_from_dict,
     point_to_dict,
+    pullback_residual,
     rank_residual,
     sample_cm,
     save_points,
@@ -312,6 +313,15 @@ def test_linear_shear_residual_is_tiny():
 def test_non_symplectic_map_is_flagged():
     pt = sample_cm(2, traceless=True, seed=14)
     assert symplectic_pullback_residual(lambda X, Y: (X, 2 * Y), pt) > 0.5
+
+
+def test_pullback_residual_of_a_jacobian():
+    n = 2
+    assert pullback_residual(np.eye(2 * n * n, dtype=complex), n) == 0.0
+    doubling = np.diag([1.0] * (n * n) + [2.0] * (n * n))
+    assert pullback_residual(doubling, n) == pytest.approx(1.0)
+    with pytest.raises(FloatingPointError):
+        pullback_residual(np.full((2 * n * n, 2 * n * n), np.nan), n)
 
 
 def test_step_underflow_rejected():

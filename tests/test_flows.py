@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from cmpoisson import flows
 from cmpoisson.cm import evaluate, sample_cm
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
     apply_family,
     certify_symplectic,
-    conditioned_scaling_map,
     family_hamiltonian,
+    family_jacobian,
     family_map,
     ode_flow,
 )
@@ -114,10 +115,17 @@ def test_certification_passes_for_families():
         assert report.passed, [r.symplectic_residual for r in report.records]
 
 
-def test_certifier_flags_non_symplectic_control():
+def test_certifier_flags_non_symplectic_jacobian(monkeypatch):
+    # the Jacobian of (X, Y) -> (X, 2Y) in place of the family's
+    def doubling(fam, X, Y):
+        n = X.shape[0]
+        return np.diag([1.0] * (n * n) + [2.0] * (n * n)).astype(complex)
+
+    monkeypatch.setattr(flows, "family_jacobian", doubling)
     pts = [sample_cm(2, traceless=True, seed=9, index=i) for i in range(2)]
-    report = certify_symplectic(lambda X, Y: (X, 2 * Y), pts, label="doubling")
+    report = certify_symplectic(FlowFamily("shearB", 0.5), pts)
     assert not report.passed
+    assert all(r.symplectic_residual > 0.5 for r in report.records)
 
 
 def test_kernel_shear_conserves_its_factor():
@@ -145,12 +153,68 @@ def test_completeness_witnesses_at_large_parameters():
     assert np.all(np.isfinite(Xp)) and np.all(np.isfinite(Yp))
 
 
-def test_conditioned_scaling_map_fixes_the_point():
-    pt = sample_cm(2, traceless=True, seed=12)
-    n = 2
-    eye = np.eye(n, dtype=complex)
-    A = pt.pair.X - (np.trace(pt.pair.X) / n) * eye
-    B = pt.pair.Y - (np.trace(pt.pair.Y) / n) * eye
-    g = conditioned_scaling_map(3.0, np.trace(A @ B))
-    Xp, Yp = g(pt.pair.X, pt.pair.Y)
-    assert np.allclose(Xp, pt.pair.X) and np.allclose(Yp, pt.pair.Y)
+def finite_difference_jacobian(fam, X, Y, h=1e-5):
+    """Central-difference Jacobian of family_map in flattened (X, Y) coordinates."""
+    n = X.shape[0]
+    dim = 2 * n * n
+    z0 = np.concatenate([X.ravel(), Y.ravel()])
+    mapper = family_map(fam)
+
+    def apply_flat(z):
+        Xp, Yp = mapper(z[: n * n].reshape(n, n), z[n * n:].reshape(n, n))
+        return np.concatenate([Xp.ravel(), Yp.ravel()])
+
+    J = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[b] = h
+        J[:, b] = (apply_flat(z0 + e) - apply_flat(z0 - e)) / (2 * h)
+    return J
+
+
+def undo_rescaling(J, n, w):
+    """Multiply the traceless part of each column's X block by w and of its Y block by 1/w."""
+    cols = J.T.reshape(-1, 2, n, n)
+    central = (np.trace(cols, axis1=2, axis2=3) / n)[..., None, None] * np.eye(n)
+    cols = (cols - central) * np.array([w, 1 / w])[:, None, None] + central
+    return cols.reshape(-1, 2 * n * n).T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_family_jacobian_matches_finite_differences(fid, n):
+    pt = sample_cm(n, traceless=True, seed=13)
+    X, Y = pt.pair.X, pt.pair.Y
+    fam = FlowFamily(fid, 0.3 + 0.2j)
+    J = family_jacobian(fam, X, Y)
+    if fid == "scaling":
+        A = X - np.trace(X) / n * np.eye(n)
+        B = Y - np.trace(Y) / n * np.eye(n)
+        J = undo_rescaling(J, n, np.exp(2 * fam.t * np.trace(A @ B)))
+    reference = finite_difference_jacobian(fam, X, Y)
+    assert np.linalg.norm(J - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_scaling_certifies_at_the_t50_fault_points():
+    # these failed on finite-difference truncation (up to 8.2e-5) and on the
+    # rank residual of the stored image (up to 1.0, with B e^{-2tu} drowned
+    # in the trace part)
+    for n in (2, 3):
+        pts = [sample_cm(n, traceless=True, seed=505, index=i) for i in range(10)]
+        report = certify_symplectic(FlowFamily("scaling", 50.0), pts)
+        assert report.passed, [(r.symplectic_residual, r.rank_residual) for r in report.records]
+
+
+SCALING_T10_PAIRS = {
+    2: [(0, 3), (23, 0), (55, 0)],
+    3: [(6, 4), (6, 6), (9, 4), (19, 2), (26, 5), (28, 0), (28, 2), (39, 10), (41, 1),
+        (41, 2), (45, 8), (51, 4), (62, 5), (66, 11), (69, 4), (70, 11)],
+}
+
+
+def test_scaling_certifies_at_the_t10_pairs():
+    # finite differences gave residuals of 1.1e-7 to 1.7e-6 at these points
+    for n, pairs in SCALING_T10_PAIRS.items():
+        pts = [sample_cm(n, traceless=True, seed=s, index=i) for s, i in pairs]
+        report = certify_symplectic(FlowFamily("scaling", 10.0), pts)
+        assert report.passed, [r.symplectic_residual for r in report.records]
