@@ -32,7 +32,7 @@ from .cm import (
     sample_cm,
     symplectic_pullback_residual,
 )
-from .flows import FlowFamily, apply_family, certify_symplectic, family_hamiltonian, ode_flow
+from .flows import FlowFamily, certify_symplectic, family_hamiltonian, family_map, ode_flow
 from .closure import (
     LieClosureBasis,
     MembershipCertificate,

@@ -1,12 +1,13 @@
-"""Lie-closure construction and numeric membership certification.
+"""Lie-closure construction and exact membership certificates.
 
 The closure of a generator set under the traceless bracket is built breadth
 first: each new bracket is Cayley-Hamilton-reduced at the working matrix size,
 discarded if its degree exceeds the degree cap, deduplicated by canonical
 form, and kept only when it enlarges the span of its values mod p on a fixed
 pool of exact traceless rank-one points (modp.py).  Membership in the
-closure is certified numerically, by least squares on fresh float points
-(the rank-condition ideal has no tractable symbolic normal form at this
+closure is certified by solving for the target mod p on fresh exact points,
+lifting the coefficients to Q(i) and checking the lift at points mod a second
+prime (the rank-condition ideal has no tractable symbolic normal form at this
 scale), so a membership failure is always reported as "not found at depth
 d", never as non-membership.
 """
@@ -14,20 +15,20 @@ d", never as non-membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .bracket import bracket_traceless
-from .cm import PointPool
+from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, rank, reconstruct, to_mod_p
 from .poly import TRACELESS, TracePolynomial
-from .modp import Echelon, ExactPool, rank
-from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
+from .span import enumerate_trace_monomials
 from .words import FIRST, SECOND
 
-MAX_CONDITION = 1e12  # membership fits with a worse-conditioned value matrix are inconclusive
-MEMBERSHIP_POOL_STREAM = 1_000_000  # index offset for fresh certification points
-RECHECK_STREAM = 2_000_000
+MEMBERSHIP_STREAM = 1  # streams of the seed: the closure pool takes 0
+CHECK_STREAM = 2
+CHECK_POINTS = 40  # points mod CHECK_PRIME a lifted certificate must satisfy
 
 Tree = tuple  # ("gen", generator_index) | ("br", left_element_index, right_element_index)
 
@@ -54,22 +55,22 @@ def validate_degree_cap(generators: Iterable[TracePolynomial], degree_cap: int) 
         raise ValueError(f"degree cap {degree_cap} is below the smallest generator degree {smallest}")
 
 
+def peak_coefficient(p: TracePolynomial, n_value: int) -> Fraction:
+    """The largest coefficient magnitude of p at n = n_value; 0 for p = 0."""
+    return max((abs(c.evaluate(n_value)) for _, c in p.items()), default=Fraction(0))
+
+
 def reduce_pipeline(
     p: TracePolynomial, n_value: int, normalize: bool = True
 ) -> TracePolynomial:
     """Canonical post-bracket reduction: CH-reduce, collapse n, renormalize.
 
     The exact rescaling by the largest coefficient magnitude keeps nested
-    brackets' coefficients O(1), so float evaluation noise in membership
-    fits stays small.  Membership targets skip the rescaling so
-    certificates refer to the target exactly as given."""
+    brackets' coefficients O(1), so certificate coefficients stay small
+    enough to lift from F_p to Q(i)."""
     reduced = p.cayley_hamilton_reduce(n_value).specialize_n(n_value)
-    if not normalize or reduced.is_zero():
-        return reduced
-    peak = max(abs(c.evaluate(n_value)) for _, c in reduced.items())
-    if peak == 0:
-        return reduced
-    return reduced * (1 / peak)
+    peak = peak_coefficient(reduced, n_value)
+    return reduced * (1 / peak) if normalize and peak else reduced
 
 
 @dataclass
@@ -203,16 +204,17 @@ def build_closure(
 class MembershipCertificate:
     target: TracePolynomial
     status: str  # "member" | "not_found_at_depth" | "inconclusive"
-    coefficients: list[complex]
-    residual: float
+    # exact (real, imaginary) part of each element's coefficient; empty unless a member
+    exact_coefficients: list[tuple[Fraction, Fraction]]
     sample_count: int
-    condition: float
-    depth_cap: int
-    tolerance: float = 1e-8
+
+    @property
+    def coefficients(self) -> list[complex]:
+        return [complex(re, im) for re, im in self.exact_coefficients]
 
     @property
     def valid(self) -> bool:
-        return self.status == "member" and self.residual < self.tolerance
+        return self.status == "member"
 
 
 def validate_target(target: TracePolynomial, degree_cap: int) -> None:
@@ -225,76 +227,80 @@ def validate_target(target: TracePolynomial, degree_cap: int) -> None:
 
 
 class MembershipChecker:
-    """Shares one fresh-point pool and element value matrix across targets."""
+    """Solves targets against the basis elements mod p on one exact pool.
 
-    def __init__(
-        self,
-        basis: LieClosureBasis,
-        sample_count: Optional[int] = None,
-        tolerance: float = 1e-8,
-    ):
+    Certificate coefficients lie in Q(i).  Each target is solved at the pool's
+    points (X, Y), where i = -lambda, and at (X, -Y), where i = lambda (the
+    conjugate embedding).  Half the sum and the difference over 2i of the two
+    solutions are the real and imaginary parts mod p, which rational
+    reconstruction lifts to Q.  A solve row carries each element's unit
+    vector, so reducing [target values | 0] leaves zeros on the pool exactly
+    when the target is in the span there, and minus the coefficients in the
+    tail.  The lift is accepted only if it holds exactly at CHECK_POINTS
+    points mod CHECK_PRIME, where a wrong lift survives a point with
+    probability at most deg/CHECK_PRIME (Schwartz-Zippel)."""
+
+    def __init__(self, basis: LieClosureBasis, sample_count: Optional[int] = None):
         self.basis = basis
-        self.tolerance = tolerance
+        m = len(basis.elements)
         if sample_count is None:
-            sample_count = max(2 * len(basis.elements), 64)
-        if sample_count <= len(basis.elements):
-            # with no more points than unknowns the fit is exact for any target
+            sample_count = max(2 * m, 64)
+        if sample_count <= m:
+            # with no more points than unknowns every target would solve
             raise ValueError(
-                f"membership needs more sample points than the {len(basis.elements)} "
+                f"membership needs more sample points than the {m} "
                 f"basis elements, got {sample_count}"
             )
         self.sample_count = sample_count
-        self.pool = PointPool.sample(
-            basis.n_value, sample_count, basis.seed, MEMBERSHIP_POOL_STREAM
-        )
-        self.matrix = value_matrix(self.pool, basis.elements)
+        n, seed = basis.n_value, basis.seed
+        self.pool = ExactPool.sample(n, sample_count, seed, MEMBERSHIP_STREAM)
+        self.check_pool = ExactPool.sample(n, CHECK_POINTS, seed, CHECK_STREAM, CHECK_PRIME)
+        self.check_values = np.array(
+            [self.check_pool.values(e) for e in basis.elements], dtype=np.int64
+        ).reshape(m, CHECK_POINTS).T
+        self.echelons = []
+        for conjugate in (False, True):
+            echelon = Echelon(sample_count + m)
+            for e, unit in zip(basis.elements, np.eye(m, dtype=np.int64)):
+                echelon.add(np.concatenate([self.pool.values(e, conjugate), unit]))
+            if max(echelon.pivots, default=0) >= sample_count:
+                raise ValueError("the basis elements are linearly dependent on the membership pool")
+            self.echelons.append(echelon)
 
     def check(self, target: TracePolynomial) -> MembershipCertificate:
         basis = self.basis
         validate_target(target, basis.degree_cap)
+        m = len(basis.elements)
         reduced = reduce_pipeline(target, basis.n_value, normalize=False)
-        b = self.pool.values_and_magnitudes(reduced)[0]
-        scale = max(1.0, float(self.pool.abs(b).max()))
-        residual, coeffs, cond = lstsq_fit(self.matrix, b, scale=scale)
-        if cond > MAX_CONDITION:
-            status = "inconclusive"
-        elif residual < self.tolerance:
-            status = "member"
-        else:
-            status = "not_found_at_depth"
-        return MembershipCertificate(
-            target=target,
-            status=status,
-            coefficients=[complex(c) for c in coeffs],
-            residual=residual,
-            sample_count=self.sample_count,
-            condition=cond,
-            depth_cap=basis.depth_cap,
-            tolerance=self.tolerance,
-        )
+        # solve for the target at peak coefficient 1, like the elements, so
+        # that its scale cannot push the coefficients past the lifting bound
+        peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)
+        reduced = reduced * (1 / peak)
+        solutions = []
+        for conjugate, echelon in zip((False, True), self.echelons):
+            values = self.pool.values(reduced, conjugate)
+            remainder = echelon.reduce(np.concatenate([values, np.zeros(m, dtype=np.int64)]))
+            if remainder[: self.sample_count].any():
+                return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
+            solutions.append(-remainder[self.sample_count:] % PRIME)
+        (c1, c2), i = solutions, PRIME - LAMBDAS[PRIME]
+        parts = (c1 + c2) * pow(2, -1, PRIME) % PRIME, (c1 - c2) * pow(2 * i, -1, PRIME) % PRIME
+        lifted = {j: (reconstruct(parts[0][j]), reconstruct(parts[1][j])) for j in np.flatnonzero(c1 | c2)}
+        if any(x is None for pair in lifted.values() for x in pair):
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+        i_check = CHECK_PRIME - LAMBDAS[CHECK_PRIME]
+        combination = np.zeros(m, dtype=np.int64)
+        coefficients = [(Fraction(0), Fraction(0))] * m
+        for j, (a, b) in lifted.items():
+            combination[j] = (to_mod_p(a, CHECK_PRIME) + i_check * to_mod_p(b, CHECK_PRIME)) % CHECK_PRIME
+            coefficients[j] = (peak * a, peak * b)
+        if (matmul(self.check_values, combination, CHECK_PRIME) != self.check_pool.values(reduced)).any():
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+        return MembershipCertificate(target, "member", coefficients, self.sample_count)
 
 
 def check_membership(
-    target: TracePolynomial,
-    basis: LieClosureBasis,
-    sample_count: Optional[int] = None,
-    tolerance: float = 1e-8,
+    target: TracePolynomial, basis: LieClosureBasis, sample_count: Optional[int] = None
 ) -> MembershipCertificate:
-    """Least-squares fit of the target against basis-element values on fresh points."""
-    return MembershipChecker(basis, sample_count, tolerance).check(target)
-
-
-def recheck_certificate(
-    cert: MembershipCertificate, basis: LieClosureBasis, factor: int = 10
-) -> float:
-    """Residual of the certified combination on factor-times fresh points."""
-    pool = PointPool.sample(
-        basis.n_value, factor * cert.sample_count, basis.seed, RECHECK_STREAM
-    )
-    reduced = reduce_pipeline(cert.target, basis.n_value, normalize=False)
-    target = pool.values_and_magnitudes(reduced)[0]
-    combo = sum(
-        pool.multiply(c, pool.values_and_magnitudes(e)[0])
-        for c, e in zip(cert.coefficients, basis.elements)
-    )
-    return float((pool.abs(combo - target) / np.maximum(1.0, pool.abs(target))).max())
+    """Exact certificate of the target against the basis elements."""
+    return MembershipChecker(basis, sample_count).check(target)

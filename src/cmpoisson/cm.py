@@ -290,11 +290,9 @@ class PointPool:
         self._central_powers: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
-    def sample(cls, n: int, count: int, seed: int, start: int = 0) -> "PointPool":
-        """Traceless points (seed, start), ..., (seed, start + count - 1)."""
-        return cls(
-            sample_cm(n, traceless=True, seed=seed, index=start + i) for i in range(count)
-        )
+    def sample(cls, n: int, count: int, seed: int) -> "PointPool":
+        """Traceless points (seed, 0), ..., (seed, count - 1)."""
+        return cls(sample_cm(n, traceless=True, seed=seed, index=i) for i in range(count))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -133,26 +133,6 @@ def family_jacobian(fam: FlowFamily, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     return images.T
 
 
-def apply_family(
-    fam: FlowFamily,
-    pt: CMPoint,
-    rank_tol: float = 1e-9,
-    trace_tol: float = 1e-10,
-) -> CMPoint:
-    """Apply a family's closed form; the image must stay on the traceless locus."""
-    Xp, Yp = family_map(fam)(pt.pair.X, pt.pair.Y)
-    return CMPoint.from_matrices(
-        Xp,
-        Yp,
-        pt.traceless,
-        pt.seed,
-        pt.index,
-        pt.lambda_const,
-        rank_tol=rank_tol,
-        trace_tol=trace_tol,
-    )
-
-
 def hamiltonian_vector_field(h: TracePolynomial, pt_like: CMPoint) -> tuple[np.ndarray, np.ndarray]:
     """dX/dtau = (dh/dY)^T, dY/dtau = -(dh/dX)^T (so that dF/dtau = {F, h})."""
     dX, dY = numeric_gradient(h, pt_like)
@@ -192,15 +172,16 @@ def ode_flow(
             vx, vy = hamiltonian_vector_field(h, shadow)
             return dt * vx, dt * vy
 
-        for _ in range(num_steps):
-            k1x, k1y = field(X, Y)
-            k2x, k2y = field(X + k1x / 2, Y + k1y / 2)
-            k3x, k3y = field(X + k2x / 2, Y + k2y / 2)
-            k4x, k4y = field(X + k3x, Y + k3y)
-            X = X + (k1x + 2 * k2x + 2 * k3x + k4x) / 6
-            Y = Y + (k1y + 2 * k2y + 2 * k3y + k4y) / 6
-            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-                raise FloatingPointError("non-finite state during integration")
+        with np.errstate(all="ignore"):  # an overflow is caught after its step
+            for _ in range(num_steps):
+                k1x, k1y = field(X, Y)
+                k2x, k2y = field(X + k1x / 2, Y + k1y / 2)
+                k3x, k3y = field(X + k2x / 2, Y + k2y / 2)
+                k4x, k4y = field(X + k3x, Y + k3y)
+                X = X + (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+                Y = Y + (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+                if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+                    raise FloatingPointError("non-finite state during integration")
         return X, Y
 
     X1, Y1 = integrate(steps)

@@ -243,26 +243,7 @@ def default_generators(space: str, degree_cap: int) -> list[Expo]:
 # direct products
 # ----------------------------------------------------------------------
 
-class FactorAdapter:
-    """Monomial-level interface one factor exposes to the product construction."""
-
-    def one_key(self):
-        raise NotImplementedError
-
-    def coeff_one(self):
-        raise NotImplementedError
-
-    def mul_key(self, k1, k2) -> dict:
-        raise NotImplementedError
-
-    def bracket_key(self, k1, k2) -> dict:
-        raise NotImplementedError
-
-    def decompose(self, poly) -> dict:
-        raise NotImplementedError
-
-
-class LaurentAdapter(FactorAdapter):
+class LaurentAdapter:
     def __init__(self, space: str):
         self.space = space
 
@@ -285,7 +266,7 @@ class LaurentAdapter(FactorAdapter):
         return dict(poly.terms)
 
 
-class TraceAdapter(FactorAdapter):
+class TraceAdapter:
     """Matrix-pair factor: monomial keys of traceless trace polynomials."""
 
     def __init__(self, mode: str = TRACELESS):
@@ -317,9 +298,13 @@ class TraceAdapter(FactorAdapter):
 
 
 class ProductSpace:
-    """Poisson algebra of a two-factor product, built from factor adapters."""
+    """Poisson algebra of a two-factor product, built from factor adapters.
 
-    def __init__(self, left: FactorAdapter, right: FactorAdapter):
+    An adapter (LaurentAdapter, TraceAdapter) exposes one factor's monomials:
+    one_key(), coeff_one(), mul_key(k1, k2) and bracket_key(k1, k2) as
+    {key: coeff} dicts, and decompose(poly) into such a dict."""
+
+    def __init__(self, left, right):
         self.left = left
         self.right = right
 

@@ -10,15 +10,17 @@ Q.  A nonzero function of degree d vanishes at a uniformly random point with
 probability at most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM
 1979), so a candidate wrongly found not to enlarge a span is that rare.
 
-Entries are int64 in [0, p) with p < 2^30.  A product of two entries is
-below 2^60, so a sum of up to 8 such products stays below 2^63; longer sums
-split one operand into 15-bit halves.
+A second prime, CHECK_PRIME, gives points independent of PRIME on which
+lifted certificates are checked.  Entries are int64 in [0, p) with p < 2^30.
+A product of two entries is below 2^60, so a sum of up to 8 such products
+stays below 2^63; longer sums split one operand into 15-bit halves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Iterable
 
 import numpy as np
@@ -29,83 +31,87 @@ from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord
 
 PRIME = 1073741789  # the largest prime below 2^30; 1 mod 4
+CHECK_PRIME = 1073741741  # the next prime below it that is 1 mod 4
 DIRECT_WIDTH = 8  # inner dimensions up to this need no operand split
+RATIONAL_BOUND = isqrt(PRIME // 2)  # 23170: numerators and denominators that lift
 
 
-def _sqrt_minus_one() -> int:
-    for g in range(2, PRIME):
-        root = pow(g, (PRIME - 1) // 4, PRIME)
-        if root * root % PRIME == PRIME - 1:
+def _sqrt_minus_one(prime: int) -> int:
+    for g in range(2, prime):
+        root = pow(g, (prime - 1) // 4, prime)
+        if root * root % prime == prime - 1:
             return root
     raise AssertionError("p = 1 mod 4 has a square root of -1")
 
 
-LAMBDA = PRIME - _sqrt_minus_one()  # -i in F_p
+LAMBDAS = {p: p - _sqrt_minus_one(p) for p in (PRIME, CHECK_PRIME)}  # -i in F_p
+LAMBDA = LAMBDAS[PRIME]
 
 
-def to_mod_p(q: Fraction) -> int:
+def to_mod_p(q: Fraction, prime: int = PRIME) -> int:
     """q in F_p; ValueError when p divides its denominator."""
     q = Fraction(q)
-    if q.denominator % PRIME == 0:
-        raise ValueError(f"the prime {PRIME} divides the denominator of {q}")
-    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+    if q.denominator % prime == 0:
+        raise ValueError(f"the prime {prime} divides the denominator of {q}")
+    return q.numerator * pow(q.denominator, -1, prime) % prime
 
 
 @lru_cache(maxsize=65536)
-def _coefficient_value(coeff: QnCoeff, n: int) -> int:
-    return to_mod_p(coeff.evaluate(n))
+def _coefficient_value(coeff: QnCoeff, n: int, prime: int) -> int:
+    return to_mod_p(coeff.evaluate(n), prime)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, prime: int = PRIME) -> np.ndarray:
     """a @ b mod p for int64 operands with entries in [0, p)."""
     if a.shape[-1] <= DIRECT_WIDTH:
-        return (a @ b) % PRIME
+        return (a @ b) % prime
     high, low = a >> 15, a & 0x7FFF
-    return ((((high @ b) % PRIME) << 15) + low @ b) % PRIME
+    return ((((high @ b) % prime) << 15) + low @ b) % prime
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
+def inverse(a: np.ndarray, prime: int = PRIME) -> np.ndarray:
     """Entrywise a^(p-2) = 1/a mod p (0 stays 0)."""
     out = np.ones_like(a)
-    base = a % PRIME
-    e = PRIME - 2
+    base = a % prime
+    e = prime - 2
     while e:
         if e & 1:
-            out = out * base % PRIME
-        base = base * base % PRIME
+            out = out * base % prime
+        base = base * base % prime
         e >>= 1
     return out
 
 
 class ExactPool:
-    """Traceless rank-one points over F_p, stacked as (N, n, n) int64 arrays.
+    """Traceless rank-one points over F_prime, stacked as (N, n, n) int64 arrays.
 
     Evaluates trace polynomials on all N points at once: each word trace is
     computed once by batched products mod p and cached as a length-N column.
     On these points A = X and B = Y, and the central symbols tr X, tr Y are
     0, so both modes evaluate alike."""
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray):
+    def __init__(self, X: np.ndarray, Y: np.ndarray, prime: int = PRIME):
         X = np.asarray(X, dtype=np.int64)
         Y = np.asarray(Y, dtype=np.int64)
-        check_points(X, Y)
-        self.X, self.Y = X, Y
+        check_points(X, Y, prime)
+        self.X, self.Y, self.prime = X, Y, prime
         self.n = X.shape[1]
         self._letter = {FIRST: X, SECOND: Y}
         self._powers: dict[int, list[np.ndarray]] = {}
         self._word_traces: dict[CyclicWord, np.ndarray] = {}
 
     @classmethod
-    def sample(cls, n: int, count: int, seed: int) -> "ExactPool":
-        """count random points in diagonal normal form, drawn from seed."""
+    def sample(cls, n: int, count: int, seed: int, stream: int = 0, prime: int = PRIME) -> "ExactPool":
+        """count random points mod prime in diagonal normal form, drawn from
+        stream `stream` of seed."""
         if count < 1:
             raise ValueError("a point pool needs at least one point")
-        rng = child_rng(seed, 0)
-        n_inverse = pow(n, -1, PRIME)
+        rng = child_rng(seed, stream)
+        n_inverse = pow(n, -1, prime)
 
         def traceless(rows: int) -> np.ndarray:
-            v = rng.integers(0, PRIME, size=(rows, n), dtype=np.int64)
-            return (v - v.sum(axis=1, keepdims=True) % PRIME * n_inverse) % PRIME
+            v = rng.integers(0, prime, size=(rows, n), dtype=np.int64)
+            return (v - v.sum(axis=1, keepdims=True) % prime * n_inverse) % prime
 
         x = traceless(count)
         while True:
@@ -114,14 +120,15 @@ class ExactPool:
                 break
             x[repeated] = traceless(int(repeated.sum()))
         eye = np.eye(n, dtype=bool)
-        gaps = (x[:, :, None] - x[:, None, :]) % PRIME
+        gaps = (x[:, :, None] - x[:, None, :]) % prime
         gaps[:, eye] = 1
-        sign = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, PRIME - LAMBDA, LAMBDA)
-        Y = inverse(gaps) * sign % PRIME
+        lam = LAMBDAS[prime]
+        sign = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, prime - lam, lam)
+        Y = inverse(gaps, prime) * sign % prime
         Y[:, eye] = traceless(count)
         X = np.zeros((count, n, n), dtype=np.int64)
         X[:, eye] = x
-        return cls(X, Y)
+        return cls(X, Y, prime)
 
     def __len__(self) -> int:
         return len(self.X)
@@ -129,7 +136,7 @@ class ExactPool:
     def _power(self, letter: int, exp: int) -> np.ndarray:
         powers = self._powers.setdefault(letter, [None, self._letter[letter]])
         while len(powers) <= exp:
-            powers.append(matmul(powers[-1], powers[1]))
+            powers.append(matmul(powers[-1], powers[1], self.prime))
         return powers[exp]
 
     def word_trace(self, w: CyclicWord) -> np.ndarray:
@@ -139,47 +146,49 @@ class ExactPool:
                 out = None
                 for letter, exp in w.runs:
                     power = self._power(letter, exp)
-                    out = power if out is None else matmul(out, power)
-                col = np.trace(out, axis1=1, axis2=2) % PRIME
+                    out = power if out is None else matmul(out, power, self.prime)
+                col = np.trace(out, axis1=1, axis2=2) % self.prime
             else:
-                col = np.full(len(self), self.n % PRIME, dtype=np.int64)
+                col = np.full(len(self), self.n % self.prime, dtype=np.int64)
             self._word_traces[w] = col
         return col
 
-    def values(self, p: TracePolynomial) -> np.ndarray:
-        """Length-N column of p's values mod p."""
+    def values(self, p: TracePolynomial, conjugate: bool = False) -> np.ndarray:
+        """Length-N column of p's values mod prime; with conjugate, at the points
+        (X, -Y) of the -lambda locus, where a term of B-degree k changes by (-1)^k."""
         total = np.zeros(len(self), dtype=np.int64)
         for (central, factors), coeff in p.items():
             if any(central):
                 continue  # a power of tr X or tr Y, which are 0 here
-            col = np.full(len(self), _coefficient_value(coeff, self.n), dtype=np.int64)
+            col = np.full(len(self), _coefficient_value(coeff, self.n, self.prime), dtype=np.int64)
             for w in factors:
-                col = col * self.word_trace(w) % PRIME
-            total = (total + col) % PRIME
+                col = col * self.word_trace(w) % self.prime
+            if conjugate and sum(w.bidegree()[1] for w in factors) % 2:
+                col = -col % self.prime
+            total = (total + col) % self.prime
         return total
 
 
-def check_points(X: np.ndarray, Y: np.ndarray) -> None:
-    """Raise ValueError unless every (X, Y) has entries in [0, p),
+def check_points(X: np.ndarray, Y: np.ndarray, prime: int = PRIME) -> None:
+    """Raise ValueError unless every (X, Y) has entries in [0, prime),
     tr X = tr Y = 0 and [X, Y] + lambda I = lambda v v^T with v_j = (-1)^j."""
     if X.ndim != 3 or X.shape != Y.shape or X.shape[1] != X.shape[2]:
         raise ValueError(f"points need (N, n, n) stacks, got {X.shape} and {Y.shape}")
-    n = X.shape[1]
+    n, lam = X.shape[1], LAMBDAS[prime]
     v = (-1) ** np.arange(n)
-    rank_one = LAMBDA * np.outer(v, v) % PRIME
-    in_range = ((X >= 0) & (X < PRIME) & (Y >= 0) & (Y < PRIME)).all(axis=(1, 2))
+    rank_one = lam * np.outer(v, v) % prime
+    in_range = ((X >= 0) & (X < prime) & (Y >= 0) & (Y < prime)).all(axis=(1, 2))
     # reduce out-of-range entries first, so the products below cannot overflow
-    X, Y = X % PRIME, Y % PRIME
-    commutator = (matmul(X, Y) - matmul(Y, X) + LAMBDA * np.eye(n, dtype=np.int64)) % PRIME
+    X, Y = X % prime, Y % prime
+    commutator = (matmul(X, Y, prime) - matmul(Y, X, prime) + lam * np.eye(n, dtype=np.int64)) % prime
     good = (
         in_range
-        & (np.trace(X, axis1=1, axis2=2) % PRIME == 0)
-        & (np.trace(Y, axis1=1, axis2=2) % PRIME == 0)
+        & (np.trace(X, axis1=1, axis2=2) % prime == 0)
+        & (np.trace(Y, axis1=1, axis2=2) % prime == 0)
         & (commutator == rank_one).all(axis=(1, 2))
     )
     if not good.all():
-        raise ValueError(f"point {int(np.argmin(good))} is not a traceless rank-one point mod {PRIME}")
-
+        raise ValueError(f"point {int(np.argmin(good))} is not a traceless rank-one point mod {prime}")
 
 class Echelon:
     """Incremental row-echelon form over F_p.
@@ -195,11 +204,16 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row: np.ndarray) -> bool:
-        """Keep row if it is outside the span; return whether it was kept."""
+    def reduce(self, row: np.ndarray) -> np.ndarray:
+        """row less the kept rows' combination that clears its pivot entries."""
         row = np.asarray(row, dtype=np.int64) % PRIME
         if self.pivots:
             row = (row - matmul(row[self.pivots], self.rows)) % PRIME
+        return row
+
+    def add(self, row: np.ndarray) -> bool:
+        """Keep row if it is outside the span; return whether it was kept."""
+        row = self.reduce(row)
         nonzero = np.flatnonzero(row)
         if not len(nonzero):
             return False
@@ -209,6 +223,20 @@ class Echelon:
         self.rows = np.vstack([self.rows, row])
         self.pivots.append(pivot)
         return True
+
+
+def reconstruct(u: int) -> Fraction | None:
+    """The fraction r/s = u mod p with |r|, s <= RATIONAL_BOUND, or None.
+
+    Wang's half extended Euclidean algorithm (Wang, SYMSAC 1981).  Since
+    2 RATIONAL_BOUND^2 < p such a fraction is unique when it exists."""
+    r0, r1, s0, s1 = PRIME, int(u) % PRIME, 0, 1
+    while r1 > RATIONAL_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > RATIONAL_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def rank(pool: ExactPool, polys: Iterable[TracePolynomial]) -> int:

@@ -35,7 +35,6 @@ from cmpoisson.cm import (
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
-    apply_family,
     certify_symplectic,
     family_hamiltonian,
     ode_flow,
@@ -54,7 +53,7 @@ from cmpoisson.models import (
     product_bracket,
 )
 from cmpoisson.poly import PLAIN, TRACELESS
-from conftest import random_polynomial, straight_product_poly, straight_word_products
+from conftest import apply_family, random_polynomial, straight_product_poly, straight_word_products
 
 
 def report(number: int, label: str, passed: bool, detail: str):
@@ -220,7 +219,6 @@ def test_criterion_5_flow_families():
 def test_criterion_6_generation_at_desk_scale():
     start = time.monotonic()
     failures = []
-    worst = 0.0
     totals = {}
     for n, depth, target_degree in ((2, 8, 6), (3, 10, 8)):
         basis = build_closure(
@@ -231,15 +229,14 @@ def test_criterion_6_generation_at_desk_scale():
         totals[n] = len(targets)
         for words in targets:
             cert = checker.check(straight_product_poly(words))
-            worst = max(worst, cert.residual)
-            if not cert.valid:
-                failures.append((n, words, cert.status, cert.residual))
+            if cert.status != "member":
+                failures.append((n, words, cert.status))
     elapsed = time.monotonic() - start
     report(
         6,
         "generation: every product degree <= 6 (n=2) / <= 8 (n=3) certified",
         not failures and elapsed < 600.0,
-        f"{totals[2]} + {totals[3]} targets, worst residual {worst:.2e} (< 1e-8), "
+        f"{totals[2]} + {totals[3]} exact certificates, "
         f"failures {failures[:3]}, {elapsed:.0f}s (< 10 min)",
     )
 

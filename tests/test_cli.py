@@ -99,6 +99,25 @@ def test_flow_scaling_at_large_t_passes(capsys):
     assert "pass" in out
 
 
+def test_flow_ode_comparison_takes_the_certified_image(capsys):
+    # the ode comparison once re-checked the stored t = 50 image, which fails
+    # its rank test although the certified traceless image passes
+    code, out, _ = run(
+        capsys, "flow", "--family", "scaling", "--t", "50", "--n", "2",
+        "--points", "2", "--steps", "400", "--seed", "0",
+    )
+    assert code == EXIT_PASS
+    assert "pass; max ode-vs-closed-form relative difference" in out
+
+
+def test_flow_overflow_is_inconclusive(capsys):
+    code, out, err = run(
+        capsys, "flow", "--family", "scaling", "--t", "50", "--n", "2", "--steps", "10", "--seed", "0"
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "inconclusive: non-finite state during integration\n" and err == ""
+
+
 def test_replay_single_chain(capsys):
     code, out, _ = run(capsys, "replay", "--chain", "cube-transfer", "--n", "3", "--seed", "0")
     assert code == EXIT_PASS
@@ -145,9 +164,25 @@ def test_membership_shallow_depth_is_inconclusive(capsys):
         capsys, "membership", "--target", "tr(A^3 B^3)", "--n", "3",
         "--depth", "1", "--degree", "8", "--seed", "0",
     )
-    assert code in (EXIT_PASS, EXIT_INCONCLUSIVE)
-    if code == EXIT_INCONCLUSIVE:
-        assert "not found at depth" in out
+    assert code == EXIT_INCONCLUSIVE
+    assert out.startswith("not found at depth 1: ") and "does not certify non-membership" in out
+
+
+def test_membership_beyond_the_lifting_bound_is_inconclusive(capsys, tmp_path):
+    out_file = tmp_path / "m.json"
+    code, out, _ = run(
+        capsys, "membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)", "--n", "2",
+        "--depth", "6", "--degree", "6", "--seed", "0", "--out", str(out_file),
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out.startswith("inconclusive: ")
+    report = json.loads(out_file.read_text())
+    assert report["status"] == "inconclusive" and report["coefficients"] == []
+
+
+def test_membership_has_no_tolerance(capsys):
+    err = usage_error(capsys, "membership", "--target", "tr(A^2)", "--n", "2", "--tol", "membership=1e-8")
+    assert "unknown tolerance 'membership'" in err
 
 
 def test_tolerance_override_warns_outside_safe_range(capsys):

@@ -1,5 +1,8 @@
 """Lie closure construction and membership certificates."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from cmpoisson.bracket import bracket_traceless
@@ -10,12 +13,17 @@ from cmpoisson.closure import (
     build_closure,
     check_membership,
     default_depth_cap,
-    recheck_certificate,
     reduce_pipeline,
     standard_generators,
 )
+from cmpoisson.cm import PointPool
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
+from cmpoisson.modp import LAMBDA, PRIME, ExactPool, to_mod_p
 from cmpoisson.poly import PLAIN, TRACELESS
+from cmpoisson.span import lstsq_fit, value_matrix
+from conftest import straight_product_poly, straight_word_products
+
+ZERO = (Fraction(0), Fraction(0))
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +42,12 @@ def test_plain_mode_generators_rejected():
 
 
 def test_closure_contains_cube_of_second_letter(basis_n2):
-    cert = check_membership(P("tr(B^3)", TRACELESS), basis_n2)
+    # tr B^3 = (tr B^2 / 2) tr B = 0 at n = 2
+    target = P("tr(B^3)", TRACELESS)
+    assert reduce_pipeline(target, 2, normalize=False).is_zero()
+    cert = check_membership(target, basis_n2)
     assert cert.valid
+    assert cert.exact_coefficients == [ZERO] * len(basis_n2.elements)
 
 
 def test_squared_generator_identity(basis_n2):
@@ -47,20 +59,31 @@ def test_squared_generator_identity(basis_n2):
     assert cert.valid
 
 
-def test_trivial_member_has_tiny_residual(basis_n2):
-    cert = check_membership(P("tr(A^2)", TRACELESS), basis_n2)
-    assert cert.status == "member" and cert.residual < 1e-14
+def test_trivial_member_has_unit_coefficient(basis_n2):
+    assert F(basis_n2.elements[0]) == "tr(A^2)"
+    cert = check_membership(P("3*tr(A^2)", TRACELESS), basis_n2)
+    assert cert.status == "member"
+    assert cert.exact_coefficients == [(3, 0)] + [ZERO] * (len(basis_n2.elements) - 1)
+    assert cert.coefficients[0] == 3.0
 
 
 def test_product_membership_at_n2(basis_n2):
     cert = check_membership(P("tr(A B)*tr(A^2)", TRACELESS), basis_n2)
-    assert cert.valid and cert.residual < 1e-8
+    assert cert.valid
 
 
 def test_certificate_survives_fresh_resampling(basis_n2):
-    cert = check_membership(P("tr(A^2 B^2)", TRACELESS), basis_n2)
+    # the certified combination equals the target exactly at points of an
+    # unrelated seed, with i = -lambda
+    target = P("tr(A^2 B^2)", TRACELESS)
+    cert = check_membership(target, basis_n2)
     assert cert.valid
-    assert recheck_certificate(cert, basis_n2, factor=10) < 1e-7
+    pool = ExactPool.sample(2, 100, seed=77)
+    combo = np.zeros(len(pool), dtype=np.int64)
+    for (re, im), e in zip(cert.exact_coefficients, basis_n2.elements):
+        c = (to_mod_p(re) - LAMBDA * to_mod_p(im)) % PRIME
+        combo = (combo + c * pool.values(e)) % PRIME
+    assert combo.tolist() == pool.values(target).tolist()
 
 
 def test_certificate_coefficients_reconstruct_the_target(basis_n2):
@@ -117,12 +140,11 @@ def test_degree_cap_below_every_generator_rejected():
         build_closure(standard_generators(), depth_cap=2, degree_cap=1, n_value=2)
 
 
-def test_ill_conditioned_fit_is_inconclusive(basis_n2):
-    # duplicated elements make the value matrix numerically rank deficient
-    eps = P("tr(A^2)", TRACELESS) * 1
+def test_dependent_basis_elements_are_rejected(basis_n2):
+    # a duplicated element leaves the coefficients undetermined
     degenerate = LieClosureBasis(
         generators=basis_n2.generators,
-        elements=[basis_n2.elements[0], basis_n2.elements[0] + eps * 0],
+        elements=[basis_n2.elements[0], basis_n2.elements[0]],
         trees=[("gen", 0), ("gen", 0)],
         levels=[0, 0],
         depth_cap=basis_n2.depth_cap,
@@ -131,16 +153,72 @@ def test_ill_conditioned_fit_is_inconclusive(basis_n2):
         seed=0,
         pool_size=basis_n2.pool_size,
     )
-    cert = check_membership(P("tr(B^2)", TRACELESS), degenerate)
-    assert cert.status == "inconclusive"
+    with pytest.raises(ValueError, match="linearly dependent on the membership pool"):
+        check_membership(P("tr(B^2)", TRACELESS), degenerate)
 
 
 def test_not_found_wording_for_unreachable_depth():
     shallow = build_closure(standard_generators(), depth_cap=1, degree_cap=8, n_value=3, seed=0)
     cert = check_membership(P("tr(A^3 B^3)", TRACELESS), shallow)
-    assert cert.status in ("not_found_at_depth", "member")  # never "not a member"
-    if cert.status == "not_found_at_depth":
-        assert not cert.valid
+    assert cert.status == "not_found_at_depth"  # never "not a member"
+    assert not cert.valid and cert.exact_coefficients == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tr(A^2) + 1/1000003*tr(B^2)",  # 1/1000003 mod p has no lift within the bound
+        "tr(A^2) + 1/46341*tr(B^2)",  # it lifts to -23170/20819, which the second prime rejects
+    ],
+    ids=["no-lift", "wrong-lift"],
+)
+def test_coefficient_beyond_the_lifting_bound_is_inconclusive(basis_n2, text):
+    assert F(basis_n2.elements[1]) == "tr(B^2)"
+    cert = check_membership(P(text, TRACELESS), basis_n2)
+    assert cert.status == "inconclusive"
+    assert not cert.valid and cert.exact_coefficients == []
+
+
+@pytest.fixture(scope="module")
+def basis_n3():
+    return build_closure(standard_generators(), depth_cap=10, degree_cap=6, n_value=3, seed=0)
+
+
+def test_target_scale_does_not_matter(basis_n3):
+    checker = MembershipChecker(basis_n3)
+    plain = checker.check(P("tr(A^2 B^2)", TRACELESS))
+    scaled = checker.check(P("12345*tr(A^2 B^2)", TRACELESS))
+    assert plain.valid and scaled.valid
+    assert Fraction(-8, 9) in {re for re, _ in plain.exact_coefficients}
+    assert scaled.exact_coefficients == [(12345 * re, 12345 * im) for re, im in plain.exact_coefficients]
+
+
+def test_word_and_its_reverse_have_conjugate_coefficients(basis_n3):
+    # on the lambda = -i locus tr(A^2 B A B^2) and its reverse differ by an
+    # imaginary combination, which only the conjugate solve at (X, -Y) finds
+    checker = MembershipChecker(basis_n3)
+    word = checker.check(P("tr(A^2 B A B^2)", TRACELESS))
+    reverse = checker.check(P("tr(A^2 B^2 A B)", TRACELESS))
+    assert word.valid and reverse.valid
+    assert any(im for _, im in word.exact_coefficients)
+    assert reverse.exact_coefficients == [(re, -im) for re, im in word.exact_coefficients]
+    pool = PointPool.sample(3, 2 * len(basis_n3.elements), seed=0)
+    _, fit, _ = lstsq_fit(value_matrix(pool, basis_n3.elements), pool.values_and_magnitudes(word.target)[0])
+    assert np.abs(np.array(word.coefficients) - fit).max() < 1e-8
+
+
+def test_exact_coefficients_match_the_float_fit():
+    # the float least-squares fit the exact solve replaced, kept as an oracle
+    basis = build_closure(standard_generators(), depth_cap=8, degree_cap=8, n_value=2, seed=0)
+    checker = MembershipChecker(basis)
+    pool = PointPool.sample(2, 2 * len(basis.elements), seed=0)
+    matrix = value_matrix(pool, basis.elements)
+    for words in straight_word_products(6):
+        target = straight_product_poly(words)
+        cert = checker.check(target)
+        assert cert.valid
+        _, fit, _ = lstsq_fit(matrix, pool.values_and_magnitudes(target)[0])
+        assert np.abs(np.array(cert.coefficients) - fit).max() < 1e-8, words
 
 
 def test_default_depth_caps():

@@ -8,7 +8,6 @@ from cmpoisson.cm import evaluate, sample_cm
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
-    apply_family,
     certify_symplectic,
     family_hamiltonian,
     family_jacobian,
@@ -17,6 +16,7 @@ from cmpoisson.flows import (
 )
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
 from cmpoisson.poly import TRACELESS
+from conftest import apply_family
 
 
 def max_entry_diff(a, b):

@@ -2,7 +2,8 @@
 
 Apart from the tail-fit residuals of verify and replay, the reports under
 tests/data hold only exact fields (polynomials, trees, levels, sizes,
-verdicts), so they do not depend on the machine.  A change to the exact
+verdicts, and membership coefficients lifted from F_p to rationals), so they
+do not depend on the machine.  A change to the exact
 algebra that alters a single term, its coefficient, or which candidates the
 closure keeps shows up here.  A fit_residual is a float that may differ in
 its last bits between machines, so it must only be null where the pinned
@@ -24,6 +25,7 @@ JOBS = {
     "bracket_traceless": ["bracket", "tr(A^3 B^2)", "tr(A B^4)"],
     "verify_n2_seed0": ["verify", "--n", "2", "--seed", "0"],
     "replay_n3_seed0": ["replay", "--n", "3", "--seed", "0"],
+    "membership_square_n2": ["membership", "--target", "tr(A^2 B^2)", "--n", "2", "--seed", "0"],
 }
 FIT_TOLERANCE = 1e-8
 

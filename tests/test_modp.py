@@ -8,15 +8,29 @@ import pytest
 from cmpoisson.closure import build_closure, default_depth_cap, standard_generators
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import parse_polynomial as P
-from cmpoisson.modp import LAMBDA, PRIME, Echelon, ExactPool, matmul, rank, to_mod_p
+from cmpoisson.modp import (
+    CHECK_PRIME,
+    LAMBDA,
+    LAMBDAS,
+    PRIME,
+    RATIONAL_BOUND,
+    Echelon,
+    ExactPool,
+    matmul,
+    rank,
+    reconstruct,
+    to_mod_p,
+)
 from cmpoisson.poly import TRACELESS
 from cmpoisson.span import SpanTracker, enumerate_trace_monomials
 
 
 def test_prime_and_lambda():
-    assert PRIME < 2**30 and PRIME % 4 == 1
-    assert all(PRIME % d for d in range(2, 32768))  # 32768^2 > p
-    assert LAMBDA * LAMBDA % PRIME == PRIME - 1
+    for prime in (PRIME, CHECK_PRIME):
+        assert prime < 2**30 and prime % 4 == 1
+        assert all(prime % d for d in range(2, 32768))  # 32768^2 > p
+        assert LAMBDAS[prime] * LAMBDAS[prime] % prime == prime - 1
+    assert LAMBDA == LAMBDAS[PRIME] and CHECK_PRIME != PRIME
 
 
 def test_fractions_map_to_the_field():
@@ -46,6 +60,13 @@ def test_sampled_points_are_exact_rank_one_points(n):
     X, Y = pool.X, pool.Y
     assert ExactPool(X, Y).n == n  # validation passes
     assert (np.trace(X, axis1=1, axis2=2) % PRIME == 0).all()
+
+
+def test_check_prime_points_are_exact_rank_one_points():
+    pool = ExactPool.sample(3, 20, seed=4, stream=2, prime=CHECK_PRIME)
+    assert ExactPool(pool.X, pool.Y, CHECK_PRIME).prime == CHECK_PRIME
+    with pytest.raises(ValueError, match=f"not a traceless rank-one point mod {PRIME}"):
+        ExactPool(pool.X, pool.Y)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +119,37 @@ def test_echelon_rank_and_membership():
     assert echelon.rank == 12
     # kept rows are reduced: 1 at their own pivot, 0 at every other pivot
     assert (echelon.rows[:, echelon.pivots] == np.eye(12, dtype=np.int64)).all()
+
+
+def test_echelon_reduce_leaves_the_echelon_unchanged():
+    rng = np.random.default_rng(1)
+    rows = rng.integers(0, PRIME, size=(5, 20), dtype=np.int64)
+    echelon = Echelon(20)
+    for r in rows[:4]:
+        echelon.add(r)
+    kept, pivots = echelon.rows.copy(), list(echelon.pivots)
+    assert not echelon.reduce((3 * rows[0] + 5 * rows[2]) % PRIME).any()
+    outside = echelon.reduce(rows[4])
+    assert outside.any() and not outside[pivots].any()
+    assert (echelon.rows == kept).all() and echelon.pivots == pivots
+
+
+def test_reconstruct_round_trips_within_the_bound():
+    assert RATIONAL_BOUND == 23170 and 2 * RATIONAL_BOUND**2 < PRIME
+    b = RATIONAL_BOUND
+    for q in (0, 1, -1, b, -b, Fraction(1, b), Fraction(b, b - 1), Fraction(-b, b - 3), Fraction(15047, 10080)):
+        assert reconstruct(to_mod_p(Fraction(q))) == q
+    for q in (b + 1, -b - 1, Fraction(1, b + 1), Fraction(b + 1, 2), Fraction(1, 1000003)):
+        assert reconstruct(to_mod_p(q)) is None
+    # most residues have some fraction within the bound, so a lift alone proves nothing
+    assert reconstruct(to_mod_p(Fraction(1, 46341))) == Fraction(-23170, 20819)
+
+
+def test_conjugate_values_are_the_values_at_minus_y():
+    pool = ExactPool.sample(3, 6, seed=5)
+    p = P("tr(A^2 B) - 2*tr(A B)*tr(B^2) + tr(A^3) + 4", TRACELESS)
+    minus_y = P("-tr(A^2 B) + 2*tr(A B)*tr(B^2) + tr(A^3) + 4", TRACELESS)
+    assert pool.values(p, conjugate=True).tolist() == pool.values(minus_y).tolist()
 
 
 @pytest.mark.parametrize("n, dimension", [(2, 25), (3, 90), (4, 176)])

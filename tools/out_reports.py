@@ -54,6 +54,12 @@ JOBS += [
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
     ("flow_bad_t", ["flow", "--family", "shearB", "--t", "abc", "--seed", "0"]),
     ("flow_hamiltonian_no_steps", ["flow", "--hamiltonian", "tr(A^2)", "--t", "1", "--seed", "0"]),
+    ("flow_scaling_t50_steps400_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2",
+                                      "--steps", "400", "--seed", "0"]),
+    ("membership_not_found_depth1_n3", ["membership", "--target", "tr(A^3 B^3)", "--n", "3",
+                                        "--depth", "1", "--seed", "0"]),
+    ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
+                                    "--n", "2", "--seed", "0"]),
 ]
 
 
