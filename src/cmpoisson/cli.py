@@ -395,7 +395,7 @@ def cmd_membership(args) -> int:
         print(f"member: exact certificate, checked at {CHECK_POINTS} points mod {CHECK_PRIME}")
         code = EXIT_PASS
     elif cert.status == "inconclusive":
-        print(f"inconclusive: no lift of the coefficients holds at {CHECK_POINTS} points mod {CHECK_PRIME}")
+        print(f"inconclusive: {cert.reason}")
         code = EXIT_INCONCLUSIVE
     else:
         print(

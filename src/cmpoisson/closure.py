@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
@@ -207,6 +208,7 @@ class MembershipCertificate:
     # exact (real, imaginary) part of each element's coefficient; empty unless a member
     exact_coefficients: list[tuple[Fraction, Fraction]]
     sample_count: int
+    reason: str = ""  # why the certificate is inconclusive; empty otherwise
 
     @property
     def coefficients(self) -> list[complex]:
@@ -276,6 +278,14 @@ class MembershipChecker:
         # that its scale cannot push the coefficients past the lifting bound
         peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)
         reduced = reduced * (1 / peak)
+        # the coefficients are constants (reduce_pipeline specializes n); a
+        # prime dividing a denominator leaves the target without a value mod
+        # that prime: unresolvable, not a defect
+        denominator = lcm(*(q.denominator for _, c in reduced.items() for q in c.terms.values()))
+        for prime in (PRIME, CHECK_PRIME):
+            if denominator % prime == 0:
+                reason = f"the prime {prime} divides a coefficient denominator of the target at peak 1"
+                return MembershipCertificate(target, "inconclusive", [], self.sample_count, reason)
         solutions = []
         for conjugate, echelon in zip((False, True), self.echelons):
             values = self.pool.values(reduced, conjugate)
@@ -286,8 +296,9 @@ class MembershipChecker:
         (c1, c2), i = solutions, PRIME - LAMBDAS[PRIME]
         parts = (c1 + c2) * pow(2, -1, PRIME) % PRIME, (c1 - c2) * pow(2 * i, -1, PRIME) % PRIME
         lifted = {j: (reconstruct(parts[0][j]), reconstruct(parts[1][j])) for j in np.flatnonzero(c1 | c2)}
+        no_lift = f"no lift of the coefficients holds at {CHECK_POINTS} points mod {CHECK_PRIME}"
         if any(x is None for pair in lifted.values() for x in pair):
-            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count, no_lift)
         i_check = CHECK_PRIME - LAMBDAS[CHECK_PRIME]
         combination = np.zeros(m, dtype=np.int64)
         coefficients = [(Fraction(0), Fraction(0))] * m
@@ -295,7 +306,7 @@ class MembershipChecker:
             combination[j] = (to_mod_p(a, CHECK_PRIME) + i_check * to_mod_p(b, CHECK_PRIME)) % CHECK_PRIME
             coefficients[j] = (peak * a, peak * b)
         if (matmul(self.check_values, combination, CHECK_PRIME) != self.check_pool.values(reduced)).any():
-            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count, no_lift)
         return MembershipCertificate(target, "member", coefficients, self.sample_count)
 
 

@@ -348,57 +348,110 @@ def evaluate(p: TracePolynomial, pt: CMPoint, n_symbol_value: int | None = None)
 # gradients and the numeric bracket
 # ----------------------------------------------------------------------
 
-def _word_gradients(
-    ev: PointEvaluator, w: CyclicWord, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d tr w / dL1, d tr w / dL2) wrt the mode letters, entrywise convention
-    (dM)_jk = d(tr w)/dL_jk, i.e. sum of transposed cut-word matrices."""
-    grads = []
-    for letter in (FIRST, SECOND):
-        g = np.zeros((ev.n, ev.n), dtype=complex)
-        for cut, mult in splice_cuts(w, letter):
-            g += mult * ev.word_matrix(cut, mode).T
-        grads.append(g)
-    return grads[0], grads[1]
+PointMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def gradient_function(p: TracePolynomial, n: int) -> PointMap:
+    """Compile the exact splice-derivative gradient of p at matrix size n.
+
+    The symbolic work is done once, here: the coefficient values, and for
+    each distinct trace factor its word and, per letter, the (multiplicity,
+    cut word) pairs of `splice_cuts`.  The returned function maps (X, Y) to
+    (dp/dX, dp/dY), with (dp/dX)_jk = dp/dX_jk, by matrix work alone; it
+    computes its powers, words and factor gradients afresh at every call.
+
+    Traceless mode differentiates through A = X - (tr X/n) I, B = Y - (tr Y/n) I,
+    as `PointEvaluator` evaluates, and projects each factor gradient to its
+    traceless part.  Powers are P^k = P^(k-1) @ P and words are multiplied left
+    to right.  Only the two results start at zero: a sum that starts at +0
+    never becomes -0, so skipping the letters a word lacks changes no bit.
+    """
+    traceless = p.mode == TRACELESS
+    eye = np.eye(n, dtype=complex)
+    words: dict[tuple, int] = {}  # the distinct words one evaluation multiplies out
+    factors: dict[CyclicWord, int] = {}
+    factor_cuts: list[tuple[int, list]] = []  # (word id, per letter [(mult, cut word id)])
+
+    def word_id(runs: tuple) -> int:
+        return words.setdefault(runs, len(words))
+
+    def factor_id(w: CyclicWord) -> int:
+        if w not in factors:
+            factors[w] = len(factor_cuts)
+            cuts = [[(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
+                    for letter in (FIRST, SECOND)]
+            factor_cuts.append((word_id(w.runs), cuts))
+        return factors[w]
+
+    terms = [
+        (_coefficient_value(coeff, n), central, [factor_id(w) for w in ws])
+        for (central, ws), coeff in p.items()
+    ]
+    word_runs = list(words)
+    top = [max((e for runs in word_runs for l, e in runs if l == letter), default=1)
+           for letter in (FIRST, SECOND)]  # the highest power of each letter
+
+    def gradient(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tr_x = complex(X.trace())
+        tr_y = complex(Y.trace())
+        if traceless:
+            X = X - (tr_x / n) * eye
+            Y = Y - (tr_y / n) * eye
+        powers = []
+        for letter, matrix in ((FIRST, X), (SECOND, Y)):
+            chain = [eye, matrix]
+            while len(chain) <= top[letter]:
+                chain.append(chain[-1] @ matrix)
+            powers.append(chain)
+        matrices = []
+        for runs in word_runs:
+            out = None if runs else eye
+            for letter, exp in runs:
+                power = powers[letter][exp]
+                out = power if out is None else out @ power
+            matrices.append(out)
+        values, grads = [], []
+        for w, cuts in factor_cuts:
+            values.append(complex(matrices[w].trace()) if word_runs[w] else complex(n))
+            grads.append([])
+            for letter_cuts in cuts:
+                g = None
+                for mult, j in letter_cuts:
+                    term = mult * matrices[j].T
+                    g = term if g is None else g + term
+                if traceless and g is not None:
+                    g = g - (g.trace() / n) * eye
+                grads[-1].append(g)
+        dX = np.zeros((n, n), dtype=complex)
+        dY = np.zeros((n, n), dtype=complex)
+        for base, central, ids in terms:
+            factor_values = [values[i] for i in ids]
+            sx = tr_x ** central[0] if central[0] else 1.0
+            sy = tr_y ** central[1] if central[1] else 1.0
+            # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
+            for a, tr, other, total in ((central[0], tr_x, sy, dX), (central[1], tr_y, sx, dY)):
+                if a:
+                    env = base * (tr ** (a - 1)) * a * other
+                    for v in factor_values:
+                        env *= v
+                    total += env * eye
+            # trace-factor part, Leibniz over factors
+            for i, fid in enumerate(ids):
+                env = base * sx * sy
+                for i2, v in enumerate(factor_values):
+                    if i2 != i:
+                        env *= v
+                for total, g in zip((dX, dY), grads[fid]):
+                    if g is not None:
+                        total += env * g
+        return dX, dY
+
+    return gradient
 
 
 def numeric_gradient(p: TracePolynomial, pt: CMPoint) -> tuple[np.ndarray, np.ndarray]:
     """Exact splice-derivative gradient (dp/dX, dp/dY) with (dp/dX)_jk = dp/dX_jk."""
-    ev = PointEvaluator(pt)
-    n = ev.n
-    eye = ev._eye
-    dX = np.zeros((n, n), dtype=complex)
-    dY = np.zeros((n, n), dtype=complex)
-    traceless = p.mode == TRACELESS
-    for (central, factors), coeff in p.items():
-        base = _coefficient_value(coeff, n)
-        factor_values = [ev.word_trace(w, p.mode) for w in factors]
-        sx = ev.tr_x ** central[0] if central[0] else 1.0
-        sy = ev.tr_y ** central[1] if central[1] else 1.0
-        # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
-        if central[0]:
-            env = base * (ev.tr_x ** (central[0] - 1)) * central[0] * sy
-            for v in factor_values:
-                env *= v
-            dX += env * eye
-        if central[1]:
-            env = base * (ev.tr_y ** (central[1] - 1)) * central[1] * sx
-            for v in factor_values:
-                env *= v
-            dY += env * eye
-        # trace-factor part, Leibniz over factors
-        for i, w in enumerate(factors):
-            env = base * sx * sy
-            for i2, v in enumerate(factor_values):
-                if i2 != i:
-                    env *= v
-            ga, gb = _word_gradients(ev, w, p.mode)
-            if traceless:
-                ga = ga - (np.trace(ga) / n) * eye
-                gb = gb - (np.trace(gb) / n) * eye
-            dX += env * ga
-            dY += env * gb
-    return dX, dY
+    return gradient_function(p, pt.pair.n)(pt.pair.X, pt.pair.Y)
 
 
 def finite_difference_gradient(
@@ -449,9 +502,6 @@ def symplectic_structure_matrix(n: int) -> np.ndarray:
             S[a, b] += 1.0
             S[b, a] -= 1.0
     return S
-
-
-PointMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def symplectic_pullback_residual(

@@ -11,6 +11,7 @@ from cmpoisson.cli import (
     EXIT_USAGE,
     main,
 )
+from cmpoisson.modp import CHECK_PRIME, PRIME
 
 
 def run(capsys, *argv):
@@ -178,6 +179,23 @@ def test_membership_beyond_the_lifting_bound_is_inconclusive(capsys, tmp_path):
     assert out.startswith("inconclusive: ")
     report = json.loads(out_file.read_text())
     assert report["status"] == "inconclusive" and report["coefficients"] == []
+
+
+@pytest.mark.parametrize("prime", [PRIME, CHECK_PRIME])
+def test_membership_with_a_prime_in_a_denominator_is_inconclusive(capsys, tmp_path, prime):
+    out_file = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "membership", "--target", f"tr(A^2) + 1/{prime}*tr(B^2)", "--n", "2",
+        "--depth", "6", "--degree", "6", "--seed", "0", "--out", str(out_file),
+    )
+    assert code == EXIT_INCONCLUSIVE and err == ""
+    assert out == f"inconclusive: the prime {prime} divides a coefficient denominator of the target at peak 1\n"
+    report = json.loads(out_file.read_text())
+    assert report["status"] == "inconclusive" and report["coefficients"] == []
+    assert set(report) == {
+        "command", "target", "n", "depth_cap", "degree_cap", "seed", "status",
+        "sample_count", "coefficients", "elements", "trees",
+    }
 
 
 def test_membership_has_no_tolerance(capsys):

@@ -227,15 +227,16 @@ def test_gradient_of_crossed_trace_is_transpose():
 
 
 def test_gradients_match_finite_differences(rng):
-    for mode, traceless in ((PLAIN, False), (TRACELESS, True)):
-        for i in range(6):
-            pt = sample_cm(3, traceless=traceless, seed=8, index=i)
-            p = random_polynomial(rng, mode, max_degree=4)
-            gx, gy = numeric_gradient(p, pt)
-            fx, fy = finite_difference_gradient(p, pt)
-            scale = max(1.0, np.abs(gx).max(), np.abs(gy).max())
-            assert np.abs(gx - fx).max() / scale < 1e-6
-            assert np.abs(gy - fy).max() / scale < 1e-6
+    for n in (2, 3):
+        for mode, traceless in ((PLAIN, False), (TRACELESS, True)):
+            for i in range(6):
+                pt = sample_cm(n, traceless=traceless, seed=8, index=i)
+                p = random_polynomial(rng, mode, max_degree=4)
+                gx, gy = numeric_gradient(p, pt)
+                fx, fy = finite_difference_gradient(p, pt)
+                scale = max(1.0, np.abs(gx).max(), np.abs(gy).max())
+                assert np.abs(gx - fx).max() / scale < 1e-6
+                assert np.abs(gy - fy).max() / scale < 1e-6
 
 
 # ---------------- numeric bracket ----------------

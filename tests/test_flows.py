@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmpoisson import flows
-from cmpoisson.cm import evaluate, sample_cm
+from cmpoisson.cm import CMPoint, MatrixPair, evaluate, numeric_gradient, sample_cm
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
@@ -100,6 +100,40 @@ def test_integrator_error_estimate_tracks_truth():
     out, est = ode_flow(family_hamiltonian(fam), pt, 0.5, 50, return_error=True)
     true_err = max_entry_diff(out, closed)
     assert est <= 1.0 and true_err < 40 * max(est, 1e-15)
+
+
+def one_shot_rk4(h, pt, t, steps):
+    """RK4 as ode_flow takes it, with a fresh gradient of h at every stage."""
+    X, Y = pt.pair.X.copy(), pt.pair.Y.copy()
+    dt = t / steps
+
+    def field(Xc, Yc):
+        dX, dY = numeric_gradient(h, CMPoint(MatrixPair(pt.pair.n, Xc, Yc), pt.traceless, 0.0, 0.0))
+        return dt * dY.T, dt * -dX.T
+
+    for _ in range(steps):
+        k1x, k1y = field(X, Y)
+        k2x, k2y = field(X + k1x / 2, Y + k1y / 2)
+        k3x, k3y = field(X + k2x / 2, Y + k2y / 2)
+        k4x, k4y = field(X + k3x, Y + k3y)
+        X = X + (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+        Y = Y + (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+    return X, Y
+
+
+MIXED_HAMILTONIAN = "tr(A^2 B)*tr(B^2) + 1/3*tr(A B A B^2)"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compiled_field_carries_no_state_between_stages(n):
+    # the gradient compiled once per integration must give at every stage
+    # what a freshly computed gradient gives, bit for bit
+    pt = sample_cm(n, traceless=True, seed=14)
+    hamiltonians = [family_hamiltonian(fid) for fid in FAMILY_IDS] + [P(MIXED_HAMILTONIAN, TRACELESS)]
+    for h in hamiltonians:
+        out = ode_flow(h, pt, 0.3 + 0.1j, 5)
+        X, Y = one_shot_rk4(h, pt, 0.3 + 0.1j, 5)
+        assert out.pair.X.tobytes() == X.tobytes() and out.pair.Y.tobytes() == Y.tobytes(), F(h)
 
 
 def test_integrator_rejects_bad_steps():

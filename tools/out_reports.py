@@ -49,6 +49,8 @@ JOBS += [
     ("flow_scaling_n2", ["flow", "--family", "scaling", "--t", "0.5+0.5i", "--n", "2", "--seed", "0"]),
     ("flow_hamiltonian_n3", ["flow", "--hamiltonian", "tr(A^2 B)", "--t", "0.2", "--n", "3",
                              "--steps", "40", "--seed", "0"]),
+    ("flow_hamiltonian_mixed_n2", ["flow", "--hamiltonian", "tr(A^2 B)*tr(B^2) + 1/3*tr(A B A B^2)",
+                                   "--t", "0.2", "--n", "2", "--steps", "40", "--seed", "0"]),
     ("flow_scaling_t50_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2", "--seed", "0"]),
     ("flow_shearA_n3", ["flow", "--family", "shearA", "--t", "1+1i", "--n", "3", "--seed", "0"]),
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
