@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from .cm import PointPool
 from .grammar import format_polynomial
+from .modp import Echelon, ExactPool
 from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
 from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
@@ -179,7 +180,6 @@ class IdentityResult:
     status: str  # "pass" | "fail"
     detail: str = ""
     symbolic_difference: str = ""
-    fit_residual: Optional[float] = None
 
 
 @dataclass
@@ -205,11 +205,9 @@ def fit_tail_on_variety(
     pool,
 ) -> float:
     """Least-squares residual of diff against the full monomial basis of
-    degree <= degree_bound, evaluated on rank-one variety points.
-
-    pool is a cm.PointPool, or a list of cm.PointEvaluators whose points
-    make one.  A small residual certifies that diff restricts on the variety
-    to a function of degree <= degree_bound; the scale is set by the
+    degree <= degree_bound on rank-one variety points: the float reference
+    for tail_is_low_degree.  pool is a cm.PointPool, or a list of
+    cm.PointEvaluators whose points make one; the residual is scaled by the
     reference polynomial's values."""
     if not isinstance(pool, PointPool):
         pool = PointPool(ev.point for ev in pool)
@@ -220,22 +218,35 @@ def fit_tail_on_variety(
     return residual
 
 
+def tail_is_low_degree(diff: TracePolynomial, degree_bound: int, pool: ExactPool) -> bool:
+    """Whether diff's values on pool lie in the span mod p of those of the trace
+    monomials of degree <= degree_bound.  A wrong diff of degree d passes each
+    point beyond the monomials' rank with probability at most d/p; ValueError
+    when the monomials span every column of the pool, where any diff passes."""
+    echelon = Echelon(len(pool))
+    for m in enumerate_trace_monomials(degree_bound, diff.mode):
+        echelon.add(pool.values(m))
+    if echelon.rank == len(pool):
+        raise ValueError(f"the degree <= {degree_bound} tail check needs more sample points "
+                         f"than the {echelon.rank} independent monomials, got {len(pool)}")
+    return not echelon.reduce(pool.values(diff)).any()
+
+
 def check_identity(
     id: str | int,
     computed: TracePolynomial,
     expected: TracePolynomial,
     kind: str,
     degree_bound: Optional[int],
-    pool: Callable[[], PointPool],
-    fit_tolerance: float,
+    pool: Callable[[], ExactPool],
 ) -> IdentityResult:
     """Check that the computed bracket equals expected as an identity of this kind.
 
     kind 'exact': equality in canonical form, n symbolic.
     kind 'leading-mod-degree': the straightened part above degree_bound
     equals expected's, and the full difference restricts on the rank-condition
-    variety to a function of degree <= degree_bound, certified by a tail fit
-    on the points of pool(), which only this kind calls."""
+    variety to a function of degree <= degree_bound, tested exactly mod p by
+    tail_is_low_degree on pool(), which only this kind calls."""
     check_kind(kind, degree_bound, f"identity {id}")
     if kind == EXACT:
         diff = computed - expected
@@ -247,11 +258,9 @@ def check_identity(
         return IdentityResult(
             id, "fail", "straightened leading part mismatch", format_polynomial(lead_diff)
         )
-    residual = fit_tail_on_variety(computed - expected, computed, degree_bound, pool())
-    if residual < fit_tolerance:
-        return IdentityResult(id, "pass", fit_residual=residual)
-    detail = f"variety residual {residual:.3e} above {fit_tolerance:.1e}"
-    return IdentityResult(id, "fail", detail, fit_residual=residual)
+    if tail_is_low_degree(computed - expected, degree_bound, pool()):
+        return IdentityResult(id, "pass")
+    return IdentityResult(id, "fail", f"tail not of degree <= {degree_bound} on the variety mod p")
 
 
 def verify_catalog(
@@ -259,13 +268,10 @@ def verify_catalog(
     n_value: int,
     sample_count: int,
     seed: int = 0,
-    fit_tolerance: float = 1e-8,
 ) -> IdentityReport:
-    """Check every catalog entry; the leading entries share one point pool."""
-    pool = cache(lambda: PointPool.sample(n_value, sample_count, seed))
+    """Check every catalog entry; the leading entries share one lazily sampled exact pool."""
+    pool = cache(lambda: ExactPool.sample(n_value, sample_count, seed))
     return IdentityReport([
-        check_identity(
-            e.id, bracket(e.lhs, e.rhs), e.expected, e.kind, e.degree_bound, pool, fit_tolerance
-        )
+        check_identity(e.id, bracket(e.lhs, e.rhs), e.expected, e.kind, e.degree_bound, pool)
         for e in entries
     ])

@@ -20,8 +20,8 @@ from functools import cache
 
 from .bracket import EXACT, LEADING, IdentityReport, bracket, check_identity, check_kind
 from .catalog import check_fields, poly_text, read_records, term_text
-from .cm import PointPool
 from .grammar import parse_polynomial
+from .modp import ExactPool
 from .poly import TRACELESS, TracePolynomial
 
 
@@ -227,13 +227,12 @@ def replay_lemma_chain(
     n_value: int = 3,
     sample_count: int = 40,
     seed: int = 0,
-    fit_tolerance: float = 1e-8,
 ) -> IdentityReport:
     """Execute a chain's bracket sequence, checking every step as specified.
 
     Stops at the first failing step and reports its symbolic difference."""
     report = IdentityReport()
-    pool = cache(lambda: PointPool.sample(n_value, sample_count, seed))
+    pool = cache(lambda: ExactPool.sample(n_value, sample_count, seed))
     results: list[TracePolynomial] = []
 
     def resolve(text: str) -> TracePolynomial:
@@ -248,8 +247,7 @@ def replay_lemma_chain(
         computed = bracket(lhs, rhs)
         results.append(computed)
         result = check_identity(
-            idx, computed, expected, step.get("kind"), step.get("degree_bound"),
-            pool, fit_tolerance,
+            idx, computed, expected, step.get("kind"), step.get("degree_bound"), pool
         )
         report.results.append(result)
         if result.status != "pass":

@@ -49,7 +49,6 @@ TOLERANCES = {
     "flow_rank": (1e-9, 1e-13, 1e-5),
     "flow_trace": (1e-10, 1e-14, 1e-6),
     "symplectic": (1e-7, 1e-11, 1e-3),
-    "fit": (1e-8, 1e-12, 1e-4),
 }
 
 
@@ -281,18 +280,15 @@ def _identity_records(results, key: str) -> list[dict]:
             "status": r.status,
             "detail": r.detail,
             "symbolic_difference": r.symbolic_difference,
-            "fit_residual": r.fit_residual,
         }
         for r in results
     ]
 
 
-def cmd_verify(args, tols) -> int:
+def cmd_verify(args) -> int:
     path = None if args.catalog == "default" else args.catalog
     entries = _as_usage_error(catalog_mod.load_catalog_entries, path)
-    report = verify_catalog(
-        entries, args.n, args.samples, seed=args.seed, fit_tolerance=tols["fit"]
-    )
+    report = _as_usage_error(verify_catalog, entries, args.n, args.samples, seed=args.seed)
     n_pass = sum(1 for r in report.results if r.status == "pass")
     for r in report.results:
         if r.status != "pass":
@@ -303,6 +299,7 @@ def cmd_verify(args, tols) -> int:
             "command": "verify",
             "n": args.n,
             "samples": args.samples,
+            "seed": args.seed,
             "results": _identity_records(report.results, "id"),
         },
         args.out,
@@ -310,7 +307,7 @@ def cmd_verify(args, tols) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_replay(args, tols) -> int:
+def cmd_replay(args) -> int:
     path = None if args.catalog == "default" else args.catalog
     records = _as_usage_error(chains_mod.load_chain_records, path)
     if args.chain != "all":
@@ -318,13 +315,11 @@ def cmd_replay(args, tols) -> int:
         if not records:
             print(f"error: no chain named {args.chain!r}", file=sys.stderr)
             return EXIT_USAGE
+    # replay every chain before printing, so a usage error prints nothing else
+    reports = [_as_usage_error(chains_mod.replay_lemma_chain, r, args.n, args.samples, seed=args.seed)
+               for r in records]
     out_reports = []
-    all_pass = True
-    for record in records:
-        report = chains_mod.replay_lemma_chain(
-            record, args.n, args.samples, seed=args.seed, fit_tolerance=tols["fit"]
-        )
-        all_pass = all_pass and report.passed
+    for record, report in zip(records, reports):
         status = "pass" if report.passed else "FAIL"
         print(f"{status} {record['lemma_id']} ({len(report.results)} steps)")
         for r in report.results:
@@ -337,8 +332,9 @@ def cmd_replay(args, tols) -> int:
                 "steps": _identity_records(report.results, "step"),
             }
         )
-    _write_report({"command": "replay", "n": args.n, "chains": out_reports}, args.out)
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    meta = {"command": "replay", "n": args.n, "samples": args.samples, "seed": args.seed}
+    _write_report({**meta, "chains": out_reports}, args.out)
+    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def _as_usage_error(fn, *args, **kwargs):
@@ -510,9 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "flow":
             code = cmd_flow(args, tols)
         elif args.command == "verify":
-            code = cmd_verify(args, tols)
+            code = cmd_verify(args)
         elif args.command == "replay":
-            code = cmd_replay(args, tols)
+            code = cmd_replay(args)
         elif args.command == "closure":
             code = cmd_closure(args)
         elif args.command == "membership":

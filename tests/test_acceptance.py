@@ -15,9 +15,9 @@ from cmpoisson.bracket import (
     bracket,
     bracket_standard,
     bracket_traceless,
-    fit_tail_on_variety,
     jacobi_check,
     leading_part,
+    tail_is_low_degree,
     verify_catalog,
 )
 from cmpoisson.catalog import load_catalog_entries, make_bracketformular_entry
@@ -40,6 +40,7 @@ from cmpoisson.flows import (
     ode_flow,
 )
 from cmpoisson.grammar import parse_polynomial as P
+from cmpoisson.modp import ExactPool
 from cmpoisson.models import (
     CYLINDER,
     PLANE,
@@ -83,13 +84,12 @@ def test_criterion_2_leading_term_law():
         for j, k, p, q in iter_product(range(11), repeat=4)
         if 0 < j + k + p + q <= 10
     ]
-    pools = {
-        n: [PointEvaluator(sample_cm(n, traceless=True, seed=100, index=i)) for i in range(100)]
-        for n in (2, 3)
-    }
+    # the exact tail check mod p is strictly stronger than the float fit
+    # residual < 1e-8 it replaced
+    pools = {n: ExactPool.sample(n, 100, seed=100) for n in (2, 3)}
     symbolic_failures = []
-    fit_failures = []
-    worst_fit = 0.0
+    tail_failures = []
+    tails = 0
     for j, k, p, q in tuples:
         entry = make_bracketformular_entry(j, k, p, q)
         computed = bracket_traceless(entry.lhs, entry.rhs)
@@ -100,17 +100,17 @@ def test_criterion_2_leading_term_law():
         diff = computed - entry.expected
         if diff.is_zero():
             continue
+        tails += 1
         for n in (2, 3):
-            residual = fit_tail_on_variety(diff, computed, bound, pools[n])
-            worst_fit = max(worst_fit, residual)
-            if residual >= 1e-8:
-                fit_failures.append((j, k, p, q, n, residual))
+            if not tail_is_low_degree(diff, bound, pools[n]):
+                tail_failures.append((j, k, p, q, n))
     elapsed = time.monotonic() - start
     report(
         2,
         "weighted leading-term law, all exponent tuples <= 10",
-        not symbolic_failures and not fit_failures,
-        f"{len(tuples)} tuples, worst tail residual {worst_fit:.2e} (< 1e-8), {elapsed:.0f}s",
+        not symbolic_failures and not tail_failures,
+        f"{len(tuples)} tuples, {tails} nonzero tails exact mod p at n = 2 and 3, "
+        f"failures {tail_failures[:4]}, {elapsed:.0f}s",
     )
 
 

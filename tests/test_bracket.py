@@ -186,3 +186,41 @@ def test_traceless_substitution_is_a_poisson_map(rng):
         assert lhs == rhs
         # the restriction to tr X = tr Y = 0 agrees a fortiori
         assert lhs.substitute_central() == rhs.substitute_central()
+
+
+def test_exact_tail_check_agrees_with_the_float_fit():
+    # the float least-squares fit the exact tail check replaced, kept as an
+    # oracle; each tail is also checked with a term added that straightens
+    # to 0, so both verdicts are exercised
+    from collections import Counter
+    from itertools import product
+
+    from cmpoisson.bracket import fit_tail_on_variety, leading_part, tail_is_low_degree
+    from cmpoisson.catalog import make_bracketformular_entry
+    from cmpoisson.cm import PointPool
+    from cmpoisson.modp import ExactPool
+
+    exact = {n: ExactPool.sample(n, 100, seed=3) for n in (2, 3)}
+    floats = {n: PointPool.sample(n, 100, seed=3) for n in (2, 3)}
+    tamper = P("tr(A^2 B^2 A^2 B^2) - tr(A^4 B^4)", TRACELESS)
+    verdicts = Counter()
+    for j, k, p, q in product(range(11), repeat=4):
+        if not 0 < j + k + p + q <= 10:
+            continue
+        entry = make_bracketformular_entry(j, k, p, q)
+        computed = bracket_traceless(entry.lhs, entry.rhs)
+        bound = entry.degree_bound
+        assert leading_part(computed, bound) == entry.expected.straighten()
+        diff = computed - entry.expected
+        if diff.is_zero():
+            continue
+        for tail in (diff, diff + tamper):
+            for n in (2, 3):
+                passed = tail_is_low_degree(tail, bound, exact[n])
+                assert passed == (fit_tail_on_variety(tail, computed, bound, floats[n]) < 1e-8), (
+                    j, k, p, q, n, tail is diff,
+                )
+                verdicts[tail is diff, passed] += 1
+    # every genuine tail passes; a tampered one fails at n = 3 below bound 4
+    # (the added term vanishes at n = 2 and has degree <= 4 at n = 3)
+    assert verdicts == {(True, True): 524, (False, True): 380, (False, False): 144}

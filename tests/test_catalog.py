@@ -1,5 +1,6 @@
 """Pinned identity catalog: data file integrity and verification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 from cmpoisson import bracket_traceless
@@ -84,8 +85,12 @@ def test_leading_law_instance_certifies():
     assert entry.degree_bound == 0
     report = verify_catalog([entry], n_value=3, sample_count=40, seed=1)
     assert report.passed
-    (result,) = report.results
-    assert result.fit_residual is not None and result.fit_residual < 1e-8
+    # a tail term that straightens to 0 passes the leading check and must
+    # be caught by the tail check alone
+    tampered = replace(entry, expected=entry.expected + P("tr(A^2 B^2 A^2 B^2) - tr(A^4 B^4)", TRACELESS))
+    (result,) = verify_catalog([tampered], n_value=3, sample_count=40, seed=1).results
+    assert result.status == "fail" and result.symbolic_difference == ""
+    assert result.detail == "tail not of degree <= 0 on the variety mod p"
 
 
 def test_leading_law_straightened_top():

@@ -40,7 +40,14 @@ def test_transport_chains_use_leading_steps():
     assert kinds[0] == "exact" and "leading-mod-degree" in kinds
     report = replay_lemma_chain(record, n_value=3, sample_count=30, seed=0)
     assert report.passed
-    assert any(r.fit_residual is not None for r in report.results)
+    # a tail term that straightens to 0 passes the leading check and must
+    # be caught by the tail check alone
+    tampered = copy.deepcopy(record)
+    tampered["steps"][-1]["expected"] += " + tr(A^2 B^2 A^2 B^2) - tr(A^4 B^4)"
+    report = replay_lemma_chain(tampered, n_value=3, sample_count=30, seed=0)
+    failed = report.results[-1]
+    assert not report.passed and failed.id == len(record["steps"]) - 1
+    assert failed.symbolic_difference == "" and failed.detail.startswith("tail not of degree")
 
 
 def test_tampered_step_fails_with_difference():

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from cmpoisson import cli
+from cmpoisson.catalog import load_catalog_records
 from cmpoisson.cli import (
+    EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
@@ -205,10 +207,50 @@ def test_membership_has_no_tolerance(capsys):
 
 def test_tolerance_override_warns_outside_safe_range(capsys):
     code, out, err = run(
-        capsys, "bracket", "--mode", "plain", "tr(X)", "tr(Y)", "--tol", "fit=1.0"
+        capsys, "bracket", "--mode", "plain", "tr(X)", "tr(Y)", "--tol", "rank=1.0"
     )
     assert code == EXIT_PASS
     assert "outside documented safe range" in err
+
+
+def test_tolerance_fit_is_unknown(capsys):
+    err = usage_error(capsys, "verify", "--n", "2", "--tol", "fit=1e-6")
+    assert "unknown tolerance 'fit'" in err
+
+
+def test_wrong_tail_fails_and_too_few_samples_are_a_usage_error(tmp_path, capsys):
+    # the added terms straighten to 0, so only the tail check can see them;
+    # on 4 points the 4 monomials of degree <= 2 would fit any tail
+    record = next(r for r in load_catalog_records() if r["id"] == "leading-law-3113")
+    record["expected"] += " + 5*tr(A^2 B^2 A^2 B^2) - 5*tr(A^4 B^4)"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]))
+    code, out, _ = run(capsys, "verify", "--catalog", str(path), "--n", "3", "--seed", "0")
+    assert code == EXIT_FAIL
+    assert out.startswith("FAIL leading-law-3113: tail not of degree <= 2 on the variety mod p")
+    err = usage_error(capsys, "verify", "--catalog", str(path), "--n", "3", "--samples", "4")
+    assert "more sample points than the 4 independent monomials, got 4" in err
+
+
+def test_replay_with_too_few_samples_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--n", "3", "--samples", "4", "--seed", "0"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the degree <= 2 tail check needs more sample points than "
+        "the 4 independent monomials, got 4\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "replay"])
+def test_identity_reports_record_seed_and_samples(tmp_path, capsys, command):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, command, "--n", "2", "--samples", "12", "--seed", "7", "--out", str(out_file))
+    assert code == EXIT_PASS
+    report = json.loads(out_file.read_text())
+    assert (report["n"], report["samples"], report["seed"]) == (2, 12, 7)
 
 
 def test_unknown_tolerance_is_usage_error(capsys):

@@ -60,6 +60,7 @@ JOBS += [
                                       "--steps", "400", "--seed", "0"]),
     ("membership_not_found_depth1_n3", ["membership", "--target", "tr(A^3 B^3)", "--n", "3",
                                         "--depth", "1", "--seed", "0"]),
+    ("verify_samples4_n3", ["verify", "--n", "3", "--samples", "4", "--seed", "0"]),
     ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
                                     "--n", "2", "--seed", "0"]),
 ]
