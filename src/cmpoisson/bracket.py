@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from .cm import PointPool
 from .grammar import format_polynomial
-from .modp import Echelon, ExactPool
+from .modp import CHECK_PRIME, PRIME, Echelon, ExactPool
 from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
 from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
@@ -223,7 +223,7 @@ def tail_is_low_degree(diff: TracePolynomial, degree_bound: int, pool: ExactPool
     monomials of degree <= degree_bound.  A wrong diff of degree d passes each
     point beyond the monomials' rank with probability at most d/p; ValueError
     when the monomials span every column of the pool, where any diff passes."""
-    echelon = Echelon(len(pool))
+    echelon = Echelon(len(pool), pool.prime)
     for m in enumerate_trace_monomials(degree_bound, diff.mode):
         echelon.add(pool.values(m))
     if echelon.rank == len(pool):
@@ -238,7 +238,7 @@ def check_identity(
     expected: TracePolynomial,
     kind: str,
     degree_bound: Optional[int],
-    pool: Callable[[], ExactPool],
+    pool: Callable[[int], ExactPool],
 ) -> IdentityResult:
     """Check that the computed bracket equals expected as an identity of this kind.
 
@@ -246,7 +246,8 @@ def check_identity(
     kind 'leading-mod-degree': the straightened part above degree_bound
     equals expected's, and the full difference restricts on the rank-condition
     variety to a function of degree <= degree_bound, tested exactly mod p by
-    tail_is_low_degree on pool(), which only this kind calls."""
+    tail_is_low_degree on pool(p), which only this kind calls.  p is PRIME, or
+    CHECK_PRIME when PRIME divides a coefficient denominator of the difference."""
     check_kind(kind, degree_bound, f"identity {id}")
     if kind == EXACT:
         diff = computed - expected
@@ -258,7 +259,11 @@ def check_identity(
         return IdentityResult(
             id, "fail", "straightened leading part mismatch", format_polynomial(lead_diff)
         )
-    if tail_is_low_degree(computed - expected, degree_bound, pool()):
+    diff = computed - expected
+    exact = pool(PRIME)
+    if not exact.defined(diff):
+        exact = pool(CHECK_PRIME)
+    if tail_is_low_degree(diff, degree_bound, exact):
         return IdentityResult(id, "pass")
     return IdentityResult(id, "fail", f"tail not of degree <= {degree_bound} on the variety mod p")
 
@@ -269,8 +274,8 @@ def verify_catalog(
     sample_count: int,
     seed: int = 0,
 ) -> IdentityReport:
-    """Check every catalog entry; the leading entries share one lazily sampled exact pool."""
-    pool = cache(lambda: ExactPool.sample(n_value, sample_count, seed))
+    """Check every catalog entry; the leading entries share one lazily sampled exact pool per prime."""
+    pool = cache(lambda prime: ExactPool.sample(n_value, sample_count, seed, prime=prime))
     return IdentityReport([
         check_identity(e.id, bracket(e.lhs, e.rhs), e.expected, e.kind, e.degree_bound, pool)
         for e in entries

@@ -232,7 +232,7 @@ def replay_lemma_chain(
 
     Stops at the first failing step and reports its symbolic difference."""
     report = IdentityReport()
-    pool = cache(lambda: ExactPool.sample(n_value, sample_count, seed))
+    pool = cache(lambda prime: ExactPool.sample(n_value, sample_count, seed, prime=prime))
     results: list[TracePolynomial] = []
 
     def resolve(text: str) -> TracePolynomial:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
@@ -212,7 +211,8 @@ class MembershipCertificate:
 
     @property
     def coefficients(self) -> list[complex]:
-        return [complex(re, im) for re, im in self.exact_coefficients]
+        # most coefficients are 0; complex(Fraction, Fraction) is slow
+        return [complex(float(re), float(im)) if re or im else 0j for re, im in self.exact_coefficients]
 
     @property
     def valid(self) -> bool:
@@ -278,13 +278,11 @@ class MembershipChecker:
         # that its scale cannot push the coefficients past the lifting bound
         peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)
         reduced = reduced * (1 / peak)
-        # the coefficients are constants (reduce_pipeline specializes n); a
-        # prime dividing a denominator leaves the target without a value mod
-        # that prime: unresolvable, not a defect
-        denominator = lcm(*(q.denominator for _, c in reduced.items() for q in c.terms.values()))
-        for prime in (PRIME, CHECK_PRIME):
-            if denominator % prime == 0:
-                reason = f"the prime {prime} divides a coefficient denominator of the target at peak 1"
+        # a prime dividing a denominator leaves the target without a value
+        # mod that prime: unresolvable, not a defect
+        for pool in (self.pool, self.check_pool):
+            if not pool.defined(reduced):
+                reason = f"the prime {pool.prime} divides a coefficient denominator of the target at peak 1"
                 return MembershipCertificate(target, "inconclusive", [], self.sample_count, reason)
         solutions = []
         for conjugate, echelon in zip((False, True), self.echelons):

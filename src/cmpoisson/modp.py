@@ -11,9 +11,15 @@ probability at most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM
 1979), so a candidate wrongly found not to enlarge a span is that rare.
 
 A second prime, CHECK_PRIME, gives points independent of PRIME on which
-lifted certificates are checked.  Entries are int64 in [0, p) with p < 2^30.
-A product of two entries is below 2^60, so a sum of up to 8 such products
-stays below 2^63; longer sums split one operand into 15-bit halves.
+lifted certificates are checked, and tail checks whose coefficients have no
+value mod PRIME.  Entries are int64 in [0, p) with p < 2^30.  Small products
+(the n x n matrices of a pool) stay in int64: a product of two entries is
+below 2^60, so a sum of up to 8 of them stays below 2^63, and longer sums
+split one operand into 15-bit halves.  The span test's long products run on
+float64 BLAS instead (blas_matmul): one operand is cut into 10-bit slices, a
+slice times an entry is below 2^40, and sums of up to 2^13 of them are exact
+in a double, the usual way to do exact linear algebra mod a word-size prime
+on floating-point hardware (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .words import FIRST, SECOND, CyclicWord
 PRIME = 1073741789  # the largest prime below 2^30; 1 mod 4
 CHECK_PRIME = 1073741741  # the next prime below it that is 1 mod 4
 DIRECT_WIDTH = 8  # inner dimensions up to this need no operand split
+MAX_INNER = 2**13  # sums of this many products below 2^40 stay below 2^53
 RATIONAL_BOUND = isqrt(PRIME // 2)  # 23170: numerators and denominators that lift
 
 
@@ -67,6 +74,20 @@ def matmul(a: np.ndarray, b: np.ndarray, prime: int = PRIME) -> np.ndarray:
         return (a @ b) % prime
     high, low = a >> 15, a & 0x7FFF
     return ((((high @ b) % prime) << 15) + low @ b) % prime
+
+
+def blas_matmul(a: np.ndarray, b: np.ndarray, prime: int = PRIME) -> np.ndarray:
+    """a @ b mod p on float64 BLAS, for an (s, k) int64 a with entries in
+    [0, p) and a (k, m) float64 b holding integers in [0, p).  a is split in
+    10-bit slices, so a slice times an entry of b is below 2^40 and a sum of
+    up to MAX_INNER of them is exact in a double; one product of the three
+    stacked slices with b gives all three sums."""
+    s, k = a.shape
+    if k > MAX_INNER:
+        raise ValueError(f"inner dimension {k} exceeds {MAX_INNER}, where float sums stay exact")
+    slices = np.concatenate([a >> 20, a >> 10 & 0x3FF, a & 0x3FF]).astype(np.float64)
+    high, mid, low = (slices @ b).astype(np.int64).reshape(3, s, -1)
+    return ((high % prime << 20) + (mid % prime << 10) + low) % prime
 
 
 def inverse(a: np.ndarray, prime: int = PRIME) -> np.ndarray:
@@ -153,6 +174,12 @@ class ExactPool:
             self._word_traces[w] = col
         return col
 
+    def defined(self, p: TracePolynomial) -> bool:
+        """Whether p has values mod prime: the prime divides no denominator of
+        the coefficients that values() uses."""
+        return all(any(central) or coeff.evaluate(self.n).denominator % self.prime
+                   for (central, _), coeff in p.items())
+
     def values(self, p: TracePolynomial, conjugate: bool = False) -> np.ndarray:
         """Length-N column of p's values mod prime; with conjugate, at the points
         (X, -Y) of the -lambda locus, where a term of B-degree k changes by (-1)^k."""
@@ -191,24 +218,38 @@ def check_points(X: np.ndarray, Y: np.ndarray, prime: int = PRIME) -> None:
         raise ValueError(f"point {int(np.argmin(good))} is not a traceless rank-one point mod {prime}")
 
 class Echelon:
-    """Incremental row-echelon form over F_p.
+    """Incremental row echelon form over F_prime.
 
-    Each kept row has a 1 in its pivot column and every other kept row has 0
-    there, so a new row is reduced by subtracting (its pivot entries) @ rows."""
+    A kept row is stored once, as it is reduced against the earlier rows and
+    scaled to 1 at its pivot, so T, the kept rows' entries at the pivots
+    (T[j, i] = row j at pivot i), is unit upper triangular and T^-1 @ rows is
+    the reduced row echelon form.  T^-1 is kept beside the rows: a new row is
+    reduced by subtracting (its pivot entries @ T^-1) @ rows, and keeping row
+    r appends the column -T^-1 u, where u is the earlier rows at its pivot.
+    Both live in float64 for blas_matmul and double their capacity when full."""
 
-    def __init__(self, width: int):
-        self.rows = np.zeros((0, width), dtype=np.int64)
+    def __init__(self, width: int, prime: int = PRIME):
+        self.prime = prime
         self.pivots: list[int] = []
+        self._rows = np.zeros((1, width))
+        self._t_inverse = np.zeros((1, 1))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The kept rows as stored: each is 0 at the earlier rows' pivots and 1 at its own."""
+        return self._rows[: self.rank].astype(np.int64)
+
     def reduce(self, row: np.ndarray) -> np.ndarray:
         """row less the kept rows' combination that clears its pivot entries."""
-        row = np.asarray(row, dtype=np.int64) % PRIME
-        if self.pivots:
-            row = (row - matmul(row[self.pivots], self.rows)) % PRIME
+        row = np.asarray(row, dtype=np.int64) % self.prime
+        r = self.rank
+        if r:
+            c = blas_matmul(row[self.pivots][None], self._t_inverse[:r, :r], self.prime)
+            row = (row - blas_matmul(c, self._rows[:r], self.prime)[0]) % self.prime
         return row
 
     def add(self, row: np.ndarray) -> bool:
@@ -217,10 +258,15 @@ class Echelon:
         nonzero = np.flatnonzero(row)
         if not len(nonzero):
             return False
-        pivot = int(nonzero[0])
-        row = row * pow(int(row[pivot]), -1, PRIME) % PRIME
-        self.rows = (self.rows - np.outer(self.rows[:, pivot], row) % PRIME) % PRIME
-        self.rows = np.vstack([self.rows, row])
+        pivot, r = int(nonzero[0]), self.rank
+        if r == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+            self._t_inverse = np.pad(self._t_inverse, (0, r))
+        u = self._rows[:r, pivot].astype(np.int64)
+        # T^-1 u, as u @ (T^-1)^T
+        self._t_inverse[:r, r] = -blas_matmul(u[None], self._t_inverse[:r, :r].T, self.prime)[0] % self.prime
+        self._t_inverse[r, r] = 1
+        self._rows[r] = row * pow(int(row[pivot]), -1, self.prime) % self.prime
         self.pivots.append(pivot)
         return True
 
@@ -241,7 +287,7 @@ def reconstruct(u: int) -> Fraction | None:
 
 def rank(pool: ExactPool, polys: Iterable[TracePolynomial]) -> int:
     """Rank mod p of the polynomials' value columns on the pool."""
-    echelon = Echelon(len(pool))
+    echelon = Echelon(len(pool), pool.prime)
     for p in polys:
         echelon.add(pool.values(p))
     return echelon.rank

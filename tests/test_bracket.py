@@ -224,3 +224,28 @@ def test_exact_tail_check_agrees_with_the_float_fit():
     # every genuine tail passes; a tampered one fails at n = 3 below bound 4
     # (the added term vanishes at n = 2 and has degree <= 4 at n = 3)
     assert verdicts == {(True, True): 524, (False, True): 380, (False, False): 144}
+
+
+@pytest.mark.parametrize("n, status", [(2, "pass"), (3, "fail")])
+def test_tail_with_prime_in_a_denominator_is_checked_mod_the_check_prime(n, status):
+    # the added terms straighten to 0 and vanish at n = 2; at n = 3 they have
+    # no values mod PRIME, so the tail check runs on a CHECK_PRIME pool
+    from cmpoisson.bracket import verify_catalog
+    from cmpoisson.catalog import load_catalog_records, record_to_entry
+    from cmpoisson.modp import CHECK_PRIME, PRIME, ExactPool
+
+    record = next(r for r in load_catalog_records() if r["id"] == "leading-law-3113")
+
+    def tampered(d):
+        extra = f" + 1/{d}*tr(A^2 B^2 A^2 B^2) - 1/{d}*tr(A^4 B^4)"
+        return record_to_entry(dict(record, expected=record["expected"] + extra))
+
+    entry = tampered(PRIME)
+    diff = bracket(entry.lhs, entry.rhs) - entry.expected
+    assert not ExactPool.sample(n, 5, seed=0).defined(diff)
+    assert ExactPool.sample(n, 5, seed=0, prime=CHECK_PRIME).defined(diff)
+    (result,) = verify_catalog([entry], n_value=n, sample_count=40, seed=0).results
+    assert result.status == status
+    # with both primes in the denominator the tail has no exact values at all
+    with pytest.raises(ValueError, match=f"the prime {CHECK_PRIME} divides the denominator"):
+        verify_catalog([tampered(PRIME * CHECK_PRIME)], n_value=n, sample_count=40, seed=0)

@@ -12,10 +12,12 @@ from cmpoisson.modp import (
     CHECK_PRIME,
     LAMBDA,
     LAMBDAS,
+    MAX_INNER,
     PRIME,
     RATIONAL_BOUND,
     Echelon,
     ExactPool,
+    blas_matmul,
     matmul,
     rank,
     reconstruct,
@@ -106,19 +108,75 @@ def test_values_match_integer_matrix_products():
     assert not ExactPool.sample(2, 20, seed=1).values(P("tr(A^3)", TRACELESS)).any()  # 0 at n = 2
 
 
+@pytest.mark.parametrize("prime", [PRIME, CHECK_PRIME])
+@pytest.mark.parametrize("inner", [1, 8, 9, 428, 2000, MAX_INNER])
+def test_blas_matmul_is_exact_at_the_largest_entries(prime, inner):
+    # all entries p - 1 give the largest sums; random ones check the layout
+    rng = np.random.default_rng(inner)
+    for a, b in [
+        (np.full((2, inner), prime - 1), np.full((inner, 3), prime - 1)),
+        (rng.integers(0, prime, size=(2, inner)), rng.integers(0, prime, size=(inner, 3))),
+    ]:
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % prime for col in b.T] for row in a]
+        assert blas_matmul(a, b.astype(np.float64), prime).tolist() == want
+
+
+def test_blas_matmul_refuses_an_inner_dimension_it_cannot_sum_exactly():
+    # zero-stride views: the guard must raise before anything is allocated
+    a = np.broadcast_to(np.int64(1), (1, MAX_INNER + 1))
+    b = np.broadcast_to(1.0, (MAX_INNER + 1, 1))
+    with pytest.raises(ValueError, match=f"inner dimension {MAX_INNER + 1} exceeds {MAX_INNER}"):
+        blas_matmul(a, b)
+
+
+def gauss_jordan(rows, prime):
+    """Reference in Python ints: for each row in turn, whether it is kept,
+    with the pivots and the reduced row echelon form of the kept rows."""
+    kept, pivots, basis = [], [], []
+    for row in rows:
+        row = reduce_by(basis, pivots, row, prime)
+        nonzero = [i for i, x in enumerate(row) if x]
+        kept.append(bool(nonzero))
+        if nonzero:
+            pivot = nonzero[0]
+            scale = pow(row[pivot], -1, prime)
+            row = [x * scale % prime for x in row]
+            basis = [[(x - b[pivot] * y) % prime for x, y in zip(b, row)] for b in basis] + [row]
+            pivots.append(pivot)
+    return kept, pivots, basis
+
+
+def reduce_by(basis, pivots, row, prime):
+    row = [int(x) % prime for x in row]
+    for b, pivot in zip(basis, pivots):
+        f = row[pivot]
+        row = [(x - f * y) % prime for x, y in zip(row, b)]
+    return row
+
+
 def test_echelon_rank_and_membership():
+    for prime in (PRIME, CHECK_PRIME):
+        check_echelon_against_gauss_jordan(prime)
+
+
+def check_echelon_against_gauss_jordan(prime):
     rng = np.random.default_rng(0)
-    rows = rng.integers(0, PRIME, size=(12, 30), dtype=np.int64)
-    echelon = Echelon(30)
-    assert [echelon.add(r) for r in rows] == [True] * 12
-    combo = np.zeros(30, dtype=np.int64)
-    for c, r in zip(rng.integers(0, PRIME, size=12), rows):
-        combo = (combo + int(c) * r) % PRIME
-    assert not echelon.add(combo)
-    assert not echelon.add(np.zeros(30, dtype=np.int64))
-    assert echelon.rank == 12
-    # kept rows are reduced: 1 at their own pivot, 0 at every other pivot
-    assert (echelon.rows[:, echelon.pivots] == np.eye(12, dtype=np.int64)).all()
+    full = rng.integers(0, prime, size=(40, 60))  # capacity doubles 1 -> 64
+    full[:, :3] = 0  # no pivot in the first columns
+    mixing = rng.integers(0, prime, size=(30, 7))
+    deficient = np.array([[sum(int(c) * int(x) for c, x in zip(coeffs, col)) % prime for col in full[:7].T]
+                          for coeffs in mixing])  # rank 7
+    for rows in (full, deficient, np.concatenate([deficient[:3], np.zeros((2, 60), np.int64), full[5:20]])):
+        kept, pivots, basis = gauss_jordan(rows.tolist(), prime)
+        echelon = Echelon(60, prime)
+        assert [echelon.add(r) for r in rows] == kept
+        assert echelon.pivots == pivots and echelon.rank == len(pivots)
+        # every reduction is the one against the reduced row echelon form
+        for r in rows:
+            assert not echelon.reduce(r).any()
+        for v in rng.integers(0, prime, size=(5, 60)):
+            assert echelon.reduce(v).tolist() == reduce_by(basis, pivots, v, prime)
+    assert sum(gauss_jordan(deficient.tolist(), prime)[0]) == 7
 
 
 def test_echelon_reduce_leaves_the_echelon_unchanged():

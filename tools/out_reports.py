@@ -15,7 +15,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TOOLS), "src")
 
 MEMBERSHIP_TARGETS = {
     "square": "tr(A^2 B^2)",
@@ -63,6 +64,9 @@ JOBS += [
     ("verify_samples4_n3", ["verify", "--n", "3", "--samples", "4", "--seed", "0"]),
     ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
                                     "--n", "2", "--seed", "0"]),
+    # leading-law-3113 with a wrong tail whose denominator is modp.PRIME
+    ("verify_prime_denominator_n3", ["verify", "--n", "3", "--seed", "0", "--catalog",
+                                     os.path.join(TOOLS, "data", "prime_denominator_catalog.json")]),
 ]
 
 
