@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 from .cm import PointPool
 from .grammar import format_polynomial
-from .modp import CHECK_PRIME, PRIME, Echelon, ExactPool
+from .modp import CHECK_PRIME, PRIME, ExactPool
 from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
-from .span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from .words import FIRST, SECOND, CyclicWord, canonicalize, splice_cuts
 
 RawTerm = tuple[QnCoeff, tuple[int, int], tuple[CyclicWord, ...]]
@@ -198,6 +199,13 @@ def leading_part(exact_bracket: TracePolynomial, degree_bound: int) -> TracePoly
     return exact_bracket.truncate_below_degree(degree_bound).straighten()
 
 
+@lru_cache(maxsize=8)
+def _evaluator_pool(evaluators: tuple) -> PointPool:
+    # PointEvaluators hash by identity, and the cache keeps them alive, so
+    # an id cannot be reused while its pool is cached
+    return PointPool(ev.point for ev in evaluators)
+
+
 def fit_tail_on_variety(
     diff: TracePolynomial,
     reference: TracePolynomial,
@@ -207,29 +215,33 @@ def fit_tail_on_variety(
     """Least-squares residual of diff against the full monomial basis of
     degree <= degree_bound on rank-one variety points: the float reference
     for tail_is_low_degree.  pool is a cm.PointPool, or a list of
-    cm.PointEvaluators whose points make one; the residual is scaled by the
+    cm.PointEvaluators whose points make one, kept per tuple of evaluators
+    (an LRU cache of 8).  The residual is max |b - Q (Q^H b)|, b diff's
+    values and Q the pool's monomial_basis for (degree_bound, diff.mode),
+    which the pool keeps, so later tails at that bound cost one projection;
+    it agrees with span.lstsq_fit up to rounding and is scaled by the
     reference polynomial's values."""
     if not isinstance(pool, PointPool):
-        pool = PointPool(ev.point for ev in pool)
+        pool = _evaluator_pool(tuple(pool))
     target = pool.values_and_magnitudes(diff)[0]
-    matrix = value_matrix(pool, enumerate_trace_monomials(degree_bound, diff.mode))
+    basis = pool.monomial_basis(degree_bound, diff.mode)
     scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(reference)[0]).max()))
-    residual, _, _ = lstsq_fit(matrix, target, scale=scale)
-    return residual
+    return float(np.abs(target - basis @ (basis.conj().T @ target)).max() / scale)
 
 
 def tail_is_low_degree(diff: TracePolynomial, degree_bound: int, pool: ExactPool) -> bool:
     """Whether diff's values on pool lie in the span mod p of those of the trace
-    monomials of degree <= degree_bound.  A wrong diff of degree d passes each
-    point beyond the monomials' rank with probability at most d/p; ValueError
-    when the monomials span every column of the pool, where any diff passes."""
-    echelon = Echelon(len(pool), pool.prime)
-    for m in enumerate_trace_monomials(degree_bound, diff.mode):
-        echelon.add(pool.values(m))
-    if echelon.rank == len(pool):
+    monomials of degree <= degree_bound.  The pool keeps that span as an
+    Echelon per (degree_bound, diff.mode) (ExactPool.monomial_span), so after
+    the first tail at a bound each check is one reduction.  A wrong diff of
+    degree d passes each point beyond the monomials' rank with probability at
+    most d/p; ValueError, on every call, when the monomials span every column
+    of the pool, where any diff passes."""
+    span = pool.monomial_span(degree_bound, diff.mode)
+    if span.rank == len(pool):
         raise ValueError(f"the degree <= {degree_bound} tail check needs more sample points "
-                         f"than the {echelon.rank} independent monomials, got {len(pool)}")
-    return not echelon.reduce(pool.values(diff)).any()
+                         f"than the {span.rank} independent monomials, got {len(pool)}")
+    return not span.reduce(pool.values(diff)).any()
 
 
 def check_identity(

@@ -11,6 +11,8 @@ from .poly import TRACELESS, TracePolynomial
 from .ring import QnCoeff
 from .words import CyclicWord, Word, canonicalize
 
+RCOND = 1e-13  # singular values at or below RCOND * the largest count as 0
+
 
 @lru_cache(maxsize=None)
 def enumerate_cyclic_words(degree: int) -> tuple[CyclicWord, ...]:
@@ -80,12 +82,26 @@ def lstsq_fit(matrix, target, scale: float = 1.0):
     col_norms = np.linalg.norm(A, axis=0)
     col_norms[col_norms == 0.0] = 1.0
     A_scaled = A / col_norms
-    coeffs_scaled, _, _, sv = np.linalg.lstsq(A_scaled, b, rcond=1e-13)
+    coeffs_scaled, _, _, sv = np.linalg.lstsq(A_scaled, b, rcond=RCOND)
     coeffs = coeffs_scaled / col_norms
     misfit = A @ coeffs - b
     residual = float(np.abs(misfit).max() / scale)
     cond = float(sv[0] / sv[-1]) if len(sv) and sv[-1] > 0 else float("inf")
     return residual, coeffs, cond
+
+
+def orthonormal_basis(matrix) -> np.ndarray:
+    """Orthonormal basis (N x r) of the column span of matrix as lstsq_fit sees
+    it: the columns are normalized, and the left singular vectors whose
+    singular values are at or below RCOND times the largest are dropped.  So
+    Q (Q^H target) - target is lstsq_fit's misfit up to rounding."""
+    A = np.asarray(matrix, dtype=complex)
+    if A.size == 0:
+        return np.zeros((A.shape[0], 0), dtype=complex)
+    col_norms = np.linalg.norm(A, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    u, sv, _ = np.linalg.svd(A / col_norms, full_matrices=False)
+    return u[:, sv > RCOND * sv[0]]
 
 
 class SpanTracker:

@@ -1,16 +1,28 @@
 """Poisson brackets: pinned identities, algebraic laws, and consistency."""
 
+from collections import Counter
+from functools import cache
+from itertools import product
+
 import pytest
 
 from cmpoisson.bracket import (
+    _evaluator_pool,
     bracket,
     bracket_raw_terms,
     bracket_standard,
     bracket_traceless,
+    fit_tail_on_variety,
     jacobi_check,
+    leading_part,
+    tail_is_low_degree,
 )
+from cmpoisson.catalog import make_bracketformular_entry
+from cmpoisson.cm import PointEvaluator, PointPool, sample_cm
 from cmpoisson.grammar import format_polynomial as F, format_terms, parse_polynomial as P
+from cmpoisson.modp import ExactPool
 from cmpoisson.poly import PLAIN, TRACELESS
+from cmpoisson.span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from conftest import random_polynomial
 
 
@@ -188,22 +200,16 @@ def test_traceless_substitution_is_a_poisson_map(rng):
         assert lhs.substitute_central() == rhs.substitute_central()
 
 
-def test_exact_tail_check_agrees_with_the_float_fit():
-    # the float least-squares fit the exact tail check replaced, kept as an
-    # oracle; each tail is also checked with a term added that straightens
-    # to 0, so both verdicts are exercised
-    from collections import Counter
-    from itertools import product
+TAMPER = "tr(A^2 B^2 A^2 B^2) - tr(A^4 B^4)"  # straightens to 0
 
-    from cmpoisson.bracket import fit_tail_on_variety, leading_part, tail_is_low_degree
-    from cmpoisson.catalog import make_bracketformular_entry
-    from cmpoisson.cm import PointPool
-    from cmpoisson.modp import ExactPool
 
-    exact = {n: ExactPool.sample(n, 100, seed=3) for n in (2, 3)}
-    floats = {n: PointPool.sample(n, 100, seed=3) for n in (2, 3)}
-    tamper = P("tr(A^2 B^2 A^2 B^2) - tr(A^4 B^4)", TRACELESS)
-    verdicts = Counter()
+@cache
+def leading_law_tails():
+    """(exponents, computed, bound, tail, genuine) for every nonzero
+    leading-law tail with 0 < j+k+p+q <= 10: the genuine difference, and
+    that difference with TAMPER added, so both tail verdicts are exercised."""
+    tamper = P(TAMPER, TRACELESS)
+    tails = []
     for j, k, p, q in product(range(11), repeat=4):
         if not 0 < j + k + p + q <= 10:
             continue
@@ -212,18 +218,125 @@ def test_exact_tail_check_agrees_with_the_float_fit():
         bound = entry.degree_bound
         assert leading_part(computed, bound) == entry.expected.straighten()
         diff = computed - entry.expected
-        if diff.is_zero():
-            continue
-        for tail in (diff, diff + tamper):
-            for n in (2, 3):
-                passed = tail_is_low_degree(tail, bound, exact[n])
-                assert passed == (fit_tail_on_variety(tail, computed, bound, floats[n]) < 1e-8), (
-                    j, k, p, q, n, tail is diff,
-                )
-                verdicts[tail is diff, passed] += 1
+        if not diff.is_zero():
+            t = (j, k, p, q)
+            tails += [(t, computed, bound, diff, True), (t, computed, bound, diff + tamper, False)]
+    return tails
+
+
+def test_exact_tail_check_agrees_with_the_float_fit():
+    # the float least-squares fit the exact tail check replaced, kept as an
+    # oracle
+    exact = {n: ExactPool.sample(n, 100, seed=3) for n in (2, 3)}
+    floats = {n: PointPool.sample(n, 100, seed=3) for n in (2, 3)}
+    verdicts = Counter()
+    for t, computed, bound, tail, genuine in leading_law_tails():
+        for n in (2, 3):
+            passed = tail_is_low_degree(tail, bound, exact[n])
+            assert passed == (fit_tail_on_variety(tail, computed, bound, floats[n]) < 1e-8), (
+                t, n, genuine,
+            )
+            verdicts[genuine, passed] += 1
     # every genuine tail passes; a tampered one fails at n = 3 below bound 4
     # (the added term vanishes at n = 2 and has degree <= 4 at n = 3)
     assert verdicts == {(True, True): 524, (False, True): 380, (False, False): 144}
+
+
+def test_tail_verdicts_do_not_depend_on_the_order_of_the_bounds():
+    # the pool keeps one monomial span per bound, built by whichever tail
+    # comes first; every order of the bounds 0-4 gives the same verdicts
+    by_bound = {}
+    for _, _, bound, tail, _ in leading_law_tails():
+        by_bound.setdefault(bound, []).append(tail)
+    assert sorted(by_bound) == [0, 1, 2, 3, 4]
+    orders = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 4, 0, 3, 1]]
+    verdicts = []
+    for order in orders:
+        pool = ExactPool.sample(3, 60, seed=5)
+        verdicts.append({
+            (bound, i): tail_is_low_degree(tail, bound, pool)
+            for bound in order for i, tail in enumerate(by_bound[bound])
+        })
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert set(verdicts[0].values()) == {True, False}
+
+
+def test_monomials_are_evaluated_once_per_pool_bound_and_mode(monkeypatch):
+    calls = Counter()
+    values = ExactPool.values
+
+    def counted(self, p, conjugate=False):
+        calls[id(self)] += 1
+        return values(self, p, conjugate)
+
+    monkeypatch.setattr(ExactPool, "values", counted)
+    pool, other = ExactPool.sample(3, 60, seed=0), ExactPool.sample(3, 60, seed=1)
+    traceless = P("tr(A^2 B^2) + 2*tr(A B)*tr(A B)", TRACELESS)
+    plain = P("tr(X^2 Y^2) + 2*tr(X Y)*tr(X Y)", PLAIN)
+    expected = 0
+    for diff, bound, new_span in [
+        (traceless, 2, True),
+        (traceless, 2, False),
+        (traceless, 3, True),
+        (traceless, 2, False),
+        (plain, 2, True),
+        (plain, 3, True),
+        (plain, 2, False),
+        (traceless, 3, False),
+    ]:
+        tail_is_low_degree(diff, bound, pool)
+        expected += 1 + (len(enumerate_trace_monomials(bound, diff.mode)) if new_span else 0)
+        assert calls[id(pool)] == expected, (bound, diff.mode)
+    # another pool keeps its own spans
+    tail_is_low_degree(traceless, 2, other)
+    assert calls[id(other)] == 1 + len(enumerate_trace_monomials(2, TRACELESS))
+
+
+def test_a_pool_within_the_monomial_rank_is_refused_on_every_call():
+    # on 4 points the 4 monomials of degree <= 2 at n = 3 span everything;
+    # the kept span must not let a later tail through
+    pool = ExactPool.sample(3, 4, seed=0)
+    tail = P(TAMPER, TRACELESS)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="more sample points than the 4 independent monomials, got 4"):
+            tail_is_low_degree(tail, 2, pool)
+    assert tail_is_low_degree(tail, 2, ExactPool.sample(3, 5, seed=0)) is False
+
+
+def test_float_fit_on_evaluators_matches_the_fit_on_their_pool():
+    # a list of evaluators is fitted on a cached PointPool of its points;
+    # lists with different points never share one
+    points = {seed: [sample_cm(3, traceless=True, seed=seed, index=i) for i in range(40)]
+              for seed in (3, 4)}
+    evaluators = {seed: [PointEvaluator(pt) for pt in pts] for seed, pts in points.items()}
+    pools = {seed: PointPool(pts) for seed, pts in points.items()}
+    tails = leading_law_tails()[::37]
+    for _, computed, bound, tail, genuine in tails:
+        residuals = {}
+        for seed in (3, 4, 3):
+            residuals[seed] = fit_tail_on_variety(tail, computed, bound, evaluators[seed])
+            assert residuals[seed] == fit_tail_on_variety(tail, computed, bound, pools[seed])
+        if not genuine and bound < 4:
+            assert residuals[3] != residuals[4]
+    cached = {seed: _evaluator_pool(tuple(evs)) for seed, evs in evaluators.items()}
+    assert cached[3] is not cached[4]
+    for seed in (3, 4):
+        assert cached[seed].points == points[seed]
+
+
+def test_projection_residual_agrees_with_the_least_squares_fit():
+    # span.lstsq_fit, a full least-squares solve per tail, is the oracle for
+    # the pool's cached orthonormal basis
+    pool = PointPool.sample(3, 100, seed=3)
+    worst = 0.0
+    for _, computed, bound, tail, _ in leading_law_tails():
+        residual = fit_tail_on_variety(tail, computed, bound, pool)
+        matrix = value_matrix(pool, enumerate_trace_monomials(bound, TRACELESS))
+        scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(computed)[0]).max()))
+        oracle, _, _ = lstsq_fit(matrix, pool.values_and_magnitudes(tail)[0], scale=scale)
+        assert (residual < 1e-8) == (oracle < 1e-8)
+        worst = max(worst, abs(residual - oracle))
+    assert worst < 1e-11
 
 
 @pytest.mark.parametrize("n, status", [(2, "pass"), (3, "fail")])
