@@ -28,9 +28,10 @@ import numpy as np
 
 from .cm import PointPool
 from .grammar import format_polynomial
-from .modp import CHECK_PRIME, PRIME, ExactPool
+from .modp import CHECK_PRIME, PRIME, Echelon, ExactPool
 from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
 from .ring import QnCoeff
+from .span import RCOND, enumerate_trace_monomials, value_matrix
 from .words import FIRST, SECOND, CyclicWord, canonicalize, splice_cuts
 
 RawTerm = tuple[QnCoeff, tuple[int, int], tuple[CyclicWord, ...]]
@@ -206,6 +207,22 @@ def _evaluator_pool(evaluators: tuple) -> PointPool:
     return PointPool(ev.point for ev in evaluators)
 
 
+@lru_cache(maxsize=32)
+def _monomial_basis(pool: PointPool, degree_bound: int, mode: str) -> np.ndarray:
+    """Orthonormal basis (N x r) of the span of the values on pool of the
+    trace monomials of degree <= degree_bound in mode, as span.lstsq_fit sees
+    it: the columns are normalized, and the left singular vectors whose
+    singular values are at or below RCOND times the largest are dropped.
+    PointPools hash by identity, and the cache keeps them alive."""
+    A = value_matrix(pool, enumerate_trace_monomials(degree_bound, mode))
+    if A.size == 0:
+        return np.zeros((len(pool), 0), dtype=complex)
+    col_norms = np.linalg.norm(A, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    u, sv, _ = np.linalg.svd(A / col_norms, full_matrices=False)
+    return u[:, sv > RCOND * sv[0]]
+
+
 def fit_tail_on_variety(
     diff: TracePolynomial,
     reference: TracePolynomial,
@@ -217,31 +234,30 @@ def fit_tail_on_variety(
     for tail_is_low_degree.  pool is a cm.PointPool, or a list of
     cm.PointEvaluators whose points make one, kept per tuple of evaluators
     (an LRU cache of 8).  The residual is max |b - Q (Q^H b)|, b diff's
-    values and Q the pool's monomial_basis for (degree_bound, diff.mode),
-    which the pool keeps, so later tails at that bound cost one projection;
-    it agrees with span.lstsq_fit up to rounding and is scaled by the
-    reference polynomial's values."""
+    values and Q the monomials' orthonormal basis, kept per (pool,
+    degree_bound, diff.mode) (an LRU cache of 32), so later tails at that
+    bound cost one projection; it agrees with span.lstsq_fit up to rounding
+    and is scaled by the reference polynomial's values."""
     if not isinstance(pool, PointPool):
         pool = _evaluator_pool(tuple(pool))
     target = pool.values_and_magnitudes(diff)[0]
-    basis = pool.monomial_basis(degree_bound, diff.mode)
+    basis = _monomial_basis(pool, degree_bound, diff.mode)
     scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(reference)[0]).max()))
     return float(np.abs(target - basis @ (basis.conj().T @ target)).max() / scale)
 
 
 def tail_is_low_degree(diff: TracePolynomial, degree_bound: int, pool: ExactPool) -> bool:
     """Whether diff's values on pool lie in the span mod p of those of the trace
-    monomials of degree <= degree_bound.  The pool keeps that span as an
-    Echelon per (degree_bound, diff.mode) (ExactPool.monomial_span), so after
-    the first tail at a bound each check is one reduction.  A wrong diff of
-    degree d passes each point beyond the monomials' rank with probability at
-    most d/p; ValueError, on every call, when the monomials span every column
-    of the pool, where any diff passes."""
-    span = pool.monomial_span(degree_bound, diff.mode)
-    if span.rank == len(pool):
+    monomials of degree <= degree_bound.  A wrong diff of degree d passes each
+    point beyond the monomials' rank with probability at most d/p; ValueError
+    when the monomials span every column of the pool, where any diff passes."""
+    echelon = Echelon(len(pool), pool.prime)
+    for m in enumerate_trace_monomials(degree_bound, diff.mode):
+        echelon.add(pool.values(m))
+    if echelon.rank == len(pool):
         raise ValueError(f"the degree <= {degree_bound} tail check needs more sample points "
-                         f"than the {span.rank} independent monomials, got {len(pool)}")
-    return not span.reduce(pool.values(diff)).any()
+                         f"than the {echelon.rank} independent monomials, got {len(pool)}")
+    return not echelon.reduce(pool.values(diff)).any()
 
 
 def check_identity(

@@ -21,7 +21,6 @@ import numpy as np
 
 from .poly import PLAIN, TRACELESS, TracePolynomial
 from .ring import QnCoeff
-from .span import enumerate_trace_monomials, orthonormal_basis, value_matrix
 from .words import FIRST, SECOND, CyclicWord, Word, splice_cuts
 
 DEFAULT_LAMBDA = -1j
@@ -264,8 +263,7 @@ class PointPool:
     computed once for all N points by batched matrix products and cached as a
     length-N column per (mode, cyclic word), so a polynomial costs a few
     vector operations per term.  Entry i equals what PointEvaluator gives at
-    point i, bit for bit.  The span of the trace monomials' values is kept
-    too, as an orthonormal basis per (degree bound, mode): see monomial_basis.
+    point i, bit for bit.
     """
 
     multiply = staticmethod(_product)
@@ -290,7 +288,6 @@ class PointPool:
         self._powers: dict[tuple[str, int], list[np.ndarray]] = {}
         self._word_traces: dict[tuple[str, CyclicWord], np.ndarray] = {}
         self._central_powers: dict[tuple[int, int], np.ndarray] = {}
-        self._monomial_bases: dict[tuple[int, str], np.ndarray] = {}
 
     @classmethod
     def sample(cls, n: int, count: int, seed: int) -> "PointPool":
@@ -338,18 +335,6 @@ class PointPool:
     def values_and_magnitudes(self, p: TracePolynomial) -> tuple[np.ndarray, np.ndarray]:
         """Length-N columns of p's values and of its sums of term magnitudes."""
         return _sum_terms(self, p, np.zeros(len(self), dtype=complex), np.zeros(len(self)))
-
-    def monomial_basis(self, degree_bound: int, mode: str) -> np.ndarray:
-        """Orthonormal basis (N x r) of the span of the values of the trace
-        monomials of degree <= degree_bound in mode, from one SVD with
-        lstsq_fit's cut (span.orthonormal_basis); computed on the first call
-        for each (degree_bound, mode) and kept for later ones."""
-        key = (degree_bound, mode)
-        basis = self._monomial_bases.get(key)
-        if basis is None:
-            monomials = enumerate_trace_monomials(degree_bound, mode)
-            basis = self._monomial_bases[key] = orthonormal_basis(value_matrix(self, monomials))
-        return basis
 
 
 def evaluate(p: TracePolynomial, pt: CMPoint, n_symbol_value: int | None = None) -> complex:

@@ -34,7 +34,6 @@ import numpy as np
 from .cm import child_rng
 from .poly import TracePolynomial
 from .ring import QnCoeff
-from .span import enumerate_trace_monomials
 from .words import FIRST, SECOND, CyclicWord
 
 PRIME = 1073741789  # the largest prime below 2^30; 1 mod 4
@@ -110,8 +109,7 @@ class ExactPool:
     Evaluates trace polynomials on all N points at once: each word trace is
     computed once by batched products mod p and cached as a length-N column.
     On these points A = X and B = Y, and the central symbols tr X, tr Y are
-    0, so both modes evaluate alike.  The span of the trace monomials' values
-    is kept too, as an Echelon per (degree bound, mode): see monomial_span."""
+    0, so both modes evaluate alike."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prime: int = PRIME):
         X = np.asarray(X, dtype=np.int64)
@@ -122,7 +120,6 @@ class ExactPool:
         self._letter = {FIRST: X, SECOND: Y}
         self._powers: dict[int, list[np.ndarray]] = {}
         self._word_traces: dict[CyclicWord, np.ndarray] = {}
-        self._monomial_spans: dict[tuple[int, str], Echelon] = {}
 
     @classmethod
     def sample(cls, n: int, count: int, seed: int, stream: int = 0, prime: int = PRIME) -> "ExactPool":
@@ -197,16 +194,6 @@ class ExactPool:
                 col = -col % self.prime
             total = (total + col) % self.prime
         return total
-
-    def monomial_span(self, degree_bound: int, mode: str) -> Echelon:
-        """Echelon of the values of the trace monomials of degree <= degree_bound
-        in mode; built on the first call for each (degree_bound, mode) and
-        kept for later ones, which may reduce by it but must not add to it."""
-        key = (degree_bound, mode)
-        span = self._monomial_spans.get(key)
-        if span is None:
-            span = self._monomial_spans[key] = echelon(self, enumerate_trace_monomials(degree_bound, mode))
-        return span
 
 
 def check_points(X: np.ndarray, Y: np.ndarray, prime: int = PRIME) -> None:
@@ -298,14 +285,9 @@ def reconstruct(u: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def echelon(pool: ExactPool, polys: Iterable[TracePolynomial]) -> Echelon:
-    """Echelon mod p of the polynomials' value columns on the pool."""
-    span = Echelon(len(pool), pool.prime)
-    for p in polys:
-        span.add(pool.values(p))
-    return span
-
-
 def rank(pool: ExactPool, polys: Iterable[TracePolynomial]) -> int:
     """Rank mod p of the polynomials' value columns on the pool."""
-    return echelon(pool, polys).rank
+    echelon = Echelon(len(pool), pool.prime)
+    for p in polys:
+        echelon.add(pool.values(p))
+    return echelon.rank

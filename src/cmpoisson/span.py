@@ -90,20 +90,6 @@ def lstsq_fit(matrix, target, scale: float = 1.0):
     return residual, coeffs, cond
 
 
-def orthonormal_basis(matrix) -> np.ndarray:
-    """Orthonormal basis (N x r) of the column span of matrix as lstsq_fit sees
-    it: the columns are normalized, and the left singular vectors whose
-    singular values are at or below RCOND times the largest are dropped.  So
-    Q (Q^H target) - target is lstsq_fit's misfit up to rounding."""
-    A = np.asarray(matrix, dtype=complex)
-    if A.size == 0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
-    col_norms = np.linalg.norm(A, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    u, sv, _ = np.linalg.svd(A / col_norms, full_matrices=False)
-    return u[:, sv > RCOND * sv[0]]
-
-
 class SpanTracker:
     """Incremental numeric span of value rows with a relative rank threshold.
 

@@ -242,67 +242,6 @@ def test_exact_tail_check_agrees_with_the_float_fit():
     assert verdicts == {(True, True): 524, (False, True): 380, (False, False): 144}
 
 
-def test_tail_verdicts_do_not_depend_on_the_order_of_the_bounds():
-    # the pool keeps one monomial span per bound, built by whichever tail
-    # comes first; every order of the bounds 0-4 gives the same verdicts
-    by_bound = {}
-    for _, _, bound, tail, _ in leading_law_tails():
-        by_bound.setdefault(bound, []).append(tail)
-    assert sorted(by_bound) == [0, 1, 2, 3, 4]
-    orders = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 4, 0, 3, 1]]
-    verdicts = []
-    for order in orders:
-        pool = ExactPool.sample(3, 60, seed=5)
-        verdicts.append({
-            (bound, i): tail_is_low_degree(tail, bound, pool)
-            for bound in order for i, tail in enumerate(by_bound[bound])
-        })
-    assert verdicts[0] == verdicts[1] == verdicts[2]
-    assert set(verdicts[0].values()) == {True, False}
-
-
-def test_monomials_are_evaluated_once_per_pool_bound_and_mode(monkeypatch):
-    calls = Counter()
-    values = ExactPool.values
-
-    def counted(self, p, conjugate=False):
-        calls[id(self)] += 1
-        return values(self, p, conjugate)
-
-    monkeypatch.setattr(ExactPool, "values", counted)
-    pool, other = ExactPool.sample(3, 60, seed=0), ExactPool.sample(3, 60, seed=1)
-    traceless = P("tr(A^2 B^2) + 2*tr(A B)*tr(A B)", TRACELESS)
-    plain = P("tr(X^2 Y^2) + 2*tr(X Y)*tr(X Y)", PLAIN)
-    expected = 0
-    for diff, bound, new_span in [
-        (traceless, 2, True),
-        (traceless, 2, False),
-        (traceless, 3, True),
-        (traceless, 2, False),
-        (plain, 2, True),
-        (plain, 3, True),
-        (plain, 2, False),
-        (traceless, 3, False),
-    ]:
-        tail_is_low_degree(diff, bound, pool)
-        expected += 1 + (len(enumerate_trace_monomials(bound, diff.mode)) if new_span else 0)
-        assert calls[id(pool)] == expected, (bound, diff.mode)
-    # another pool keeps its own spans
-    tail_is_low_degree(traceless, 2, other)
-    assert calls[id(other)] == 1 + len(enumerate_trace_monomials(2, TRACELESS))
-
-
-def test_a_pool_within_the_monomial_rank_is_refused_on_every_call():
-    # on 4 points the 4 monomials of degree <= 2 at n = 3 span everything;
-    # the kept span must not let a later tail through
-    pool = ExactPool.sample(3, 4, seed=0)
-    tail = P(TAMPER, TRACELESS)
-    for _ in range(3):
-        with pytest.raises(ValueError, match="more sample points than the 4 independent monomials, got 4"):
-            tail_is_low_degree(tail, 2, pool)
-    assert tail_is_low_degree(tail, 2, ExactPool.sample(3, 5, seed=0)) is False
-
-
 def test_float_fit_on_evaluators_matches_the_fit_on_their_pool():
     # a list of evaluators is fitted on a cached PointPool of its points;
     # lists with different points never share one
@@ -326,7 +265,7 @@ def test_float_fit_on_evaluators_matches_the_fit_on_their_pool():
 
 def test_projection_residual_agrees_with_the_least_squares_fit():
     # span.lstsq_fit, a full least-squares solve per tail, is the oracle for
-    # the pool's cached orthonormal basis
+    # the orthonormal basis kept per (pool, bound, mode)
     pool = PointPool.sample(3, 100, seed=3)
     worst = 0.0
     for _, computed, bound, tail, _ in leading_law_tails():
