@@ -351,102 +351,167 @@ def evaluate(p: TracePolynomial, pt: CMPoint, n_symbol_value: int | None = None)
 PointMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def gradient_function(p: TracePolynomial, n: int) -> PointMap:
+def gradient_function(p: TracePolynomial, n: int) -> "GradientPlan":
     """Compile the exact splice-derivative gradient of p at matrix size n.
 
-    The symbolic work is done once, here: the coefficient values, and for
-    each distinct trace factor its word and, per letter, the (multiplicity,
-    cut word) pairs of `splice_cuts`.  The returned function maps (X, Y) to
-    (dp/dX, dp/dY), with (dp/dX)_jk = dp/dX_jk, by matrix work alone; it
-    computes its powers, words and factor gradients afresh at every call.
+    The symbolic work is done once, here: the coefficient values, each
+    distinct trace factor's (multiplicity, cut word) pairs per letter from
+    `splice_cuts`, and each term's Leibniz steps.  The returned plan maps
+    (X, Y) to (dp/dX, dp/dY), with (dp/dX)_jk = dp/dX_jk, by matrix work
+    alone; `GradientPlan.stacked` maps the stacked state [X, Y] to the
+    stacked gradient.
 
-    Traceless mode differentiates through A = X - (tr X/n) I, B = Y - (tr Y/n) I,
-    as `PointEvaluator` evaluates, and projects each factor gradient to its
-    traceless part.  Powers are P^k = P^(k-1) @ P and words are multiplied left
-    to right.  Only the two results start at zero: a sum that starts at +0
-    never becomes -0, so skipping the letters a word lacks changes no bit.
+    A call does only the work that some term reads:
+    - a factor's value tr(word) is computed only for a term with more than
+      one factor or with a central part; tr A^2 alone never reads it;
+    - a word, and a power P^k, is built only when a cut or a read value uses it;
+    - a factor gets a gradient only for a letter it contains;
+    - the letters are centred only when some word uses a letter, and their
+      traces are read only then or for a central part;
+    - the identical Leibniz steps of a repeated factor form env * g once and
+      add it once per step.
+    Centring both letters, and projecting all factor gradients to their
+    traceless parts, are one array operation each.
+
+    No bit moves: the gradient equals, bit for bit, what computing every
+    value at every call gives.  Traceless mode differentiates through
+    A = X - (tr X/n) I, B = Y - (tr Y/n) I with Python's complex division, as
+    `PointEvaluator` evaluates, and projects each factor gradient to its
+    traceless part.  Powers are P^k = P^(k-1) @ P, words are multiplied left
+    to right, and every product and sum that is taken has the operands and
+    the order of the full computation: a stacked operation applies the same
+    elementwise arithmetic to more entries, and a reused env * g is the same
+    product.  Skipped work fed only values that no term reads.  The two
+    results start at +0, and a sum that starts at +0 never becomes -0, so
+    leaving out the letters a factor lacks changes no bit either.
     """
-    traceless = p.mode == TRACELESS
-    eye = np.eye(n, dtype=complex)
-    words: dict[tuple, int] = {}  # the distinct words one evaluation multiplies out
-    factors: dict[CyclicWord, int] = {}
-    factor_cuts: list[tuple[int, list]] = []  # (word id, per letter [(mult, cut word id)])
+    return GradientPlan(p, n)
 
-    def word_id(runs: tuple) -> int:
-        return words.setdefault(runs, len(words))
 
-    def factor_id(w: CyclicWord) -> int:
-        if w not in factors:
-            factors[w] = len(factor_cuts)
-            cuts = [[(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
-                    for letter in (FIRST, SECOND)]
-            factor_cuts.append((word_id(w.runs), cuts))
-        return factors[w]
+class GradientPlan:
+    """A Hamiltonian's gradient compiled by `gradient_function`."""
 
-    terms = [
-        (_coefficient_value(coeff, n), central, [factor_id(w) for w in ws])
-        for (central, ws), coeff in p.items()
-    ]
-    word_runs = list(words)
-    top = [max((e for runs in word_runs for l, e in runs if l == letter), default=1)
-           for letter in (FIRST, SECOND)]  # the highest power of each letter
+    def __init__(self, p: TracePolynomial, n: int):
+        self.n = n
+        self.traceless = p.mode == TRACELESS
+        self.eye = np.eye(n, dtype=complex)
+        factors: dict[CyclicWord, int] = {}
+        terms = []
+        for (central, ws), coeff in p.items():
+            terms.append((_coefficient_value(coeff, n), central,
+                          [factors.setdefault(w, len(factors)) for w in ws]))
+        words: dict[tuple, int] = {}  # the runs of each word one call multiplies out
 
-    def gradient(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tr_x = complex(X.trace())
-        tr_y = complex(Y.trace())
-        if traceless:
-            X = X - (tr_x / n) * eye
-            Y = Y - (tr_y / n) * eye
-        powers = []
-        for letter, matrix in ((FIRST, X), (SECOND, Y)):
-            chain = [eye, matrix]
-            while len(chain) <= top[letter]:
+        def word_id(runs: tuple) -> int:
+            return words.setdefault(runs, len(words))
+
+        # the other factors of a term read a factor's value, and so does its central part
+        read = {f for _, central, ids in terms if len(ids) > 1 or any(central) for f in ids}
+        self.values = [(f, word_id(w.runs)) for w, f in factors.items() if f in read]
+        self.num_factors = len(factors)
+        # one gradient slot per (factor, letter) with cuts: (multiplicity, cut word
+        # id, the other cuts); a factor with cuts in both letters owns two
+        # adjacent slots, X first
+        self.grads = []
+        targets = {}  # factor -> (accumulator, slot index): 0 dX, 1 dY, 2 both
+        for w, f in factors.items():
+            letters = []
+            for letter in (FIRST, SECOND):
+                cuts = splice_cuts(w, letter)
+                if cuts:
+                    letters.append(letter)
+                    (mult, j), *rest = [(mult, word_id(cut.runs)) for cut, mult in cuts]
+                    self.grads.append((mult, j, rest))
+            slot = len(self.grads) - len(letters)
+            if len(letters) == 2:
+                targets[f] = (2, slice(slot, slot + 2))
+            elif letters:
+                targets[f] = (letters[0], slot)
+        self.words = list(words)
+        # the power chain of each letter a word uses, up to the highest power it needs
+        tops: dict[int, int] = {}
+        for runs in self.words:
+            for letter, exp in runs:
+                tops[letter] = max(tops.get(letter, 1), exp)
+        self.chains = sorted(tops.items())
+        self.central = any(any(central) for _, central, _ in terms)
+        self.centred = self.traceless and bool(tops)
+        self.terms = []  # (env base, central or None, factors, Leibniz steps)
+        for base, central, ids in terms:
+            steps: list[list] = []  # [other factors, accumulator, slot index, count]
+            for i, f in enumerate(ids):
+                if f not in targets:
+                    continue
+                others = tuple(ids[:i] + ids[i + 1:])
+                if steps and steps[-1][:3] == [others, *targets[f]]:
+                    steps[-1][3] += 1  # the same product again: a repeated factor
+                else:
+                    steps.append([others, *targets[f], 1])
+            if any(central):
+                self.terms.append((base, central, ids, steps))
+            elif steps:
+                self.terms.append((base * 1.0 * 1.0, None, ids, steps))
+
+    def __call__(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        D = self.stacked(np.stack((X, Y)))
+        return D[0], D[1]
+
+    def stacked(self, Z: np.ndarray) -> np.ndarray:
+        """The gradient [dp/dX, dp/dY] at the stacked state Z = [X, Y]."""
+        n, eye = self.n, self.eye
+        if self.centred or self.central:
+            tr = Z.trace(axis1=1, axis2=2).tolist()
+        if self.centred:
+            Z = Z - np.array([tr[0] / n, tr[1] / n]).reshape(2, 1, 1) * eye
+        powers = [None, None]
+        for letter, top in self.chains:
+            matrix = Z[letter]
+            chain = powers[letter] = [eye, matrix]
+            while len(chain) <= top:
                 chain.append(chain[-1] @ matrix)
-            powers.append(chain)
         matrices = []
-        for runs in word_runs:
+        for runs in self.words:
             out = None if runs else eye
             for letter, exp in runs:
                 power = powers[letter][exp]
                 out = power if out is None else out @ power
             matrices.append(out)
-        values, grads = [], []
-        for w, cuts in factor_cuts:
-            values.append(complex(matrices[w].trace()) if word_runs[w] else complex(n))
-            grads.append([])
-            for letter_cuts in cuts:
-                g = None
-                for mult, j in letter_cuts:
-                    term = mult * matrices[j].T
-                    g = term if g is None else g + term
-                if traceless and g is not None:
-                    g = g - (g.trace() / n) * eye
-                grads[-1].append(g)
-        dX = np.zeros((n, n), dtype=complex)
-        dY = np.zeros((n, n), dtype=complex)
-        for base, central, ids in terms:
-            factor_values = [values[i] for i in ids]
-            sx = tr_x ** central[0] if central[0] else 1.0
-            sy = tr_y ** central[1] if central[1] else 1.0
-            # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
-            for a, tr, other, total in ((central[0], tr_x, sy, dX), (central[1], tr_y, sx, dY)):
-                if a:
-                    env = base * (tr ** (a - 1)) * a * other
-                    for v in factor_values:
-                        env *= v
-                    total += env * eye
+        values = [None] * self.num_factors
+        for f, w in self.values:
+            values[f] = complex(matrices[w].trace()) if self.words[w] else complex(n)
+        G = np.empty((len(self.grads), n, n), dtype=complex)
+        for slot, (mult, j, rest) in enumerate(self.grads):
+            g = G[slot]
+            np.multiply(mult, matrices[j].T, out=g)
+            for mult, j in rest:
+                g += mult * matrices[j].T
+        if self.traceless:
+            G -= (G.trace(axis1=1, axis2=2) / n).reshape(-1, 1, 1) * eye
+        D = np.zeros((2, n, n), dtype=complex)
+        totals = [D[0], D[1], D]
+        for base, central, ids, steps in self.terms:
+            if central is None:
+                env0 = base
+            else:
+                sx = tr[0] ** central[0] if central[0] else 1.0
+                sy = tr[1] ** central[1] if central[1] else 1.0
+                # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
+                for letter, (a, other) in enumerate(((central[0], sy), (central[1], sx))):
+                    if a:
+                        env = base * (tr[letter] ** (a - 1)) * a * other
+                        for f in ids:
+                            env *= values[f]
+                        totals[letter] += env * eye
+                env0 = base * sx * sy
             # trace-factor part, Leibniz over factors
-            for i, fid in enumerate(ids):
-                env = base * sx * sy
-                for i2, v in enumerate(factor_values):
-                    if i2 != i:
-                        env *= v
-                for total, g in zip((dX, dY), grads[fid]):
-                    if g is not None:
-                        total += env * g
-        return dX, dY
-
-    return gradient
+            for others, target, slot, count in steps:
+                env = env0
+                for f in others:
+                    env *= values[f]
+                prod = env * G[slot]
+                for _ in range(count):
+                    totals[target] += prod
+        return D
 
 
 def numeric_gradient(p: TracePolynomial, pt: CMPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -491,8 +556,11 @@ def numeric_bracket(f: TracePolynomial, g: TracePolynomial, pt: CMPoint) -> comp
 # symplectic pullback residual
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def symplectic_structure_matrix(n: int) -> np.ndarray:
-    """Constant skew matrix S of tr(dX wedge dY) in flattened (X, Y) coordinates."""
+    """Constant skew matrix S of tr(dX wedge dY) in flattened (X, Y) coordinates.
+
+    Built once per n and shared, so it is read-only."""
     dim = 2 * n * n
     S = np.zeros((dim, dim))
     for j in range(n):
@@ -501,6 +569,7 @@ def symplectic_structure_matrix(n: int) -> np.ndarray:
             b = n * n + k * n + j    # Y_kj
             S[a, b] += 1.0
             S[b, a] -= 1.0
+    S.flags.writeable = False
     return S
 
 

@@ -7,11 +7,14 @@ from cmpoisson.cm import (
     CMPoint,
     MatrixPair,
     PointEvaluator,
+    PointMap,
     PointPool,
+    _coefficient_value,
     child_rng,
     diagonal_normal_form,
     evaluate,
     finite_difference_gradient,
+    gradient_function,
     load_points,
     numeric_bracket,
     numeric_gradient,
@@ -24,8 +27,9 @@ from cmpoisson.cm import (
     symplectic_pullback_residual,
 )
 from cmpoisson.bracket import bracket_standard, bracket_traceless
-from cmpoisson.grammar import parse_polynomial as P
-from cmpoisson.words import FIRST
+from cmpoisson.flows import FAMILY_IDS, family_hamiltonian
+from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
+from cmpoisson.words import FIRST, SECOND, CyclicWord, splice_cuts
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
 from conftest import random_polynomial
@@ -237,6 +241,125 @@ def test_gradients_match_finite_differences(rng):
                 scale = max(1.0, np.abs(gx).max(), np.abs(gy).max())
                 assert np.abs(gx - fx).max() / scale < 1e-6
                 assert np.abs(gy - fy).max() / scale < 1e-6
+
+
+def reference_gradient(p: TracePolynomial, n: int) -> PointMap:
+    """The splice-derivative gradient computed in full at every call: both
+    letters centred, every power, word, factor value and factor gradient.
+
+    The reference for `gradient_function`, whose plan skips what no term
+    reads and must equal this loop bit for bit.  Traceless mode
+    differentiates through A = X - (tr X/n) I, B = Y - (tr Y/n) I and projects
+    each factor gradient to its traceless part; the two results start at +0.
+    """
+    traceless = p.mode == TRACELESS
+    eye = np.eye(n, dtype=complex)
+    words: dict[tuple, int] = {}  # the distinct words one evaluation multiplies out
+    factors: dict[CyclicWord, int] = {}
+    factor_cuts: list[tuple[int, list]] = []  # (word id, per letter [(mult, cut word id)])
+
+    def word_id(runs: tuple) -> int:
+        return words.setdefault(runs, len(words))
+
+    def factor_id(w: CyclicWord) -> int:
+        if w not in factors:
+            factors[w] = len(factor_cuts)
+            cuts = [[(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
+                    for letter in (FIRST, SECOND)]
+            factor_cuts.append((word_id(w.runs), cuts))
+        return factors[w]
+
+    terms = [
+        (_coefficient_value(coeff, n), central, [factor_id(w) for w in ws])
+        for (central, ws), coeff in p.items()
+    ]
+    word_runs = list(words)
+    top = [max((e for runs in word_runs for l, e in runs if l == letter), default=1)
+           for letter in (FIRST, SECOND)]  # the highest power of each letter
+
+    def gradient(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tr_x = complex(X.trace())
+        tr_y = complex(Y.trace())
+        if traceless:
+            X = X - (tr_x / n) * eye
+            Y = Y - (tr_y / n) * eye
+        powers = []
+        for letter, matrix in ((FIRST, X), (SECOND, Y)):
+            chain = [eye, matrix]
+            while len(chain) <= top[letter]:
+                chain.append(chain[-1] @ matrix)
+            powers.append(chain)
+        matrices = []
+        for runs in word_runs:
+            out = None if runs else eye
+            for letter, exp in runs:
+                power = powers[letter][exp]
+                out = power if out is None else out @ power
+            matrices.append(out)
+        values, grads = [], []
+        for w, cuts in factor_cuts:
+            values.append(complex(matrices[w].trace()) if word_runs[w] else complex(n))
+            grads.append([])
+            for letter_cuts in cuts:
+                g = None
+                for mult, j in letter_cuts:
+                    term = mult * matrices[j].T
+                    g = term if g is None else g + term
+                if traceless and g is not None:
+                    g = g - (g.trace() / n) * eye
+                grads[-1].append(g)
+        dX = np.zeros((n, n), dtype=complex)
+        dY = np.zeros((n, n), dtype=complex)
+        for base, central, ids in terms:
+            factor_values = [values[i] for i in ids]
+            sx = tr_x ** central[0] if central[0] else 1.0
+            sy = tr_y ** central[1] if central[1] else 1.0
+            # central-symbol part: d (tr X)^a / dX = a (tr X)^(a-1) I
+            for a, tr, other, total in ((central[0], tr_x, sy, dX), (central[1], tr_y, sx, dY)):
+                if a:
+                    env = base * (tr ** (a - 1)) * a * other
+                    for v in factor_values:
+                        env *= v
+                    total += env * eye
+            # trace-factor part, Leibniz over factors
+            for i, fid in enumerate(ids):
+                env = base * sx * sy
+                for i2, v in enumerate(factor_values):
+                    if i2 != i:
+                        env *= v
+                for total, g in zip((dX, dY), grads[fid]):
+                    if g is not None:
+                        total += env * g
+        return dX, dY
+
+    return gradient
+
+
+GRADIENT_HAMILTONIANS = [
+    "tr(A^2 B)*tr(B^2) + 1/3*tr(A B A B^2)",
+    "tr(A B)*tr(A B)*tr(A B)",                  # a repeated factor
+    "tr(A B)*tr(A B) + 1/2*tr(A^3 B) + 5",      # and a constant term
+    "tr(A B)*tr(A^2 B)*tr(A B) - 2*tr(B^3)",    # a factor repeated apart
+]
+
+
+@pytest.mark.parametrize("traceless", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gradient_plan_equals_the_reference_loop_bit_for_bit(n, traceless):
+    rng = np.random.default_rng(10 * n + traceless)
+    hamiltonians = [family_hamiltonian(fid) for fid in FAMILY_IDS]
+    hamiltonians += [P(h, TRACELESS) for h in GRADIENT_HAMILTONIANS]
+    hamiltonians += [
+        random_polynomial(rng, mode, max_degree=5, max_terms=3, max_factors=3, allow_central=True)
+        for mode in (PLAIN, TRACELESS) for _ in range(8)
+    ]
+    for i in range(3):
+        pt = sample_cm(n, traceless=traceless, seed=16, index=i)
+        X, Y = pt.pair.X, pt.pair.Y
+        for h in hamiltonians:
+            gx, gy = gradient_function(h, n)(X, Y)
+            rx, ry = reference_gradient(h, n)(X, Y)
+            assert gx.tobytes() == rx.tobytes() and gy.tobytes() == ry.tobytes(), F(h)
 
 
 # ---------------- numeric bracket ----------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmpoisson import flows
-from cmpoisson.cm import CMPoint, MatrixPair, evaluate, numeric_gradient, sample_cm
+from cmpoisson.cm import CMPoint, GradientPlan, MatrixPair, evaluate, numeric_gradient, sample_cm
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
@@ -102,12 +102,15 @@ def test_integrator_error_estimate_tracks_truth():
     assert est <= 1.0 and true_err < 40 * max(est, 1e-15)
 
 
-def one_shot_rk4(h, pt, t, steps):
-    """RK4 as ode_flow takes it, with a fresh gradient of h at every stage."""
+def one_shot_rk4(h, pt, t, steps, stages=None):
+    """RK4 as ode_flow takes it, on X and Y apart, with a fresh gradient of h at
+    every stage; appends each stage's state [X, Y] to `stages` if given."""
     X, Y = pt.pair.X.copy(), pt.pair.Y.copy()
     dt = t / steps
 
     def field(Xc, Yc):
+        if stages is not None:
+            stages.append(np.stack((Xc, Yc)))
         dX, dY = numeric_gradient(h, CMPoint(MatrixPair(pt.pair.n, Xc, Yc), pt.traceless, 0.0, 0.0))
         return dt * dY.T, dt * -dX.T
 
@@ -124,16 +127,54 @@ def one_shot_rk4(h, pt, t, steps):
 MIXED_HAMILTONIAN = "tr(A^2 B)*tr(B^2) + 1/3*tr(A B A B^2)"
 
 
+def with_negative_zero_imaginary_parts(pt):
+    """pt with Y replaced by Re Y - 0i: where a field entry is 0 (all of dX
+    for shearA), the sign of that zero decides the sign of a stage's zero."""
+    Y = np.empty_like(pt.pair.Y)
+    Y.real = pt.pair.Y.real
+    Y.imag = -0.0
+    return CMPoint(MatrixPair(pt.pair.n, pt.pair.X, Y), pt.traceless, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_compiled_field_carries_no_state_between_stages(n):
+def test_compiled_field_carries_no_state_between_stages(n, monkeypatch):
     # the gradient compiled once per integration must give at every stage
-    # what a freshly computed gradient gives, bit for bit
+    # what a freshly computed gradient gives, and the stacked RK4 must reach
+    # every stage state that stepping X and Y apart reaches, bit for bit
+    seen = []
+    stacked = GradientPlan.stacked
+    monkeypatch.setattr(GradientPlan, "stacked", lambda plan, Z: seen.append(Z) or stacked(plan, Z))
     pt = sample_cm(n, traceless=True, seed=14)
     hamiltonians = [family_hamiltonian(fid) for fid in FAMILY_IDS] + [P(MIXED_HAMILTONIAN, TRACELESS)]
-    for h in hamiltonians:
-        out = ode_flow(h, pt, 0.3 + 0.1j, 5)
-        X, Y = one_shot_rk4(h, pt, 0.3 + 0.1j, 5)
-        assert out.pair.X.tobytes() == X.tobytes() and out.pair.Y.tobytes() == Y.tobytes(), F(h)
+    for point in (pt, with_negative_zero_imaginary_parts(pt)):
+        for t in (0.3 + 0.1j, 0.3):
+            for h in hamiltonians:
+                seen.clear()
+                out = ode_flow(h, point, t, 5)
+                states = [Z.tobytes() for Z in seen]
+                stages = []
+                X, Y = one_shot_rk4(h, point, t, 5, stages)
+                assert out.pair.X.tobytes() == X.tobytes() and out.pair.Y.tobytes() == Y.tobytes(), F(h)
+                assert states == [Z.tobytes() for Z in stages], (F(h), t)
+
+
+def test_error_estimate_leaves_the_endpoint_unchanged():
+    pt = sample_cm(3, traceless=True, seed=15)
+    for h in [family_hamiltonian(fid) for fid in FAMILY_IDS] + [P(MIXED_HAMILTONIAN, TRACELESS)]:
+        plain = ode_flow(h, pt, 0.2 + 0.1j, 7)
+        out, est = ode_flow(h, pt, 0.2 + 0.1j, 7, return_error=True)
+        assert out.pair.X.tobytes() == plain.pair.X.tobytes(), F(h)
+        assert out.pair.Y.tobytes() == plain.pair.Y.tobytes(), F(h)
+        assert 0.0 < est < 1e-3
+
+
+@pytest.mark.parametrize("return_error", [False, True])
+def test_diverging_integration_raises(return_error):
+    # e^{2t tr AB} at t = 50 leaves double range; of the first points at
+    # seed 0, index 2 is the one whose 400-step integration overflows
+    pt = sample_cm(2, traceless=True, seed=0, index=2)
+    with pytest.raises(FloatingPointError, match="^non-finite state during integration$"):
+        ode_flow(family_hamiltonian("scaling"), pt, 50.0, 400, return_error=return_error)
 
 
 def test_integrator_rejects_bad_steps():

@@ -52,6 +52,9 @@ JOBS += [
                              "--steps", "40", "--seed", "0"]),
     ("flow_hamiltonian_mixed_n2", ["flow", "--hamiltonian", "tr(A^2 B)*tr(B^2) + 1/3*tr(A B A B^2)",
                                    "--t", "0.2", "--n", "2", "--steps", "40", "--seed", "0"]),
+    # a repeated factor and a constant term at n = 4: pins the RK4 endpoint bits
+    ("flow_hamiltonian_repeated_n4", ["flow", "--hamiltonian", "tr(A B)*tr(A B) + 1/2*tr(A^3 B) + 5",
+                                      "--t", "0.02+0.01i", "--n", "4", "--steps", "40", "--seed", "0"]),
     ("flow_scaling_t50_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2", "--seed", "0"]),
     ("flow_shearA_n3", ["flow", "--family", "shearA", "--t", "1+1i", "--n", "3", "--seed", "0"]),
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
