@@ -415,14 +415,13 @@ class GradientPlan:
         self.grads = []
         targets = {}  # factor -> (accumulator, slot index): 0 dX, 1 dY, 2 both
         for w, f in factors.items():
+            slot = len(self.grads)
             letters = []
             for letter in (FIRST, SECOND):
-                cuts = splice_cuts(w, letter)
+                cuts = [(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
                 if cuts:
                     letters.append(letter)
-                    (mult, j), *rest = [(mult, word_id(cut.runs)) for cut, mult in cuts]
-                    self.grads.append((mult, j, rest))
-            slot = len(self.grads) - len(letters)
+                    self.grads.append((*cuts[0], cuts[1:]))
             if len(letters) == 2:
                 targets[f] = (2, slice(slot, slot + 2))
             elif letters:
@@ -449,7 +448,7 @@ class GradientPlan:
                     steps.append([others, *targets[f], 1])
             if any(central):
                 self.terms.append((base, central, ids, steps))
-            elif steps:
+            elif steps:  # env = base * sx * sy with sx = sy = 1.0, taken once
                 self.terms.append((base * 1.0 * 1.0, None, ids, steps))
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -144,8 +144,9 @@ def ode_flow(
 
     The field is dX/dtau = (dh/dY)^T, dY/dtau = -(dh/dX)^T (so that
     dF/dtau = {F, h}), from h's gradient compiled once for both integrations.
-    RK4 runs on the stacked state [X, Y]: every stage is one array operation
-    on both matrices, each entry rounded as when X and Y were stepped apart.
+    RK4 runs on the stacked state [X, Y]: each arithmetic step of a stage is
+    one array operation on both matrices, and each entry rounds as it would
+    with X and Y stepped apart.
     With return_error=True also integrates at half the step size and returns
     the Richardson error estimate |z_fine - z_coarse| / 15 (max entry).
     """
