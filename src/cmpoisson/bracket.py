@@ -242,7 +242,7 @@ def fit_tail_on_variety(
         pool = _evaluator_pool(tuple(pool))
     target = pool.values_and_magnitudes(diff)[0]
     basis = _monomial_basis(pool, degree_bound, diff.mode)
-    scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(reference)[0]).max()))
+    scale = max(1.0, float(np.abs(pool.values_and_magnitudes(reference)[0]).max()))
     return float(np.abs(target - basis @ (basis.conj().T @ target)).max() / scale)
 
 

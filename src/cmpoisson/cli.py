@@ -42,13 +42,17 @@ EXIT_USAGE = 3
 
 SEED_ENV_VAR = "CMPOISSON_SEED"
 
-# tolerance name -> (default, safe_low, safe_high)
+# subcommand -> the tolerances it reads: name -> (default, safe_low, safe_high)
 TOLERANCES = {
-    "rank": (1e-10, 1e-14, 1e-6),
-    "trace": (1e-12, 1e-15, 1e-8),
-    "flow_rank": (1e-9, 1e-13, 1e-5),
-    "flow_trace": (1e-10, 1e-14, 1e-6),
-    "symplectic": (1e-7, 1e-11, 1e-3),
+    "sample": {
+        "rank": (1e-10, 1e-14, 1e-6),
+        "trace": (1e-12, 1e-15, 1e-8),
+    },
+    "flow": {
+        "flow_rank": (1e-9, 1e-13, 1e-5),
+        "flow_trace": (1e-10, 1e-14, 1e-6),
+        "symplectic": (1e-7, 1e-11, 1e-3),
+    },
 }
 
 
@@ -83,21 +87,22 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
-def _parse_tols(pairs: list[str]) -> dict[str, float]:
-    out = {name: default for name, (default, _, _) in TOLERANCES.items()}
-    for pair in pairs or []:
+def _parse_tols(command: str, pairs: list[str]) -> dict[str, float]:
+    known = TOLERANCES[command]
+    out = {name: default for name, (default, _, _) in known.items()}
+    for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
-        if name not in TOLERANCES:
-            raise UsageError(f"unknown tolerance {name!r}")
+        if name not in known:
+            raise UsageError(f"unknown tolerance {name!r} for {command} (known: {', '.join(known)})")
         try:
             val = float(value)
         except ValueError:
             raise UsageError(f"tolerance {name}={value!r} is not a number") from None
         if not (math.isfinite(val) and val > 0):
             raise UsageError(f"tolerance {name}={value} must be a positive finite number")
-        _, lo, hi = TOLERANCES[name]
+        _, lo, hi = known[name]
         if not (lo <= val <= hi):
             print(
                 f"warning: tolerance {name}={val:g} outside documented safe "
@@ -426,9 +431,11 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cmpoisson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, tolerances=None):
         p.add_argument("--out", help="write a JSON report to this path")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
+        if tolerances:
+            p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                           help=f"override a tolerance ({', '.join(tolerances)})")
         if seed:
             p.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
 
@@ -448,7 +455,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--count", type=_at_least(1), default=1)
     p.add_argument("--traceless", action="store_true")
-    common(p)
+    common(p, tolerances=TOLERANCES["sample"])
 
     p = sub.add_parser("flow", help="apply/integrate a flow and certify it")
     flow = p.add_mutually_exclusive_group(required=True)
@@ -458,7 +465,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--points", type=_at_least(1), default=3)
     p.add_argument("--steps", type=_at_least(0), default=0)
-    common(p)
+    common(p, tolerances=TOLERANCES["flow"])
 
     p = sub.add_parser("verify", help="verify the pinned bracket catalog")
     p.add_argument("--catalog", default="default")
@@ -496,15 +503,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
-        tols = _parse_tols(args.tol)
         if args.command == "bracket":
             code = cmd_bracket(args)
         elif args.command == "reduce":
             code = cmd_reduce(args)
         elif args.command == "sample":
-            code = cmd_sample(args, tols)
+            code = cmd_sample(args, _parse_tols("sample", args.tol))
         elif args.command == "flow":
-            code = cmd_flow(args, tols)
+            code = cmd_flow(args, _parse_tols("flow", args.tol))
         elif args.command == "verify":
             code = cmd_verify(args)
         elif args.command == "replay":
@@ -520,11 +526,12 @@ def main(argv: list[str] | None = None) -> int:
     except PolynomialParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FloatingPointError as exc:
-        # an overflow leaves the measurement unresolved, not failed
+    except (FloatingPointError, RuntimeError) as exc:
+        # an overflow, or a sampler or point pool that gives up, leaves the
+        # measurement unresolved, not failed
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     return code

@@ -12,7 +12,6 @@ conjugation-invariant, so representatives suffice.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -21,7 +20,7 @@ import numpy as np
 
 from .poly import PLAIN, TRACELESS, TracePolynomial
 from .ring import QnCoeff
-from .words import FIRST, SECOND, CyclicWord, Word, splice_cuts
+from .words import FIRST, SECOND, CyclicWord, splice_cuts
 
 DEFAULT_LAMBDA = -1j
 RANK_TOL = 1e-10
@@ -167,127 +166,30 @@ def _coefficient_value(coeff: QnCoeff, n: int) -> complex:
     return complex(coeff.evaluate(n))
 
 
-def _product(a, b) -> np.ndarray:
-    """a * b on complex columns, rounded like Python's complex product
-    (numpy's vectorized complex multiply may fuse a multiply and an add)."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+class PointPool:
+    """Evaluates trace polynomials on a whole pool of points at once.
 
-
-def _sum_terms(ev: "PointEvaluator | PointPool", p: TracePolynomial, total, magnitude):
-    """Add the terms of p at the evaluator's point(s) to (total, magnitude).
-
-    The same operations in the same order on scalars and on length-N
-    columns, so entry i of a pool's result equals the single-point result
-    at point i bit for bit."""
-    for (central, factors), coeff in p.items():
-        val = _coefficient_value(coeff, ev.n)
-        for letter, exp in zip((FIRST, SECOND), central):
-            if exp:
-                val = ev.multiply(val, ev.central_power(letter, exp))
-        for w in factors:
-            val = ev.multiply(val, ev.word_trace(w, p.mode))
-        total = total + val
-        magnitude = magnitude + ev.abs(val)
-    return total, magnitude
-
-
-class PointEvaluator:
-    """Evaluates trace polynomials at one point, caching word traces.
+    The pool's matrices are stacked as one (2, N, n, n) array [X, Y].  Each
+    word trace is computed once for all N points by batched matrix products
+    and cached as a length-N column per (mode, cyclic word), so a polynomial
+    costs a few vector operations per term.
 
     Traceless-mode polynomials are evaluated through the substitution
     A = X - (tr X/n) I, B = Y - (tr Y/n) I with the central symbols taking
     the values tr X, tr Y; on the traceless locus this is A = X, B = Y.
     """
 
-    multiply = staticmethod(operator.mul)
-    abs = staticmethod(abs)
-
-    def __init__(self, pt: CMPoint):
-        self.point = pt
-        n = pt.pair.n
-        X, Y = pt.pair.X, pt.pair.Y
-        self.n = n
-        self.tr_x = complex(np.trace(X))
-        self.tr_y = complex(np.trace(Y))
-        eye = np.eye(n, dtype=complex)
-        A = X - (self.tr_x / n) * eye
-        B = Y - (self.tr_y / n) * eye
-        self._letter = {
-            PLAIN: {FIRST: X, SECOND: Y},
-            TRACELESS: {FIRST: A, SECOND: B},
-        }
-        self._powers: dict[tuple[str, int], list[np.ndarray]] = {}
-        self._word_traces: dict[tuple[str, CyclicWord], complex] = {}
-        self._eye = eye
-
-    def _power(self, mode: str, letter: int, exp: int) -> np.ndarray:
-        key = (mode, letter)
-        powers = self._powers.setdefault(key, [self._eye, self._letter[mode][letter]])
-        while len(powers) <= exp:
-            powers.append(powers[-1] @ powers[1])
-        return powers[exp]
-
-    def word_matrix(self, w: Word | CyclicWord, mode: str) -> np.ndarray:
-        out = self._eye
-        for letter, exp in w.runs:
-            out = out @ self._power(mode, letter, exp)
-        return out
-
-    def word_trace(self, w: CyclicWord, mode: str) -> complex:
-        key = (mode, w)
-        val = self._word_traces.get(key)
-        if val is None:
-            val = complex(np.trace(self.word_matrix(w, mode))) if w.runs else complex(self.n)
-            self._word_traces[key] = val
-        return val
-
-    def central_power(self, letter: int, exp: int) -> complex:
-        return (self.tr_x if letter == FIRST else self.tr_y) ** exp
-
-    def poly_value(self, p: TracePolynomial) -> complex:
-        return _sum_terms(self, p, 0j, 0.0)[0]
-
-    def poly_value_and_magnitude(self, p: TracePolynomial) -> tuple[complex, float]:
-        """(value, sum of term magnitudes); their ratio bounds the relative
-        cancellation, hence the rounding noise of the value."""
-        return _sum_terms(self, p, 0j, 0.0)
-
-
-class PointPool:
-    """Evaluates trace polynomials on a whole pool of points at once.
-
-    The pool's matrices are stacked as (N, n, n) arrays.  Each word trace is
-    computed once for all N points by batched matrix products and cached as a
-    length-N column per (mode, cyclic word), so a polynomial costs a few
-    vector operations per term.  Entry i equals what PointEvaluator gives at
-    point i, bit for bit.
-    """
-
-    multiply = staticmethod(_product)
-
     def __init__(self, points: Iterable[CMPoint]):
         self.points = list(points)
         # np.stack raises ValueError for an empty pool or mixed sizes n
-        X = np.stack([pt.pair.X for pt in self.points])
-        Y = np.stack([pt.pair.Y for pt in self.points])
-        self.n = n = X.shape[1]
-        self.tr_x = np.trace(X, axis1=1, axis2=2)
-        self.tr_y = np.trace(Y, axis1=1, axis2=2)
+        Z = np.stack([np.stack([pt.pair.X for pt in self.points]),
+                      np.stack([pt.pair.Y for pt in self.points])])  # [X, Y]
+        self.n = n = Z.shape[-1]
+        self.traces = Z.trace(axis1=2, axis2=3)  # [tr X, tr Y], length-N columns
         eye = np.eye(n, dtype=complex)
-        # Python's complex division, as PointEvaluator takes it; numpy's
-        # multiplies by 1/n, which rounds differently at n = 3
-        A = X - np.array([t / n for t in self.tr_x.tolist()])[:, None, None] * eye
-        B = Y - np.array([t / n for t in self.tr_y.tolist()])[:, None, None] * eye
-        self._letter = {
-            PLAIN: {FIRST: X, SECOND: Y},
-            TRACELESS: {FIRST: A, SECOND: B},
-        }
+        self._letters = {PLAIN: Z, TRACELESS: Z - (self.traces / n)[..., None, None] * eye}
         self._powers: dict[tuple[str, int], list[np.ndarray]] = {}
         self._word_traces: dict[tuple[str, CyclicWord], np.ndarray] = {}
-        self._central_powers: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
     def sample(cls, n: int, count: int, seed: int) -> "PointPool":
@@ -298,7 +200,7 @@ class PointPool:
         return len(self.points)
 
     def _power(self, mode: str, letter: int, exp: int) -> np.ndarray:
-        powers = self._powers.setdefault((mode, letter), [None, self._letter[mode][letter]])
+        powers = self._powers.setdefault((mode, letter), [None, self._letters[mode][letter]])
         while len(powers) <= exp:
             powers.append(powers[-1] @ powers[1])
         return powers[exp]
@@ -318,23 +220,38 @@ class PointPool:
             self._word_traces[key] = col
         return col
 
-    def central_power(self, letter: int, exp: int) -> np.ndarray:
-        key = (letter, exp)
-        col = self._central_powers.get(key)
-        if col is None:
-            # Python's complex power, point by point, as PointEvaluator takes it
-            traces = (self.tr_x if letter == FIRST else self.tr_y).tolist()
-            col = self._central_powers[key] = np.array([t ** exp for t in traces])
-        return col
-
-    @staticmethod
-    def abs(val: np.ndarray) -> np.ndarray:
-        """|val| by hypot, as Python's abs() of a complex; np.abs may round differently."""
-        return np.hypot(val.real, val.imag)
-
     def values_and_magnitudes(self, p: TracePolynomial) -> tuple[np.ndarray, np.ndarray]:
-        """Length-N columns of p's values and of its sums of term magnitudes."""
-        return _sum_terms(self, p, np.zeros(len(self), dtype=complex), np.zeros(len(self)))
+        """Length-N columns of p's values and of its sums of term magnitudes;
+        their ratio bounds the relative cancellation, hence the rounding
+        noise of the value."""
+        total = np.zeros(len(self), dtype=complex)
+        magnitude = np.zeros(len(self))
+        for (central, factors), coeff in p.items():
+            val = _coefficient_value(coeff, self.n)
+            for trace, exp in zip(self.traces, central):
+                if exp:
+                    val = val * trace ** exp
+            for w in factors:
+                val = val * self.word_trace(w, p.mode)
+            total = total + val
+            magnitude = magnitude + np.abs(val)
+        return total, magnitude
+
+
+class PointEvaluator(PointPool):
+    """A one-point PointPool: evaluates trace polynomials at pt."""
+
+    def __init__(self, pt: CMPoint):
+        super().__init__([pt])
+        self.point = pt
+
+    def poly_value(self, p: TracePolynomial) -> complex:
+        return complex(self.values_and_magnitudes(p)[0][0])
+
+    def poly_value_and_magnitude(self, p: TracePolynomial) -> tuple[complex, float]:
+        """(value, sum of term magnitudes)."""
+        values, magnitudes = self.values_and_magnitudes(p)
+        return complex(values[0]), float(magnitudes[0])
 
 
 def evaluate(p: TracePolynomial, pt: CMPoint, n_symbol_value: int | None = None) -> complex:
@@ -376,14 +293,15 @@ def gradient_function(p: TracePolynomial, n: int) -> "GradientPlan":
     No bit moves: the gradient equals, bit for bit, what computing every
     value at every call gives.  Traceless mode differentiates through
     A = X - (tr X/n) I, B = Y - (tr Y/n) I with Python's complex division, as
-    `PointEvaluator` evaluates, and projects each factor gradient to its
-    traceless part.  Powers are P^k = P^(k-1) @ P, words are multiplied left
-    to right, and every product and sum that is taken has the operands and
-    the order of the full computation: a stacked operation applies the same
-    elementwise arithmetic to more entries, and a reused env * g is the same
-    product.  Skipped work fed only values that no term reads.  The two
-    results start at +0, and a sum that starts at +0 never becomes -0, so
-    leaving out the letters a factor lacks changes no bit either.
+    the tests' full reference loop divides, and projects each factor
+    gradient to its traceless part.  Powers are P^k = P^(k-1) @ P, words are
+    multiplied left to right, and every product and sum that is taken has the
+    operands and the order of the full computation: a stacked operation
+    applies the same elementwise arithmetic to more entries, and a reused
+    env * g is the same product.  Skipped work fed only values that no term
+    reads.  The two results start at +0, and a sum that starts at +0 never
+    becomes -0, so leaving out the letters a factor lacks changes no bit
+    either.
     """
     return GradientPlan(p, n)
 

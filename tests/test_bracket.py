@@ -4,6 +4,7 @@ from collections import Counter
 from functools import cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cmpoisson.bracket import (
@@ -271,7 +272,7 @@ def test_projection_residual_agrees_with_the_least_squares_fit():
     for _, computed, bound, tail, _ in leading_law_tails():
         residual = fit_tail_on_variety(tail, computed, bound, pool)
         matrix = value_matrix(pool, enumerate_trace_monomials(bound, TRACELESS))
-        scale = max(1.0, float(pool.abs(pool.values_and_magnitudes(computed)[0]).max()))
+        scale = max(1.0, float(np.abs(pool.values_and_magnitudes(computed)[0]).max()))
         oracle, _, _ = lstsq_fit(matrix, pool.values_and_magnitudes(tail)[0], scale=scale)
         assert (residual < 1e-8) == (oracle < 1e-8)
         worst = max(worst, abs(residual - oracle))

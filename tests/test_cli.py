@@ -121,6 +121,15 @@ def test_flow_overflow_is_inconclusive(capsys):
     assert out == "inconclusive: non-finite state during integration\n" and err == ""
 
 
+def test_sampler_that_gives_up_is_inconclusive(capsys):
+    # 100 uniform draws in a 4 x 4 square almost never lie 0.1 apart, so the
+    # sampler gives up; that says nothing about the mathematics
+    code, out, err = run(capsys, "sample", "--n", "100", "--seed", "0")
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "inconclusive: could not draw 100 eigenvalues with separation >= 0.1 in 200 tries\n"
+    assert err == ""
+
+
 def test_replay_single_chain(capsys):
     code, out, _ = run(capsys, "replay", "--chain", "cube-transfer", "--n", "3", "--seed", "0")
     assert code == EXIT_PASS
@@ -202,19 +211,38 @@ def test_membership_with_a_prime_in_a_denominator_is_inconclusive(capsys, tmp_pa
 
 def test_membership_has_no_tolerance(capsys):
     err = usage_error(capsys, "membership", "--target", "tr(A^2)", "--n", "2", "--tol", "membership=1e-8")
-    assert "unknown tolerance 'membership'" in err
+    assert "unrecognized arguments: --tol membership=1e-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "tr(A^2)", "tr(B^2)"),
+    ("reduce", "--n", "2", "tr(A^2)"),
+    ("verify", "--n", "2"),
+    ("replay", "--n", "2"),
+    ("closure", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_only_sample_and_flow_take_tolerances(capsys, argv):
+    err = usage_error(capsys, *argv, "--tol", "rank=1e-3")
+    assert "unrecognized arguments: --tol rank=1e-3" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("sample", "--n", "2"), "flow_rank"),
+    (("flow", "--family", "shearA", "--t", "1"), "rank"),
+], ids=["sample", "flow"])
+def test_tolerance_of_the_other_subcommand_is_usage_error(capsys, argv, name):
+    err = usage_error(capsys, *argv, "--tol", f"{name}=1e-9")
+    assert f"unknown tolerance {name!r} for {argv[0]}" in err
 
 
 def test_tolerance_override_warns_outside_safe_range(capsys):
-    code, out, err = run(
-        capsys, "bracket", "--mode", "plain", "tr(X)", "tr(Y)", "--tol", "rank=1.0"
-    )
+    code, out, err = run(capsys, "sample", "--n", "2", "--seed", "0", "--tol", "rank=1.0")
     assert code == EXIT_PASS
     assert "outside documented safe range" in err
 
 
 def test_tolerance_fit_is_unknown(capsys):
-    err = usage_error(capsys, "verify", "--n", "2", "--tol", "fit=1e-6")
+    err = usage_error(capsys, "sample", "--n", "2", "--tol", "fit=1e-6")
     assert "unknown tolerance 'fit'" in err
 
 
@@ -255,7 +283,7 @@ def test_identity_reports_record_seed_and_samples(tmp_path, capsys, command):
 
 def test_unknown_tolerance_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--tol", "bogus=1"])
+        main(["flow", "--family", "shearA", "--t", "1", "--tol", "bogus=1"])
     assert exc.value.code == EXIT_USAGE
 
 
@@ -306,12 +334,12 @@ def test_membership_samples_not_above_basis_size_is_usage_error(capsys, samples)
 
 
 def test_non_numeric_tolerance_is_usage_error(capsys):
-    err = usage_error(capsys, "verify", "--tol", "rank=abc")
+    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank=abc")
     assert "rank='abc' is not a number" in err
 
 
 def test_tolerance_without_value_is_usage_error(capsys):
-    err = usage_error(capsys, "verify", "--tol", "rank")
+    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank")
     assert "NAME=VALUE" in err
 
 

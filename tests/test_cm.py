@@ -191,8 +191,10 @@ def test_point_pool_zero_and_constant():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_point_pool_equals_point_evaluator_bit_for_bit(rng, n):
-    # the pool repeats PointEvaluator's operations in the same order, so
-    # pool-based certificates reproduce per-point ones exactly
+    # a PointEvaluator is a one-point PointPool: its bits equal entry i of
+    # the N-point pool, since numpy's elementwise complex arithmetic rounds
+    # the same at length 1 and at length N (a platform where it does not
+    # breaks this equality, and the assertion stays exact)
     for traceless in (True, False):
         points = [sample_cm(n, traceless=traceless, seed=34, index=i) for i in range(6)]
         pool = PointPool(points)

@@ -45,6 +45,8 @@ JOBS += [
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
     ("bracket_plain", ["bracket", "--mode", "plain", "tr(X^3 Y^2)", "tr(X Y^4)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
+    # the sampler gives up: inconclusive, not a FAIL
+    ("sample_n100", ["sample", "--n", "100", "--seed", "0"]),
     ("flow_cubicShear_n2", ["flow", "--family", "cubicShear", "--t", "0.3", "--n", "2",
                             "--steps", "40", "--seed", "0"]),
     ("flow_scaling_n2", ["flow", "--family", "scaling", "--t", "0.5+0.5i", "--n", "2", "--seed", "0"]),
@@ -65,6 +67,8 @@ JOBS += [
     ("membership_not_found_depth1_n3", ["membership", "--target", "tr(A^3 B^3)", "--n", "3",
                                         "--depth", "1", "--seed", "0"]),
     ("verify_samples4_n3", ["verify", "--n", "3", "--samples", "4", "--seed", "0"]),
+    # verify reads no tolerance, so --tol is a usage error
+    ("verify_tol_rank_n2", ["verify", "--n", "2", "--tol", "rank=1e-3", "--seed", "0"]),
     ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
                                     "--n", "2", "--seed", "0"]),
     # leading-law-3113 with a wrong tail whose denominator is modp.PRIME
