@@ -1,8 +1,8 @@
-"""Pinned bracket-identity catalog: data file generation and loading.
+"""Pinned bracket-identity catalog: closed-form templates and loading.
 
-The default catalog ships as JSON so new identities can be pinned without a
-rebuild.  Entry texts are produced from closed-form templates (independent of
-the bracket engine they test):
+The default catalog is built in process from closed-form templates
+(independent of the bracket engine they test); a JSON file of records in the
+same form can replace it:
 
     {tr A^j, tr B^q}      = jq tr A^{j-1}B^{q-1} - (jq/n) tr A^{j-1} tr B^{q-1}
     {tr A^j B^k, tr AB}   = (j-k) tr A^j B^k
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from typing import Iterable
 
 from .bracket import EXACT, LEADING, BracketCatalogEntry, check_kind
@@ -214,21 +213,18 @@ def record_to_entry(record: dict) -> BracketCatalogEntry:
     )
 
 
-def read_records(path: str | None, default_name: str) -> list:
-    """The JSON list in the file at path, or in the shipped data/<default_name>.
+def read_records(path: str) -> list:
+    """The JSON list in the file at path.
 
     Raises ValueError when the file cannot be read or holds no JSON list."""
-    if path is None:
-        text = resources.files("cmpoisson").joinpath(f"data/{default_name}").read_text()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     records = json.loads(text)  # a json.JSONDecodeError is a ValueError
     if not isinstance(records, list):
-        raise ValueError(f"{path or default_name} holds no JSON list of records")
+        raise ValueError(f"{path} holds no JSON list of records")
     return records
 
 
@@ -243,11 +239,12 @@ def check_fields(record, where: str, fields: dict[str, type]) -> None:
 
 
 def load_catalog_records(path: str | None = None) -> list[dict]:
-    return read_records(path, "catalog.json")
+    """The records of the catalog file at path (default: default_catalog_records())."""
+    return default_catalog_records() if path is None else read_records(path)
 
 
 def load_catalog_entries(path: str | None = None) -> list[BracketCatalogEntry]:
-    """The entries of a catalog file (default: the shipped data/catalog.json).
+    """The entries of a catalog file (default: the templates' catalog).
 
     Raises ValueError, naming the record, for one that lacks a field, breaks
     the check_kind rule or holds text that does not parse."""
@@ -264,14 +261,3 @@ def load_catalog_entries(path: str | None = None) -> list[BracketCatalogEntry]:
             raise ValueError(f"{where}: {exc}") from None
     return entries
 
-
-def catalog_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=1, sort_keys=True) + "\n"
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    out = pathlib.Path(__file__).parent / "data" / "catalog.json"
-    out.write_text(catalog_json(default_catalog_records()))
-    print(f"wrote {out}")

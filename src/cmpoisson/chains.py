@@ -15,7 +15,6 @@ bracket), and the triple application of {tr B^2, .} to tr A^3 ends at
 
 from __future__ import annotations
 
-import json
 from functools import cache
 
 from .bracket import EXACT, LEADING, IdentityReport, bracket, check_identity, check_kind
@@ -256,12 +255,12 @@ def replay_lemma_chain(
 
 
 def load_chain_records(path: str | None = None) -> list[dict]:
-    """The chains in a JSON file (default: the shipped data/chains.json).
+    """The chains in a JSON file (default: default_chain_records()).
 
     Raises ValueError for a chain replay_lemma_chain cannot run: one that lacks
     a field, breaks the check_kind rule, holds text that does not parse or
     refers to a step that has not run."""
-    records = read_records(path, "chains.json")
+    records = default_chain_records() if path is None else read_records(path)
     for i, record in enumerate(records):
         check_fields(record, f"chain {i}", {"lemma_id": str, "steps": list})
         for idx, step in enumerate(record["steps"]):
@@ -280,14 +279,3 @@ def load_chain_records(path: str | None = None) -> list[dict]:
                     raise ValueError(f"{at}: {side}: {exc}") from None
     return records
 
-
-def chains_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=1, sort_keys=True) + "\n"
-
-
-if __name__ == "__main__":
-    import pathlib
-
-    out = pathlib.Path(__file__).parent / "data" / "chains.json"
-    out.write_text(chains_json(default_chain_records()))
-    print(f"wrote {out}")

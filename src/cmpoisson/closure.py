@@ -21,10 +21,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bracket import bracket_traceless
+from .flows import FAMILY_IDS, family_hamiltonian
 from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, rank, reconstruct, to_mod_p
 from .poly import TRACELESS, TracePolynomial
 from .span import enumerate_trace_monomials
-from .words import FIRST, SECOND
 
 MEMBERSHIP_STREAM = 1  # streams of the seed: the closure pool takes 0
 CHECK_STREAM = 2
@@ -38,13 +38,8 @@ class PoolTooSmallError(RuntimeError):
 
 
 def standard_generators() -> list[TracePolynomial]:
-    """tr A^2, tr B^2, tr A^3, (tr AB)^2."""
-    return [
-        TracePolynomial.trace(((FIRST, 2),), TRACELESS),
-        TracePolynomial.trace(((SECOND, 2),), TRACELESS),
-        TracePolynomial.trace(((FIRST, 3),), TRACELESS),
-        TracePolynomial.trace(((FIRST, 1), (SECOND, 1)), TRACELESS) ** 2,
-    ]
+    """The families' Hamiltonians: tr A^2, tr B^2, tr A^3, (tr AB)^2."""
+    return [family_hamiltonian(f) for f in FAMILY_IDS]
 
 
 def validate_degree_cap(generators: Iterable[TracePolynomial], degree_cap: int) -> None:

@@ -121,14 +121,17 @@ def sample_cm(
     """Sample a random point of the rank-one commutator variety.
 
     Deterministic given (seed, index); parallel batches should split the
-    stream with distinct indices via child_rng.
+    stream with distinct indices via child_rng.  The eigenvalues are drawn in
+    the square [-h, h]^2, h = 2 max(1, n/40): its area grows like n^2, so the
+    expected number of pairs closer than eigen_separation stays bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = child_rng(seed, index)
+    h = 2.0 * max(1.0, n / 40)
     x = None
     for _ in range(max_retries):
-        cand = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        cand = rng.uniform(-h, h, n) + 1j * rng.uniform(-h, h, n)
         if n == 1 or min(
             abs(cand[j] - cand[k]) for j in range(n) for k in range(j + 1, n)
         ) >= eigen_separation:

@@ -102,8 +102,9 @@ def family_jacobian(fam: FlowFamily, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     coordinates of `cm.symplectic_structure_matrix`.
 
     Column b is the image of the b-th of the 2n^2 basis directions (dX, dY),
-    all computed at once as a (2n^2, n, n) stack.  The shears are linear, and
-    cubicShear has dB' = dB - 3t(dA A + A dA) + (6t/n) tr(A dA) I.
+    all computed at once as a (2n^2, n, n) stack.  The shears are linear, so
+    their image of the direction stack is their Jacobian, and cubicShear has
+    dB' = dB - 3t(dA A + A dA) + (6t/n) tr(A dA) I.
 
     For scaling the result is the Jacobian of the flow followed by the
     rescaling (X, Y) -> (A/s + (tr X/n) I, s B + (tr Y/n) I), s = e^{2tu} at
@@ -119,10 +120,8 @@ def family_jacobian(fam: FlowFamily, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     dA, dB, dcX, dcY = _central_split(np.concatenate([units, zeros]), np.concatenate([zeros, units]))
     A, B, _, _ = _central_split(X, Y)
     t = fam.t
-    if fam.id == "shearB":
-        dAp, dBp = dA, dB - 2 * t * dA
-    elif fam.id == "shearA":
-        dAp, dBp = dA + 2 * t * dB, dB
+    if fam.id in ("shearB", "shearA"):
+        dAp, dBp = _traceless_image(fam, dA, dB)
     elif fam.id == "cubicShear":
         trace_term = (6 * t / n) * np.einsum("ij,bji->b", A, dA)[:, None, None] * np.eye(n)
         dAp, dBp = dA, dB - 3 * t * (dA @ A + A @ dA) + trace_term

@@ -8,7 +8,8 @@ word denotes the identity matrix.
 A CyclicWord is the rotation class of a Word; traces of cyclically equivalent
 words coincide, so trace factors are always kept in the canonical (least)
 rotation.  Canonical form = lexicographically minimal rotation of the flat
-letter sequence under 0 < 1, computed with Booth's algorithm.
+letter sequence under 0 < 1; it begins with a run of the first letter, so
+only the rotations starting at those runs are compared.
 """
 
 from __future__ import annotations
@@ -99,30 +100,6 @@ class Word:
         return f"Word({body})"
 
 
-def least_rotation(letters: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(letters)
-    if n == 0:
-        return 0
-    s = tuple(letters) + tuple(letters)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
 class CyclicWord:
     """Rotation class of a Word, stored in the canonical (least) rotation."""
 
@@ -186,9 +163,11 @@ def _canonical_runs(runs: Runs) -> Runs:
         runs = (( runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
         if len(runs) == 1:
             return runs
-    letters = Word(runs).letters()
-    k = least_rotation(letters)
-    return runs_from_letters(letters[k:] + letters[:k])
+    # Both letters occur, so the least rotation of the letters begins with a
+    # run of FIRST; the end runs differ, so a rotation of the runs there is
+    # already in normal form.
+    rotated = [runs[i:] + runs[:i] for i, (letter, _) in enumerate(runs) if letter == FIRST]
+    return min(rotated, key=lambda r: Word(r).letters())
 
 
 def canonicalize(word: Word | Runs) -> CyclicWord:

@@ -1,4 +1,4 @@
-"""Pinned identity catalog: data file integrity and verification."""
+"""Pinned identity catalog: templates, record loading and verification."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +7,6 @@ from cmpoisson import bracket_traceless
 from cmpoisson.bracket import EXACT, LEADING, BracketCatalogEntry, verify_catalog
 from cmpoisson.catalog import (
     bracketformular_expected_text,
-    catalog_json,
     default_catalog_records,
     load_catalog_entries,
     load_catalog_records,
@@ -18,13 +17,6 @@ from cmpoisson.catalog import (
 )
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.poly import TRACELESS
-
-
-def test_shipped_file_matches_generator():
-    import importlib.resources as res
-
-    shipped = res.files("cmpoisson").joinpath("data/catalog.json").read_text()
-    assert shipped == catalog_json(default_catalog_records())
 
 
 def test_term_text_folds_empty_words():

@@ -5,18 +5,10 @@ import copy
 import pytest
 
 from cmpoisson.chains import (
-    chains_json,
     default_chain_records,
     load_chain_records,
     replay_lemma_chain,
 )
-
-
-def test_shipped_file_matches_generator():
-    import importlib.resources as res
-
-    shipped = res.files("cmpoisson").joinpath("data/chains.json").read_text()
-    assert shipped == chains_json(default_chain_records())
 
 
 def test_all_shipped_chains_replay_at_n3():

@@ -1,11 +1,13 @@
 """Command-line front end: outputs, exit codes, and determinism."""
 
+import functools
 import json
 
 import pytest
 
 from cmpoisson import cli
 from cmpoisson.catalog import load_catalog_records
+from cmpoisson.chains import load_chain_records
 from cmpoisson.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -121,12 +123,12 @@ def test_flow_overflow_is_inconclusive(capsys):
     assert out == "inconclusive: non-finite state during integration\n" and err == ""
 
 
-def test_sampler_that_gives_up_is_inconclusive(capsys):
-    # 100 uniform draws in a 4 x 4 square almost never lie 0.1 apart, so the
-    # sampler gives up; that says nothing about the mathematics
+def test_sampler_that_gives_up_is_inconclusive(capsys, monkeypatch):
+    # a sampler allowed no tries gives up; that says nothing about the mathematics
+    monkeypatch.setattr(cli, "sample_cm", functools.partial(cli.sample_cm, max_retries=0))
     code, out, err = run(capsys, "sample", "--n", "100", "--seed", "0")
     assert code == EXIT_INCONCLUSIVE
-    assert out == "inconclusive: could not draw 100 eigenvalues with separation >= 0.1 in 200 tries\n"
+    assert out == "inconclusive: could not draw 100 eigenvalues with separation >= 0.1 in 0 tries\n"
     assert err == ""
 
 
@@ -258,6 +260,21 @@ def test_wrong_tail_fails_and_too_few_samples_are_a_usage_error(tmp_path, capsys
     assert out.startswith("FAIL leading-law-3113: tail not of degree <= 2 on the variety mod p")
     err = usage_error(capsys, "verify", "--catalog", str(path), "--n", "3", "--samples", "4")
     assert "more sample points than the 4 independent monomials, got 4" in err
+
+
+@pytest.mark.parametrize(
+    "command, records", [("verify", load_catalog_records), ("replay", load_chain_records)]
+)
+def test_defaults_dumped_to_a_file_give_the_same_report(tmp_path, capsys, command, records):
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(records()))
+    reports = []
+    for catalog in ("default", str(path)):
+        out_file = tmp_path / "report.json"
+        code, _, _ = run(capsys, command, "--catalog", catalog, "--n", "2", "--seed", "0", "--out", str(out_file))
+        assert code == EXIT_PASS
+        reports.append(out_file.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_replay_with_too_few_samples_is_usage_error(capsys):

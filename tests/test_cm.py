@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmpoisson.cm import (
+    RANK_TOL,
     CMPoint,
     MatrixPair,
     PointEvaluator,
@@ -60,6 +61,13 @@ def test_sampled_invariants_across_sizes():
             pt = sample_cm(n, traceless=True, seed=11, index=i)
             assert pt.rank_residual < 1e-10
             assert pt.trace_residual < 1e-12
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_large_n_samples_pass_the_default_rank_check(n):
+    # the eigenvalue square widens with n, so the draws stay 0.1 apart
+    pt = sample_cm(n, traceless=True, seed=0)
+    assert pt.rank_residual < RANK_TOL
 
 
 def test_separation_failure_reports():
