@@ -38,6 +38,7 @@ from .closure import (
     MembershipCertificate,
     build_closure,
     check_membership,
+    dimension,
     standard_generators,
 )
 from .models import (

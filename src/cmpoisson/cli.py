@@ -25,6 +25,7 @@ from .closure import (
     MembershipChecker,
     build_closure,
     default_depth_cap,
+    dimension,
     standard_generators,
     validate_degree_cap,
     validate_target,
@@ -369,6 +370,15 @@ def cmd_closure(args) -> int:
         f"closure at n={args.n}: {len(basis.elements)} independent elements "
         f"(depth cap {basis.depth_cap}, degree cap {basis.degree_cap})"
     )
+    full = dimension(args.n, basis.degree_cap)
+    span = f"{full}, the dimension of the functions of degree <= {basis.degree_cap}"
+    if len(basis.elements) == full:
+        print(f"saturated: the basis reaches {span}")
+    else:
+        print(
+            f"not saturated at depth {basis.depth_cap}: the basis stops below {span} "
+            f"(this does not claim non-generation)"
+        )
     _write_report(
         {
             "command": "closure",

@@ -4,7 +4,14 @@ The closure of a generator set under the traceless bracket is built breadth
 first: each new bracket is Cayley-Hamilton-reduced at the working matrix size,
 discarded if its degree exceeds the degree cap, deduplicated by canonical
 form, and kept only when it enlarges the span of its values mod p on a fixed
-pool of exact traceless rank-one points (modp.py).  Membership in the
+pool of exact traceless rank-one points (modp.py).  It stops once the basis
+reaches dimension(n, D), the dimension of the functions of degree <= D on
+the traceless Calogero-Moser space.  By Etingof-Ginzburg (Invent. Math. 147,
+2002) that space's coordinate ring, filtered by degree in X and Y, has
+associated graded ring C[h + h*]^{S_n}, h the reflection representation
+C^n/C, and by Wilson (Invent. Math. 133, 1998) the traces generate it; so
+the trace monomials of degree <= D span a space of this dimension, and a
+basis that reaches it spans them all.  Membership in the
 closure is certified by solving for the target mod p on fresh exact points,
 lifting the coefficients to Q(i) and checking the lift at points mod a second
 prime (the rank-condition ideal has no tractable symbolic normal form at this
@@ -16,19 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from math import factorial, prod
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .bracket import bracket_traceless
 from .flows import FAMILY_IDS, family_hamiltonian
-from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, rank, reconstruct, to_mod_p
+from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, reconstruct, to_mod_p
 from .poly import TRACELESS, TracePolynomial
 from .span import enumerate_trace_monomials
 
 MEMBERSHIP_STREAM = 1  # streams of the seed: the closure pool takes 0
 CHECK_STREAM = 2
 CHECK_POINTS = 40  # points mod CHECK_PRIME a lifted certificate must satisfy
+POOL_MARGIN = 16  # default closure pool points beyond the dimension
 
 Tree = tuple  # ("gen", generator_index) | ("br", left_element_index, right_element_index)
 
@@ -48,6 +57,36 @@ def validate_degree_cap(generators: Iterable[TracePolynomial], degree_cap: int) 
     smallest = min(g.degree() for g in generators)
     if degree_cap < smallest:
         raise ValueError(f"degree cap {degree_cap} is below the smallest generator degree {smallest}")
+
+
+def _partitions(m: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of m into parts of at most `largest`, parts descending."""
+    if m == 0:
+        yield ()
+    for k in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def dimension(n_value: int, degree_cap: int) -> int:
+    """The dimension of the functions of degree <= degree_cap on the traceless
+    Calogero-Moser space of n_value x n_value matrices.
+
+    Molien's series of C[h + h*]^{S_n} is a sum over the cycle types lambda
+    of S_n: sum (1/z_lambda) (1 - t)^2 / prod_i (1 - t^{lambda_i})^2, where
+    z_lambda = prod_k k^{m_k} m_k! for m_k parts equal to k.  The dimension is
+    the sum of its coefficients up to t^D, which is [t^D] of the series times
+    1/(1 - t).  Up to degree D the series does not depend on n once n >= D,
+    so the sum runs over the partitions of min(n, D)."""
+    total = Fraction(0)
+    for parts in _partitions(min(n_value, degree_cap), degree_cap):
+        series = [1] + [0] * degree_cap  # prod_i 1/(1 - t^{lambda_i})^2, truncated
+        for k in parts + parts:
+            for d in range(k, degree_cap + 1):
+                series[d] += series[d - k]
+        z = prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+        total += Fraction(series[degree_cap] - (series[degree_cap - 1] if degree_cap else 0), z)
+    return int(total)
 
 
 def peak_coefficient(p: TracePolynomial, n_value: int) -> Fraction:
@@ -111,20 +150,28 @@ def build_closure(
     pool_size: Optional[int] = None,
 ) -> LieClosureBasis:
     """Breadth-first nested bracketing, pruned by an exact span test mod p
-    on pool_size random points."""
+    on pool_size random points, until the basis reaches dimension(n, D).
+
+    The default pool has max(4 min(#monomials, 250), dimension + POOL_MARGIN)
+    points.  The basis must stay below the pool size, so the pool needs more
+    points than the dimension.  The margin buys a pool on which no nonzero
+    function of degree <= D vanishes everywhere, so that every independent
+    candidate is kept: each new random point shrinks the functions that vanish
+    on the pool so far unless they all vanish there too, with probability at
+    most d/p for their degree d after clearing the denominators
+    (Schwartz-Zippel).  With k spare points, k + 1 such points must occur."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
             raise ValueError("closure generators must be traceless-mode polynomials")
     validate_degree_cap(generators, degree_cap)
-    monomials = enumerate_trace_monomials(degree_cap, TRACELESS)
+    # every element lives in the span of the degree <= cap functions on the variety
+    span_dimension = dimension(n_value, degree_cap)
     if pool_size is None:
-        pool_size = 4 * min(len(monomials), 250)
+        monomials = len(enumerate_trace_monomials(degree_cap, TRACELESS))
+        pool_size = max(4 * min(monomials, 250), span_dimension + POOL_MARGIN)
     pool = ExactPool.sample(n_value, pool_size, seed)
     span = Echelon(pool_size)
-    # every element lives in the span of degree<=cap monomial functions on the
-    # variety; their rank on the pool caps the attainable basis size
-    span_dimension = rank(pool, monomials)
 
     basis = LieClosureBasis(
         generators=generators,

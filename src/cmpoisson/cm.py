@@ -129,12 +129,11 @@ def sample_cm(
         raise ValueError("n must be >= 1")
     rng = child_rng(seed, index)
     h = 2.0 * max(1.0, n / 40)
+    j, k = np.triu_indices(n, 1)
     x = None
     for _ in range(max_retries):
         cand = rng.uniform(-h, h, n) + 1j * rng.uniform(-h, h, n)
-        if n == 1 or min(
-            abs(cand[j] - cand[k]) for j in range(n) for k in range(j + 1, n)
-        ) >= eigen_separation:
+        if n == 1 or np.abs(cand[j] - cand[k]).min() >= eigen_separation:
             x = cand
             break
     if x is None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable
 
 import numpy as np
 
@@ -284,10 +283,3 @@ def reconstruct(u: int) -> Fraction | None:
         return None
     return Fraction(r1, s1)
 
-
-def rank(pool: ExactPool, polys: Iterable[TracePolynomial]) -> int:
-    """Rank mod p of the polynomials' value columns on the pool."""
-    echelon = Echelon(len(pool), pool.prime)
-    for p in polys:
-        echelon.add(pool.values(p))
-    return echelon.rank

@@ -101,6 +101,8 @@ class QnCoeff:
         """Specialize n to a concrete positive integer; result is an exact rational."""
         if n_value < 1:
             raise ValueError("n_value must be a positive integer")
+        if self._terms.keys() == {0}:
+            return self._terms[0]  # a constant
         total = Fraction(0)
         for power, coeff in self._terms.items():
             total += coeff * Fraction(n_value) ** power

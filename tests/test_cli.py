@@ -153,6 +153,18 @@ def test_closure_report(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["elements"] and len(report["trees"]) == len(report["elements"])
     assert "independent elements" in out
+    assert "saturated: the basis reaches 9, the dimension of the functions of degree <= 4" in out
+    assert set(report) == {"command", "n", "depth_cap", "degree_cap", "seed", "pool_size",
+                           "elements", "levels", "trees"}
+
+
+def test_closure_that_stops_short_says_so(capsys):
+    code, out, _ = run(capsys, "closure", "--n", "3", "--depth", "1", "--degree", "6", "--seed", "0")
+    assert code == EXIT_PASS
+    assert out.splitlines()[1] == (
+        "not saturated at depth 1: the basis stops below 41, the dimension of the "
+        "functions of degree <= 6 (this does not claim non-generation)"
+    )
 
 
 def test_flow_hamiltonian_integration(capsys):

@@ -1,9 +1,14 @@
 """Lie closure construction and membership certificates."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
+from sympy import QQ
+from sympy.polys.rings import ring
+from sympy.polys.ring_series import rs_mul, rs_series_inversion
+from sympy.utilities.iterables import partitions
 
 from cmpoisson.bracket import bracket_traceless
 from cmpoisson.closure import (
@@ -13,6 +18,7 @@ from cmpoisson.closure import (
     build_closure,
     check_membership,
     default_depth_cap,
+    dimension,
     reduce_pipeline,
     standard_generators,
 )
@@ -235,6 +241,45 @@ def test_closure_saturates_the_full_function_space(basis_n2):
     # degree-4 relation from the rank condition times cofactors {1, u, v, w}:
     # 20 - 4 = 16 dimensions.
     assert len(basis_n2.elements) == 16
+
+
+def molien_dimensions(n, top):
+    """sympy's series of sum over the cycle types lambda of S_n (all of them)
+    of (1/z_lambda) (1 - t)^2 / prod_i (1 - t^{lambda_i})^2, summed up to
+    each degree <= top."""
+    R, t = ring("t", QQ)
+    precision = top + 1
+    series = R(0)
+    for cycle_type in partitions(n):
+        z = 1
+        denominator = R(1)
+        for k, m in cycle_type.items():
+            z *= k**m * factorial(m)
+            denominator *= (1 - t**k) ** (2 * m)
+        inverse = rs_series_inversion(denominator, t, precision)
+        series += rs_mul(inverse, (1 - t) ** 2, t, precision) * QQ(1, z)
+    cumulative = rs_mul(series, rs_series_inversion(1 - t, t, precision), t, precision)
+    return [int(cumulative.coeff(t**d if d else 1)) for d in range(precision)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dimension_is_molien_series(n):
+    assert [dimension(n, d) for d in range(11)] == molien_dimensions(n, 10)
+
+
+def test_dimension_is_stable_once_n_reaches_the_degree():
+    # dimension sums over the partitions of min(n, D); sympy over all of n's
+    for n in range(9, 16):
+        assert [dimension(n, d) for d in range(11)] == molien_dimensions(n, 10)
+    for degree in range(11):
+        assert all(dimension(n, degree) == dimension(degree, degree) for n in range(degree, 16))
+    assert [dimension(10, d) for d in (4, 6, 8, 10)] == [19, 79, 293, 1007]
+    assert dimension(100, 10) == 1007
+
+
+def test_dimension_at_n1_counts_the_constants():
+    # the traceless space at n = 1 is one point, where only the constants live
+    assert all(dimension(1, d) == 1 for d in range(21))
 
 
 def test_pipeline_normalizes_peak_coefficient():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmpoisson.closure import build_closure, default_depth_cap, standard_generators
+from cmpoisson.closure import build_closure, default_depth_cap, dimension, standard_generators
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.modp import (
@@ -19,12 +19,19 @@ from cmpoisson.modp import (
     ExactPool,
     blas_matmul,
     matmul,
-    rank,
     reconstruct,
     to_mod_p,
 )
 from cmpoisson.poly import TRACELESS
 from cmpoisson.span import SpanTracker, enumerate_trace_monomials
+
+
+def rank(pool, polys):
+    """Rank mod p of the polynomials' value columns on the pool."""
+    echelon = Echelon(len(pool), pool.prime)
+    for p in polys:
+        echelon.add(pool.values(p))
+    return echelon.rank
 
 
 def test_prime_and_lambda():
@@ -211,16 +218,32 @@ def test_conjugate_values_are_the_values_at_minus_y():
 
 
 @pytest.mark.parametrize(
-    "n, degree, dimension",
+    "n, degree, dimension_value",
     [(2, 8, 25), (3, 8, 90), (4, 8, 176), (3, 10, 176), (5, 8, 235)],
     ids=["2-25", "3-90", "4-176", "3-176-degree10", "5-235"],
 )
-def test_monomial_span_dimensions(n, degree, dimension):
+def test_monomial_span_dimensions(n, degree, dimension_value):
     # the span dimension of the degree <= `degree` monomial functions on the
-    # traceless rank-one locus, which the closure must saturate; n = 4 at
-    # degree 10 (428) takes several seconds and is left out
+    # traceless rank-one locus, which the closure must saturate
+    assert dimension(n, degree) == dimension_value
     pool = ExactPool.sample(n, 400, seed=2)
-    assert rank(pool, enumerate_trace_monomials(degree, TRACELESS)) == dimension
+    assert rank(pool, enumerate_trace_monomials(degree, TRACELESS)) == dimension_value
+
+
+@pytest.mark.parametrize("n, top", [(1, 10), (2, 10), (3, 10), (4, 10), (5, 9), (6, 9), (7, 9), (8, 9), (9, 9)])
+def test_monomial_rank_is_the_dimension_at_each_degree(n, top):
+    # the monomials in order of degree on one pool larger than the top
+    # dimension: after each degree d their rank is dimension(n, d).  These are
+    # the cells whose rank takes under a second; n = 5 at degree 10 (664) and
+    # n = 9 at degree 10 (996) take longer
+    pool = ExactPool.sample(n, max(400, dimension(n, top) + 16), seed=2)
+    echelon = Echelon(len(pool))
+    monomials = sorted(enumerate_trace_monomials(top, TRACELESS), key=lambda m: m.degree())
+    for d in range(top + 1):
+        for m in monomials:
+            if m.degree() == d:
+                echelon.add(pool.values(m))
+        assert echelon.rank == dimension(n, d), d
 
 
 @pytest.mark.parametrize("n", [2, 3])

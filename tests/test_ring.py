@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cmpoisson.ring import QnCoeff
@@ -31,6 +32,14 @@ def test_evaluate_specializes_exactly():
     c = QnCoeff({1: Fraction(3, 2), -1: Fraction(-1, 4)})
     assert c.evaluate(2) == Fraction(3) - Fraction(1, 8)
     assert c.specialize(2) == QnCoeff.of(Fraction(23, 8))
+
+
+def test_evaluate_of_a_constant_is_its_coefficient():
+    c = QnCoeff.of(Fraction(-7, 3))
+    assert [type(c.evaluate(n)) for n in (1, 5)] == [Fraction, Fraction]
+    assert c.evaluate(5) == Fraction(-7, 3) and QnCoeff.zero().evaluate(5) == 0
+    with pytest.raises(ValueError, match="positive integer"):
+        c.evaluate(0)
 
 
 def test_times_n_power_shifts():
