@@ -37,97 +37,57 @@ def default_chain_records() -> list[dict]:
                 step["step"] = idx
         return records
 
-    # ladder producing tr A^{k+1}: splice, square, product, extend
-    for k in range(2, 6):
-        steps = [
-            {
-                "lhs": _w(k, 0),
-                "rhs": "tr(B^2)",
-                "expected": poly_text([term_text(2 * k, 0, [(k - 1, 1)])]),
-                "kind": EXACT,
-            },
-            {
-                "lhs": "tr(A^2)",
-                "rhs": "tr(A B)*tr(A B)",
-                "expected": "4*tr(A^2)*tr(A B)",
-                "kind": EXACT,
-            },
-            {
-                "lhs": "tr(A^2)",
-                "rhs": "$1",
-                "expected": "8*tr(A^2)*tr(A^2)",
-                "kind": EXACT,
-            },
-        ]
-        if k >= 3:
-            steps.append(
-                {
-                    "lhs": "tr(A^2)*tr(A^2)",
-                    "rhs": _w(k - 2, 1),
-                    "expected": poly_text([term_text(4, 0, [(2, 0), (k - 1, 0)])]),
-                    "kind": EXACT,
-                }
-            )
-        steps.append(
-            {
-                "lhs": "tr(A^3)",
-                "rhs": _w(k - 1, 1),
-                "expected": poly_text(
-                    [
-                        term_text(3, 0, [(k + 1, 0)]),
-                        term_text(-3, -1, [(2, 0), (k - 1, 0)]),
-                    ]
-                ),
-                "kind": EXACT,
-            }
-        )
-        chains.append({"lemma_id": f"power-ladder-A-k{k}", "steps": steps})
+    # ladder producing tr A^{k+1}: splice, square, product, extend; its mirror
+    # for tr B^{k+1} swaps A and B, which negates each bracket
+    for letter, sign in (("A", 1), ("B", -1)):
+        def w(i: int, j: int) -> tuple[int, int]:
+            return (i, j) if sign > 0 else (j, i)
 
-    # mirrored ladder for tr B^{k+1} (letter swap flips each single bracket's sign)
-    for k in range(2, 6):
-        steps = [
-            {
-                "lhs": _w(0, k),
-                "rhs": "tr(A^2)",
-                "expected": poly_text([term_text(-2 * k, 0, [(1, k - 1)])]),
-                "kind": EXACT,
-            },
-            {
-                "lhs": "tr(B^2)",
-                "rhs": "tr(A B)*tr(A B)",
-                "expected": "-4*tr(B^2)*tr(A B)",
-                "kind": EXACT,
-            },
-            {
-                "lhs": "tr(B^2)",
-                "rhs": "$1",
-                "expected": "8*tr(B^2)*tr(B^2)",
-                "kind": EXACT,
-            },
-        ]
-        if k >= 3:
+        def t(rat, n_power: int, *words: tuple[int, int]) -> str | None:
+            return term_text(rat, n_power, [w(*word) for word in words])
+
+        square = _w(*w(2, 0))
+        for k in range(2, 6):
+            steps = [
+                {
+                    "lhs": _w(*w(k, 0)),
+                    "rhs": _w(*w(0, 2)),
+                    "expected": poly_text([t(sign * 2 * k, 0, (k - 1, 1))]),
+                    "kind": EXACT,
+                },
+                {
+                    "lhs": square,
+                    "rhs": "tr(A B)*tr(A B)",
+                    "expected": poly_text([t(sign * 4, 0, (2, 0), (1, 1))]),
+                    "kind": EXACT,
+                },
+                {  # $1 carries one sign and this bracket another
+                    "lhs": square,
+                    "rhs": "$1",
+                    "expected": poly_text([t(8, 0, (2, 0), (2, 0))]),
+                    "kind": EXACT,
+                },
+            ]
+            if k >= 3:
+                steps.append(
+                    {
+                        "lhs": poly_text([t(1, 0, (2, 0), (2, 0))]),
+                        "rhs": _w(*w(k - 2, 1)),
+                        "expected": poly_text([t(sign * 4, 0, (2, 0), (k - 1, 0))]),
+                        "kind": EXACT,
+                    }
+                )
             steps.append(
                 {
-                    "lhs": "tr(B^2)*tr(B^2)",
-                    "rhs": _w(1, k - 2),
-                    "expected": poly_text([term_text(-4, 0, [(0, 2), (0, k - 1)])]),
+                    "lhs": _w(*w(3, 0)),
+                    "rhs": _w(*w(k - 1, 1)),
+                    "expected": poly_text(
+                        [t(sign * 3, 0, (k + 1, 0)), t(-sign * 3, -1, (2, 0), (k - 1, 0))]
+                    ),
                     "kind": EXACT,
                 }
             )
-        steps.append(
-            {
-                "lhs": "tr(B^3)",
-                "rhs": _w(1, k - 1),
-                "expected": poly_text(
-                    [
-                        term_text(-3, 0, [(0, k + 1)]),
-                        term_text(3, -1, [(0, 2), (0, k - 1)]),
-                    ]
-                ),
-                "kind": EXACT,
-            }
-        )
-        chains.append({"lemma_id": f"power-ladder-B-k{k}", "steps": steps})
+            chains.append({"lemma_id": f"power-ladder-{letter}-k{k}", "steps": steps})
 
     # tr B^3 by applying {tr B^2, .} to tr A^3 thrice
     chains.append(

@@ -30,7 +30,8 @@ from .closure import (
     validate_degree_cap,
     validate_target,
 )
-from .cm import sample_cm, save_points
+from . import flows
+from .cm import RANK_TOL, TRACE_TOL, sample_cm, save_points
 from .flows import FAMILY_IDS, FlowFamily, certify_symplectic, family_hamiltonian, family_map, ode_flow
 from .grammar import PolynomialParseError, format_polynomial, format_terms, parse_polynomial
 from .modp import CHECK_PRIME, PRIME
@@ -46,13 +47,13 @@ SEED_ENV_VAR = "CMPOISSON_SEED"
 # subcommand -> the tolerances it reads: name -> (default, safe_low, safe_high)
 TOLERANCES = {
     "sample": {
-        "rank": (1e-10, 1e-14, 1e-6),
-        "trace": (1e-12, 1e-15, 1e-8),
+        "rank": (RANK_TOL, 1e-14, 1e-6),
+        "trace": (TRACE_TOL, 1e-15, 1e-8),
     },
     "flow": {
-        "flow_rank": (1e-9, 1e-13, 1e-5),
-        "flow_trace": (1e-10, 1e-14, 1e-6),
-        "symplectic": (1e-7, 1e-11, 1e-3),
+        "flow_rank": (flows.FLOW_RANK_TOL, 1e-13, 1e-5),
+        "flow_trace": (flows.FLOW_TRACE_TOL, 1e-14, 1e-6),
+        "symplectic": (flows.SYMPLECTIC_TOL, 1e-11, 1e-3),
     },
 }
 

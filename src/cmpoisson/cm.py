@@ -97,14 +97,16 @@ def diagonal_normal_form(
     x: np.ndarray, p: np.ndarray, lambda_const: complex = DEFAULT_LAMBDA
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rank-one pair with X = diag(x) and prescribed Y-diagonal p."""
+    x = np.asarray(x, dtype=complex)
     n = len(x)
-    X = np.diag(np.asarray(x, dtype=complex))
-    Y = np.diag(np.asarray(p, dtype=complex))
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                Y[j, k] = lambda_const * (-1) ** (j + k) / (x[j] - x[k])
-    return X, Y
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1)
+    # Y_jk = lambda (-1)^(j+k) / (x_j - x_k) off the diagonal; the numerators are
+    # Python complex products, so their signed zeros are those of lambda * (+-1)
+    odd = np.add.outer(np.arange(n), np.arange(n)) % 2
+    Y = np.where(odd, lambda_const * -1, lambda_const * 1) / diff
+    np.fill_diagonal(Y, np.asarray(p, dtype=complex))
+    return np.diag(x), Y
 
 
 def sample_cm(

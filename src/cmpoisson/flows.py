@@ -35,6 +35,12 @@ from .words import FIRST, SECOND
 
 FAMILY_IDS = ("shearB", "shearA", "cubicShear", "scaling")
 
+# default certificate tolerances, looser than the sampler's cm.RANK_TOL and
+# cm.TRACE_TOL: a flow's image also carries the rounding of the map or the ODE
+SYMPLECTIC_TOL = 1e-7
+FLOW_RANK_TOL = 1e-9
+FLOW_TRACE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FlowFamily:
@@ -211,9 +217,9 @@ class FlowReport:
 def certify_symplectic(
     fam: FlowFamily,
     pts: list[CMPoint],
-    symplectic_tol: float = 1e-7,
-    rank_tol: float = 1e-9,
-    trace_tol: float = 1e-10,
+    symplectic_tol: float = SYMPLECTIC_TOL,
+    rank_tol: float = FLOW_RANK_TOL,
+    trace_tol: float = FLOW_TRACE_TOL,
 ) -> FlowReport:
     """Certify that a family is symplectic and preserves the rank condition and
     the traceless locus on the given sample points.

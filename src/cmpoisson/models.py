@@ -1,10 +1,15 @@
 """Model phase spaces and direct products, with exact symbolic closures.
 
-Three two-variable algebras with their invariant Poisson brackets:
+Three two-variable algebras share one invariant Poisson bracket.  Writing
+z^a for z^{a_1} w^{a_2}, a space's symplectic form fixes a shift s with
 
-    plane    C[z, w]            {z^j, w^k} = jk z^{j-1} w^{k-1}   (dz ^ dw)
-    cylinder C[z, w, w^-1]      {z^j, w^k} = jk z^{j-1} w^k       (dz ^ dw/w)
-    torus    C[z^+-, w^+-]      {z^j, w^k} = jk z^j w^k           (dz/z ^ dw/w)
+    {z^a, z^b} = (a_1 b_2 - a_2 b_1) z^{a + b - s}
+
+    plane    C[z, w]            s = (1, 1)   dz ^ dw
+    cylinder C[z, w, w^-1]      s = (1, 0)   dz ^ dw/w
+    torus    C[z^+-, w^+-]      s = (0, 0)   dz/z ^ dw/w
+
+and an exponent may be negative exactly where its shift is 0.
 
 Brackets of monomials are single monomials, so the Lie closure of a monomial
 generator set is spanned by monomials and coverage reduces to an exact
@@ -16,8 +21,9 @@ factor rule, cross-factor brackets vanish, and mixed products follow Leibniz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .bracket import bracket as trace_bracket
@@ -27,35 +33,46 @@ from .ring import QnCoeff
 PLANE = "plane"
 CYLINDER = "cylinder"
 TORUS = "torus"
-SPACES = (PLANE, CYLINDER, TORUS)
+SHIFTS = {PLANE: (1, 1), CYLINDER: (1, 0), TORUS: (0, 0)}
 
 Expo = tuple[int, int]
 
 
+def _shift(space: str) -> Expo:
+    if space not in SHIFTS:
+        raise ValueError(f"unknown space {space!r}")
+    return SHIFTS[space]
+
+
 def _check_exponent(space: str, e: Expo) -> None:
-    j, k = e
-    if space == PLANE and (j < 0 or k < 0):
-        raise ValueError(f"plane monomials need nonnegative exponents, got {e}")
-    if space == CYLINDER and j < 0:
-        raise ValueError(f"cylinder monomials need z-exponent >= 0, got {e}")
+    if any(x < 0 and s for x, s in zip(e, _shift(space))):
+        raise ValueError(f"{space} monomials need exponents >= 0 where the shift is 1, got {e}")
 
 
 def monomial_bracket(space: str, e1: Expo, e2: Expo) -> tuple[int, Expo]:
     """(coefficient, exponent) of {z^j w^k, z^p w^q} in the given space."""
-    j, k = e1
-    p, q = e2
+    (j, k), (p, q), (sz, sw) = e1, e2, _shift(space)
     weight = j * q - k * p
-    if space == PLANE:
-        target = (j + p - 1, k + q - 1)
-    elif space == CYLINDER:
-        target = (j + p - 1, k + q)
-    elif space == TORUS:
-        target = (j + p, k + q)
-    else:
-        raise ValueError(f"unknown space {space!r}")
     if weight == 0:
         return 0, (0, 0)
-    return weight, target
+    return weight, (j + p - sz, k + q - sw)
+
+
+def _add(acc: dict, key, coeff) -> None:
+    """acc[key] += coeff, dropping the key when the sum is zero."""
+    total = acc.pop(key) + coeff if key in acc else coeff
+    if total != 0:
+        acc[key] = total
+
+
+def _bilinear(f_terms: dict, g_terms: dict, rule) -> dict:
+    """Sum over term pairs (k1, c1), (k2, c2) of c1 c2 times rule(k1, k2)'s (key, c) pairs."""
+    acc: dict = {}
+    for k1, c1 in f_terms.items():
+        for k2, c2 in g_terms.items():
+            for key, c in rule(k1, k2):
+                _add(acc, key, c1 * c2 * c)
+    return acc
 
 
 class LaurentPoly2:
@@ -64,19 +81,11 @@ class LaurentPoly2:
     __slots__ = ("space", "terms")
 
     def __init__(self, space: str, terms: Iterable[tuple[Expo, Fraction]] = ()):
-        if space not in SPACES:
-            raise ValueError(f"unknown space {space!r}")
+        _shift(space)
         acc: dict[Expo, Fraction] = {}
-        for e, c in dict(terms).items() if isinstance(terms, dict) else terms:
+        for e, c in terms:
             _check_exponent(space, e)
-            c = Fraction(c)
-            if c == 0:
-                continue
-            c += acc.get(e, Fraction(0))
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
+            _add(acc, e, Fraction(c))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", acc)
 
@@ -98,40 +107,12 @@ class LaurentPoly2:
         self._require_space(other)
         return LaurentPoly2(self.space, list(self.terms.items()) + list(other.terms.items()))
 
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2(self.space, [(e, -c) for e, c in self.terms.items()])
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly2(self.space, [(e, c * Fraction(other)) for e, c in self.terms.items()])
-        self._require_space(other)
-        out: dict[Expo, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly2(self.space, list(out.items()))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly2":
-        out = LaurentPoly2.monomial(self.space, (0, 0))
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPoly2)
             and self.space == other.space
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -145,14 +126,8 @@ class LaurentPoly2:
 def model_bracket(f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
     """Bilinear extension of the monomial bracket rule of the common space."""
     f._require_space(g)
-    terms: dict[Expo, Fraction] = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            weight, target = monomial_bracket(f.space, e1, e2)
-            if weight == 0:
-                continue
-            terms[target] = terms.get(target, Fraction(0)) + c1 * c2 * weight
-    return LaurentPoly2(f.space, list(terms.items()))
+    key = LaurentAdapter(f.space).bracket_key
+    return LaurentPoly2(f.space, _bilinear(f.terms, g.terms, lambda a, b: key(a, b).items()).items())
 
 
 # ----------------------------------------------------------------------
@@ -160,17 +135,11 @@ def model_bracket(f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
 # ----------------------------------------------------------------------
 
 def coverage_box(space: str, degree_cap: int) -> set[Expo]:
-    if space == PLANE:
-        return {(a, b) for a in range(degree_cap + 1) for b in range(degree_cap + 1) if a + b <= degree_cap}
-    if space == CYLINDER:
-        return {(j, k) for j in range(degree_cap + 1) for k in range(-degree_cap, degree_cap + 1)}
-    if space == TORUS:
-        return {
-            (j, k)
-            for j in range(-degree_cap, degree_cap + 1)
-            for k in range(-degree_cap, degree_cap + 1)
-        }
-    raise ValueError(f"unknown space {space!r}")
+    """Exponents in [-cap, cap], or in [0, cap] where the shift is 1; on the
+    plane, where both shifts are 1, the total degree is at most cap too."""
+    sz, sw = _shift(space)
+    zs, ws = (range(-degree_cap * (1 - s), degree_cap + 1) for s in (sz, sw))
+    return {(a, b) for a in zs for b in ws if a + b <= degree_cap or not (sz and sw)}
 
 
 @dataclass
@@ -250,9 +219,6 @@ class LaurentAdapter:
     def one_key(self):
         return (0, 0)
 
-    def coeff_one(self):
-        return Fraction(1)
-
     def mul_key(self, k1, k2):
         return {(k1[0] + k2[0], k1[1] + k2[1]): Fraction(1)}
 
@@ -275,21 +241,14 @@ class TraceAdapter:
     def one_key(self):
         return ((0, 0), ())
 
-    def coeff_one(self):
-        return QnCoeff.one()
+    def _monomial(self, key) -> TracePolynomial:
+        return TracePolynomial(self.mode, [(key, QnCoeff.one())])
 
     def mul_key(self, k1, k2):
-        merged = TracePolynomial(self.mode, [(k1, QnCoeff.one())]) * TracePolynomial(
-            self.mode, [(k2, QnCoeff.one())]
-        )
-        return dict(merged.items())
+        return dict((self._monomial(k1) * self._monomial(k2)).items())
 
     def bracket_key(self, k1, k2):
-        result = trace_bracket(
-            TracePolynomial(self.mode, [(k1, QnCoeff.one())]),
-            TracePolynomial(self.mode, [(k2, QnCoeff.one())]),
-        )
-        return dict(result.items())
+        return dict(trace_bracket(self._monomial(k1), self._monomial(k2)).items())
 
     def decompose(self, poly: TracePolynomial):
         if poly.mode != self.mode:
@@ -301,18 +260,12 @@ class ProductSpace:
     """Poisson algebra of a two-factor product, built from factor adapters.
 
     An adapter (LaurentAdapter, TraceAdapter) exposes one factor's monomials:
-    one_key(), coeff_one(), mul_key(k1, k2) and bracket_key(k1, k2) as
-    {key: coeff} dicts, and decompose(poly) into such a dict."""
+    one_key(), mul_key(k1, k2) and bracket_key(k1, k2) as {key: coeff} dicts,
+    and decompose(poly) into such a dict."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def zero(self) -> "ProductElement":
-        return ProductElement(self, {})
-
-    def element(self, terms: dict) -> "ProductElement":
-        return ProductElement(self, terms)
 
     def embed_left(self, poly) -> "ProductElement":
         rk = self.right.one_key()
@@ -327,17 +280,17 @@ class ProductSpace:
         )
 
 
+def _tensor(left: dict, right: dict):
+    """The (key, coeff) pairs of a left {key: coeff} dict tensor a right one."""
+    return (((lk, rk), lc * rc) for lk, lc in left.items() for rk, rc in right.items())
+
+
 class ProductElement:
     """Finite sum of pure tensors f (x) g with exact coefficients."""
 
     def __init__(self, space: ProductSpace, terms: dict):
         self.space = space
-        clean = {}
-        for key, coeff in terms.items():
-            if _coeff_is_zero(coeff):
-                continue
-            clean[key] = coeff
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c != 0}
 
     def _require(self, other: "ProductElement"):
         if self.space is not other.space:
@@ -347,40 +300,29 @@ class ProductElement:
         self._require(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            s = acc.get(k)
-            acc[k] = c if s is None else s + c
+            _add(acc, k, c)
         return ProductElement(self.space, acc)
 
-    def __neg__(self) -> "ProductElement":
-        return ProductElement(self.space, {k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other: "ProductElement") -> "ProductElement":
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other) -> "ProductElement":
         if not isinstance(other, ProductElement):
             return ProductElement(self.space, {k: c * other for k, c in self.terms.items()})
         self._require(other)
-        acc: dict = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                for lk, lc in self.space.left.mul_key(l1, l2).items():
-                    for rk, rc in self.space.right.mul_key(r1, r2).items():
-                        key = (lk, rk)
-                        add = c1 * c2 * lc * rc
-                        s = acc.get(key)
-                        acc[key] = add if s is None else s + add
-        return ProductElement(self.space, acc)
+        left, right = self.space.left, self.space.right
+        return ProductElement(self.space, _bilinear(
+            self.terms, other.terms,
+            lambda a, b: _tensor(left.mul_key(a[0], b[0]), right.mul_key(a[1], b[1])),
+        ))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "ProductElement":
-        one = ProductElement(
-            self.space,
-            {(self.space.left.one_key(), self.space.right.one_key()): _coeff_one_like(self)},
-        )
-        out = one
-        for _ in range(k):
+        if k < 1:
+            raise ValueError(f"ProductElement ** {k}: the exponent must be >= 1")
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -395,16 +337,6 @@ class ProductElement:
         )
 
 
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, QnCoeff):
-        return c.is_zero()
-    return c == 0
-
-
-def _coeff_one_like(elem: ProductElement):
-    return elem.space.left.coeff_one() * elem.space.right.coeff_one()
-
-
 def product_bracket(f: ProductElement, g: ProductElement) -> ProductElement:
     """{f1 (x) g1, f2 (x) g2} = {f1,f2} (x) g1 g2 + f1 f2 (x) {g1,g2}.
 
@@ -412,23 +344,8 @@ def product_bracket(f: ProductElement, g: ProductElement) -> ProductElement:
     factor-level expansion.
     """
     f._require(g)
-    space = f.space
-    acc: dict = {}
-
-    def put(lk, rk, coeff):
-        if _coeff_is_zero(coeff):
-            return
-        key = (lk, rk)
-        s = acc.get(key)
-        acc[key] = coeff if s is None else s + coeff
-
-    for (l1, r1), c1 in f.terms.items():
-        for (l2, r2), c2 in g.terms.items():
-            base = c1 * c2
-            for lk, lc in space.left.bracket_key(l1, l2).items():
-                for rk, rc in space.right.mul_key(r1, r2).items():
-                    put(lk, rk, base * lc * rc)
-            for lk, lc in space.left.mul_key(l1, l2).items():
-                for rk, rc in space.right.bracket_key(r1, r2).items():
-                    put(lk, rk, base * lc * rc)
-    return ProductElement(space, acc)
+    left, right = f.space.left, f.space.right
+    return ProductElement(f.space, _bilinear(f.terms, g.terms, lambda a, b: chain(
+        _tensor(left.bracket_key(a[0], b[0]), right.mul_key(a[1], b[1])),
+        _tensor(left.mul_key(a[0], b[0]), right.bracket_key(a[1], b[1])),
+    )))

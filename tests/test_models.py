@@ -138,3 +138,79 @@ def test_coverage_box_shapes():
     assert (3, -3) in coverage_box(CYLINDER, 3)
     assert (-2, 2) in coverage_box(TORUS, 2)
     assert (4, 0) not in coverage_box(PLANE, 3)
+
+
+@pytest.mark.parametrize(
+    "space, rejected, accepted",
+    [
+        (PLANE, [(-1, 0), (0, -1)], [(0, 0), (2, 3)]),
+        (CYLINDER, [(-1, 0), (-1, -1)], [(0, -1), (2, -3)]),
+        (TORUS, [], [(-1, 0), (0, -1), (-2, -3)]),
+    ],
+)
+def test_exponents_may_be_negative_exactly_where_the_shift_is_zero(space, rejected, accepted):
+    for e in rejected:
+        with pytest.raises(ValueError):
+            LaurentPoly2.monomial(space, e)
+        with pytest.raises(ValueError):
+            model_generation(space, [e], 1)
+    for e in accepted:
+        assert LaurentPoly2.monomial(space, e).terms == {e: 1}
+
+
+def test_unknown_space_rejected():
+    with pytest.raises(ValueError):
+        LaurentPoly2("sphere")
+    with pytest.raises(ValueError):
+        monomial_bracket("sphere", (1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        monomial_bracket("sphere", (1, 0), (1, 0))
+    with pytest.raises(ValueError):
+        coverage_box("sphere", 2)
+
+
+# Poisson bivector pi of each space: {f, g} = pi (f_z g_w - f_w g_z)
+BIVECTORS = {PLANE: {(0, 0): 1}, CYLINDER: {(0, 1): 1}, TORUS: {(1, 1): 1}}
+
+
+def _derivative(f, var):
+    out = {}
+    for e, c in f.items():
+        if e[var]:
+            d = (e[0] - 1, e[1]) if var == 0 else (e[0], e[1] - 1)
+            out[d] = out.get(d, 0) + c * e[var]
+    return out
+
+
+def _times(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _oracle_bracket(space, e1, e2):
+    f, g = {e1: 1}, {e2: 1}
+    jacobian = _times(_derivative(f, 0), _derivative(g, 1))
+    for e, c in _times(_derivative(f, 1), _derivative(g, 0)).items():
+        jacobian[e] = jacobian.get(e, 0) - c
+    return {e: c for e, c in _times(BIVECTORS[space], jacobian).items() if c}
+
+
+@pytest.mark.parametrize("space", [PLANE, CYLINDER, TORUS])
+def test_monomial_bracket_matches_the_bivector(space):
+    box = sorted(coverage_box(space, 3))
+    for e1 in box:
+        for e2 in box:
+            weight, target = monomial_bracket(space, e1, e2)
+            assert ({target: weight} if weight else {}) == _oracle_bracket(space, e1, e2), (e1, e2)
+
+
+def test_product_power_needs_a_positive_exponent(plane_product):
+    f = plane_product.embed_left(mono(PLANE, 2, 1)) + plane_product.embed_right(mono(PLANE, 0, 1))
+    with pytest.raises(ValueError):
+        f ** 0
+    assert f ** 1 == f
+    assert f ** 3 == f * f * f
