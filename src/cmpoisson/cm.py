@@ -23,6 +23,7 @@ from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord, splice_cuts
 
 DEFAULT_LAMBDA = -1j
+# sample_cm's residual bounds: only rounding of the exact construction remains
 RANK_TOL = 1e-10
 TRACE_TOL = 1e-12
 
@@ -78,18 +79,11 @@ class CMPoint:
         seed: int = 0,
         index: int = 0,
         lambda_const: complex = DEFAULT_LAMBDA,
-        rank_tol: float = RANK_TOL,
-        trace_tol: float = TRACE_TOL,
-        validate: bool = True,
     ) -> "CMPoint":
+        """The point (X, Y) with its residuals recorded; it may lie off the locus."""
         pair = MatrixPair(X.shape[0], np.asarray(X, dtype=complex), np.asarray(Y, dtype=complex))
         rres = rank_residual(pair, lambda_const)
         tres = trace_residual(pair) if traceless else 0.0
-        if validate:
-            if rres >= rank_tol:
-                raise ValueError(f"rank-one residual {rres:.3e} exceeds {rank_tol:.1e}")
-            if traceless and tres >= trace_tol:
-                raise ValueError(f"trace residual {tres:.3e} exceeds {trace_tol:.1e}")
         return cls(pair, traceless, rres, tres, seed, index, lambda_const)
 
 
@@ -117,8 +111,6 @@ def sample_cm(
     lambda_const: complex = DEFAULT_LAMBDA,
     eigen_separation: float = 0.1,
     max_retries: int = 200,
-    rank_tol: float = RANK_TOL,
-    trace_tol: float = TRACE_TOL,
 ) -> CMPoint:
     """Sample a random point of the rank-one commutator variety.
 
@@ -126,6 +118,7 @@ def sample_cm(
     stream with distinct indices via child_rng.  The eigenvalues are drawn in
     the square [-h, h]^2, h = 2 max(1, n/40): its area grows like n^2, so the
     expected number of pairs closer than eigen_separation stays bounded.
+    Raises ValueError if the point's residuals reach RANK_TOL or TRACE_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -156,9 +149,12 @@ def sample_cm(
     g_inv = q2.conj().T @ np.diag(1.0 / sigma) @ q1.conj().T
     X = g @ X @ g_inv
     Y = g @ Y @ g_inv
-    return CMPoint.from_matrices(
-        X, Y, traceless, seed, index, lambda_const, rank_tol, trace_tol
-    )
+    pt = CMPoint.from_matrices(X, Y, traceless, seed, index, lambda_const)
+    if pt.rank_residual >= RANK_TOL:
+        raise ValueError(f"rank-one residual {pt.rank_residual:.3e} exceeds {RANK_TOL:.1e}")
+    if traceless and pt.trace_residual >= TRACE_TOL:
+        raise ValueError(f"trace residual {pt.trace_residual:.3e} exceeds {TRACE_TOL:.1e}")
+    return pt
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .words import FIRST, SECOND
 
 FAMILY_IDS = ("shearB", "shearA", "cubicShear", "scaling")
 
-# default certificate tolerances, looser than the sampler's cm.RANK_TOL and
+# certificate tolerances, looser than the sampler's cm.RANK_TOL and
 # cm.TRACE_TOL: a flow's image also carries the rounding of the map or the ODE
 SYMPLECTIC_TOL = 1e-7
 FLOW_RANK_TOL = 1e-9
@@ -153,7 +153,8 @@ def ode_flow(
     one array operation on both matrices, and each entry rounds as it would
     with X and Y stepped apart.
     With return_error=True also integrates at half the step size and returns
-    the Richardson error estimate |z_fine - z_coarse| / 15 (max entry).
+    the Richardson estimate of the returned (coarse) endpoint's error,
+    16/15 |z_fine - z_coarse| (max entry): z_fine - z_coarse = 15/16 of it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -183,13 +184,11 @@ def ode_flow(
         return Z
 
     Z1 = integrate(steps)
-    out = CMPoint.from_matrices(
-        Z1[0], Z1[1], pt.traceless, pt.seed, pt.index, pt.lambda_const, validate=False
-    )
+    out = CMPoint.from_matrices(Z1[0], Z1[1], pt.traceless, pt.seed, pt.index, pt.lambda_const)
     if not return_error:
         return out
     Z2 = integrate(2 * steps)
-    err = float(np.abs(Z2 - Z1).max() / 15.0)
+    err = float(np.abs(Z2 - Z1).max() * 16 / 15)
     return out, err
 
 
@@ -214,13 +213,7 @@ class FlowReport:
         return all(r.passed for r in self.records)
 
 
-def certify_symplectic(
-    fam: FlowFamily,
-    pts: list[CMPoint],
-    symplectic_tol: float = SYMPLECTIC_TOL,
-    rank_tol: float = FLOW_RANK_TOL,
-    trace_tol: float = FLOW_TRACE_TOL,
-) -> FlowReport:
+def certify_symplectic(fam: FlowFamily, pts: list[CMPoint]) -> FlowReport:
     """Certify that a family is symplectic and preserves the rank condition and
     the traceless locus on the given sample points.
 
@@ -237,6 +230,6 @@ def certify_symplectic(
         Ap, Bp = _traceless_image(fam, A, B)
         rres = rank_residual(MatrixPair(n, Ap, Bp), pt.lambda_const)
         tres = trace_residual(MatrixPair(n, Ap + cX, Bp + cY)) if pt.traceless else 0.0
-        ok = res < symplectic_tol and rres < rank_tol and tres < trace_tol
+        ok = res < SYMPLECTIC_TOL and rres < FLOW_RANK_TOL and tres < FLOW_TRACE_TOL
         report.records.append(FlowCheckRecord(fam.id, fam.t, n, idx, res, rres, tres, ok))
     return report

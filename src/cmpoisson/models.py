@@ -178,13 +178,16 @@ def model_generation(
     while frontier:
         new: list[Expo] = []
         snapshot = sorted(reached)
+        fresh = set(frontier)
         for e1 in sorted(frontier):
             for e2 in snapshot:
-                for a, b in ((e1, e2), (e2, e1)):
-                    weight, target = monomial_bracket(space, a, b)
-                    if weight != 0 and target in work and target not in reached:
-                        reached.add(target)
-                        new.append(target)
+                # {e2, e1} = -{e1, e2}: one order per unordered pair
+                if e2 < e1 and e2 in fresh:
+                    continue
+                weight, target = monomial_bracket(space, e1, e2)
+                if weight != 0 and target in work and target not in reached:
+                    reached.add(target)
+                    new.append(target)
         frontier = new
     required = box - {(0, 0)}
     unreached = sorted(required - reached)

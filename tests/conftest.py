@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmpoisson.cm import CMPoint
-from cmpoisson.flows import FlowFamily, family_map
+from cmpoisson.flows import FLOW_RANK_TOL, FLOW_TRACE_TOL, FlowFamily, family_map
 from cmpoisson.poly import TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
 from cmpoisson.words import FIRST, SECOND, Word, canonicalize
@@ -17,9 +17,9 @@ from cmpoisson.words import FIRST, SECOND, Word, canonicalize
 def apply_family(fam: FlowFamily, pt: CMPoint) -> CMPoint:
     """A family's closed-form image of pt, checked to lie on the traceless locus."""
     X, Y = family_map(fam)(pt.pair.X, pt.pair.Y)
-    return CMPoint.from_matrices(
-        X, Y, pt.traceless, pt.seed, pt.index, pt.lambda_const, rank_tol=1e-9, trace_tol=1e-10
-    )
+    out = CMPoint.from_matrices(X, Y, pt.traceless, pt.seed, pt.index, pt.lambda_const)
+    assert out.rank_residual < FLOW_RANK_TOL and out.trace_residual < FLOW_TRACE_TOL
+    return out
 
 
 def random_word(rng: np.random.Generator, max_degree: int, min_degree: int = 1) -> Word:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cmpoisson import cli
+from cmpoisson import cli, cm
 from cmpoisson.catalog import load_catalog_records
 from cmpoisson.chains import load_chain_records
 from cmpoisson.cli import (
@@ -176,6 +176,40 @@ def test_flow_hamiltonian_integration(capsys):
     assert "integrated" in out
 
 
+HAMILTONIAN_JOB = ("--t", "0.2", "--n", "3", "--steps", "40", "--seed", "0")
+
+
+def test_flow_hamiltonian_off_the_locus_fails(capsys, monkeypatch):
+    # with the Y-gradient zeroed the field is not Hamiltonian: RK4 resolves
+    # the endpoint well, and it leaves the rank-one locus
+    stacked = cm.GradientPlan.stacked
+
+    def without_y_gradient(plan, Z):
+        gradient = stacked(plan, Z).copy()
+        gradient[1] = 0
+        return gradient
+
+    monkeypatch.setattr(cm.GradientPlan, "stacked", without_y_gradient)
+    code, out, _ = run(capsys, "flow", "--hamiltonian", "tr(A^2 B)", *HAMILTONIAN_JOB)
+    assert code == EXIT_FAIL
+    assert out == "integrated 3 point(s): 0 pass, 0 unresolved, 3 FAIL\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "flow", "--hamiltonian", "tr(A^2 B)", *HAMILTONIAN_JOB)
+    assert code == EXIT_PASS
+    assert out == "integrated 3 point(s): 3 pass, 0 unresolved, 0 FAIL\n"
+
+
+def test_flow_hamiltonian_within_its_truncation_error_is_inconclusive(capsys):
+    # 40 RK4 steps leave rank residuals above FLOW_RANK_TOL, and the Richardson
+    # estimate says the endpoints are no better than that
+    code, out, _ = run(
+        capsys, "flow", "--hamiltonian", "tr(A B)*tr(A B)*tr(A B) + 2*tr(A^2 B) + 5",
+        "--t", "0.02+0.01i", "--n", "4", "--steps", "40", "--seed", "0",
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "integrated 3 point(s): 0 pass, 3 unresolved, 0 FAIL\n"
+
+
 def test_membership_member_exits_0(capsys):
     code, out, _ = run(
         capsys, "membership", "--target", "tr(A^2 B^2)", "--n", "2",
@@ -240,24 +274,52 @@ def test_only_sample_and_flow_take_tolerances(capsys, argv):
     assert "unrecognized arguments: --tol rank=1e-3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket", "tr(A^2)", "tr(B^2)"),
+    ("reduce", "--n", "2", "tr(A^2)"),
+    ("sample", "--n", "2"),
+    ("flow", "--family", "shearA", "--t", "1"),
+    ("verify", "--n", "2"),
+    ("replay", "--n", "2"),
+    ("closure", "--n", "2"),
+    ("membership", "--target", "tr(A^2)", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_no_subcommand_takes_a_tolerance(capsys, argv):
+    err = usage_error(capsys, *argv, "--tol", "rank=1e-3")
+    assert "unrecognized arguments: --tol rank=1e-3" in err
+
+
+# Tolerances are module constants: each form a --tol override could take is
+# refused as an unrecognized argument, before any point is sampled.
+
 @pytest.mark.parametrize("argv, name", [
     (("sample", "--n", "2"), "flow_rank"),
-    (("flow", "--family", "shearA", "--t", "1"), "rank"),
-], ids=["sample", "flow"])
+], ids=["sample"])
 def test_tolerance_of_the_other_subcommand_is_usage_error(capsys, argv, name):
     err = usage_error(capsys, *argv, "--tol", f"{name}=1e-9")
-    assert f"unknown tolerance {name!r} for {argv[0]}" in err
+    assert f"unrecognized arguments: --tol {name}=1e-9" in err
 
 
 def test_tolerance_override_warns_outside_safe_range(capsys):
-    code, out, err = run(capsys, "sample", "--n", "2", "--seed", "0", "--tol", "rank=1.0")
-    assert code == EXIT_PASS
-    assert "outside documented safe range" in err
+    # no override can leave the safe range: it is refused, not warned about
+    err = usage_error(capsys, "sample", "--n", "2", "--seed", "0", "--tol", "rank=1.0")
+    assert "unrecognized arguments: --tol rank=1.0" in err
+    assert "outside documented safe range" not in err
 
 
 def test_tolerance_fit_is_unknown(capsys):
     err = usage_error(capsys, "sample", "--n", "2", "--tol", "fit=1e-6")
-    assert "unknown tolerance 'fit'" in err
+    assert "unrecognized arguments: --tol fit=1e-6" in err
+
+
+def test_non_numeric_tolerance_is_usage_error(capsys):
+    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank=abc")
+    assert "unrecognized arguments: --tol rank=abc" in err
+
+
+def test_tolerance_without_value_is_usage_error(capsys):
+    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank")
+    assert "unrecognized arguments: --tol rank" in err
 
 
 def test_wrong_tail_fails_and_too_few_samples_are_a_usage_error(tmp_path, capsys):
@@ -360,16 +422,6 @@ def test_membership_samples_not_above_basis_size_is_usage_error(capsys, samples)
         "--depth", "1", "--samples", samples, "--seed", "0",
     )
     assert f"more sample points than the 9 basis elements, got {samples}" in err
-
-
-def test_non_numeric_tolerance_is_usage_error(capsys):
-    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank=abc")
-    assert "rank='abc' is not a number" in err
-
-
-def test_tolerance_without_value_is_usage_error(capsys):
-    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank")
-    assert "NAME=VALUE" in err
 
 
 def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch):

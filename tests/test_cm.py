@@ -26,7 +26,9 @@ from cmpoisson.cm import (
     sample_cm,
     save_points,
     symplectic_pullback_residual,
+    trace_residual,
 )
+from cmpoisson import cm
 from cmpoisson.bracket import bracket_standard, bracket_traceless
 from cmpoisson.flows import FAMILY_IDS, family_hamiltonian
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
@@ -68,6 +70,25 @@ def test_large_n_samples_pass_the_default_rank_check(n):
     # the eigenvalue square widens with n, so the draws stay 0.1 apart
     pt = sample_cm(n, traceless=True, seed=0)
     assert pt.rank_residual < RANK_TOL
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("RANK_TOL", "^rank-one residual .* exceeds 0.0e\\+00$"),
+    ("TRACE_TOL", "^trace residual .* exceeds 0.0e\\+00$"),
+], ids=["rank", "trace"])
+def test_sampler_rejects_a_residual_at_its_tolerance(monkeypatch, tol, message):
+    # the residuals of a sampled n = 3 point are rounding, never exactly 0
+    monkeypatch.setattr(cm, tol, 0.0)
+    with pytest.raises(ValueError, match=message):
+        sample_cm(3, traceless=True, seed=0)
+
+
+def test_point_off_the_locus_records_its_residuals():
+    pt = sample_cm(3, traceless=True, seed=0)
+    X = pt.pair.X + np.diag([1.0, 0.0, 0.0])
+    off = CMPoint.from_matrices(X, pt.pair.Y, traceless=True)
+    assert off.rank_residual == rank_residual(off.pair) > 0.1
+    assert off.trace_residual == trace_residual(off.pair) > 0.01
 
 
 def test_separation_failure_reports():

@@ -94,12 +94,13 @@ def test_crossed_trace_flow_scales_eigenfunctions():
 
 
 def test_integrator_error_estimate_tracks_truth():
-    pt = sample_cm(2, traceless=True, seed=8)
     fam = FlowFamily("scaling", 0.5)
-    closed = apply_family(fam, pt)
-    out, est = ode_flow(family_hamiltonian(fam), pt, 0.5, 50, return_error=True)
-    true_err = max_entry_diff(out, closed)
-    assert est <= 1.0 and true_err < 40 * max(est, 1e-15)
+    for seed in (8, 9, 10):
+        pt = sample_cm(2, traceless=True, seed=seed)
+        closed = apply_family(fam, pt)
+        for steps in (20, 50, 200):
+            out, est = ode_flow(family_hamiltonian(fam), pt, 0.5, steps, return_error=True)
+            assert 0.5 <= max_entry_diff(out, closed) / est <= 2, (seed, steps)
 
 
 def one_shot_rk4(h, pt, t, steps, stages=None):

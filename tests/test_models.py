@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmpoisson import models
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.models import (
     CYLINDER,
@@ -75,6 +76,36 @@ def test_torus_coverage_from_small_generators():
     report = model_generation(TORUS, default_generators(TORUS, 4), 4)
     assert report.passed, report.unreached
     assert (0, 0) not in report.reached  # constants are genuinely unreachable
+
+
+def all_pairs_closure(space, gens, degree_cap):
+    """The reached set of a frontier search that brackets each new exponent
+    with each reached one in both orders, and its number of brackets."""
+    work = coverage_box(space, degree_cap) | set(gens)
+    reached, frontier, calls = set(gens), set(gens), 0
+    while frontier:
+        new, snapshot = set(), set(reached)
+        for e1 in frontier:
+            for e2 in snapshot:
+                for a, b in ((e1, e2), (e2, e1)):
+                    calls += 1
+                    weight, target = monomial_bracket(space, a, b)
+                    if weight != 0 and target in work and target not in reached:
+                        reached.add(target)
+                        new.add(target)
+        frontier = new
+    return reached, calls
+
+
+@pytest.mark.parametrize("space, cap", [(PLANE, 8), (CYLINDER, 4), (TORUS, 4)])
+def test_generation_brackets_each_pair_once(space, cap, monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "monomial_bracket", lambda *a: calls.append(a[1:]) or monomial_bracket(*a))
+    gens = default_generators(space, cap)
+    reached, reference_calls = all_pairs_closure(space, gens, cap)
+    assert model_generation(space, gens, cap).reached == reached
+    assert len({frozenset(pair) for pair in calls}) == len(calls)
+    assert 2 * len(calls) <= reference_calls
 
 
 def test_degenerate_generators_fail_with_report():
