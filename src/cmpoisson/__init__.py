@@ -37,7 +37,6 @@ from .closure import (
     LieClosureBasis,
     MembershipCertificate,
     build_closure,
-    check_membership,
     dimension,
     standard_generators,
 )

@@ -355,7 +355,7 @@ def cmd_membership(args) -> int:
     target = parse_polynomial(args.target, TRACELESS)
     _as_usage_error(validate_target, target, args.degree)
     basis = _build_closure_from_args(args)
-    checker = _as_usage_error(MembershipChecker, basis, args.samples or None)
+    checker = _as_usage_error(MembershipChecker, basis)
     cert = checker.check(target)
     if cert.status == "member":
         print(f"member: exact certificate, checked at {CHECK_POINTS} points mod {CHECK_PRIME}")
@@ -453,7 +453,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--depth", type=_at_least(0), default=0)
     p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--samples", type=_at_least(0), default=0)
     common(p)
 
     return parser

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,18 +32,13 @@ from .bracket import bracket_traceless
 from .flows import FAMILY_IDS, family_hamiltonian
 from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, reconstruct, to_mod_p
 from .poly import TRACELESS, TracePolynomial
-from .span import enumerate_trace_monomials
 
 MEMBERSHIP_STREAM = 1  # streams of the seed: the closure pool takes 0
 CHECK_STREAM = 2
 CHECK_POINTS = 40  # points mod CHECK_PRIME a lifted certificate must satisfy
-POOL_MARGIN = 16  # default closure pool points beyond the dimension
+POOL_MARGIN = 16  # pool points beyond the dimension the pool must tell apart
 
 Tree = tuple  # ("gen", generator_index) | ("br", left_element_index, right_element_index)
-
-
-class PoolTooSmallError(RuntimeError):
-    pass
 
 
 def standard_generators() -> list[TracePolynomial]:
@@ -147,19 +142,17 @@ def build_closure(
     degree_cap: int,
     n_value: int,
     seed: int = 0,
-    pool_size: Optional[int] = None,
 ) -> LieClosureBasis:
     """Breadth-first nested bracketing, pruned by an exact span test mod p
-    on pool_size random points, until the basis reaches dimension(n, D).
+    on dimension(n, D) + POOL_MARGIN random points, until the basis reaches
+    dimension(n, D).
 
-    The default pool has max(4 min(#monomials, 250), dimension + POOL_MARGIN)
-    points.  The basis must stay below the pool size, so the pool needs more
-    points than the dimension.  The margin buys a pool on which no nonzero
-    function of degree <= D vanishes everywhere, so that every independent
-    candidate is kept: each new random point shrinks the functions that vanish
-    on the pool so far unless they all vanish there too, with probability at
-    most d/p for their degree d after clearing the denominators
-    (Schwartz-Zippel).  With k spare points, k + 1 such points must occur."""
+    The margin buys a pool on which no nonzero function of degree <= D
+    vanishes everywhere, so that every independent candidate is kept: each
+    new random point shrinks the functions that vanish on the pool so far
+    unless they all vanish there too, with probability at most d/p for their
+    degree d after clearing the denominators (Schwartz-Zippel).  With k spare
+    points, k + 1 such points must occur."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
@@ -167,9 +160,7 @@ def build_closure(
     validate_degree_cap(generators, degree_cap)
     # every element lives in the span of the degree <= cap functions on the variety
     span_dimension = dimension(n_value, degree_cap)
-    if pool_size is None:
-        monomials = len(enumerate_trace_monomials(degree_cap, TRACELESS))
-        pool_size = max(4 * min(monomials, 250), span_dimension + POOL_MARGIN)
+    pool_size = span_dimension + POOL_MARGIN
     pool = ExactPool.sample(n_value, pool_size, seed)
     span = Echelon(pool_size)
 
@@ -195,14 +186,6 @@ def build_closure(
         seen.add(key)
         if not span.add(pool.values(p)):
             return False
-        if len(basis.elements) + 1 >= pool_size:
-            # a basis as large as the pool spans every value column, so no
-            # further candidate could be told apart from it
-            raise PoolTooSmallError(
-                f"point pool of size {pool_size} is too small for degree cap "
-                f"{degree_cap} (basis reached {len(basis.elements) + 1} elements; "
-                f"the basis must stay below the pool size)"
-            )
         basis.elements.append(p)
         basis.trees.append(tree)
         basis.levels.append(level)
@@ -282,20 +265,13 @@ class MembershipChecker:
     when the target is in the span there, and minus the coefficients in the
     tail.  The lift is accepted only if it holds exactly at CHECK_POINTS
     points mod CHECK_PRIME, where a wrong lift survives a point with
-    probability at most deg/CHECK_PRIME (Schwartz-Zippel)."""
+    probability at most deg/CHECK_PRIME (Schwartz-Zippel).  The pool has
+    POOL_MARGIN points beyond the m elements, as build_closure's has."""
 
-    def __init__(self, basis: LieClosureBasis, sample_count: Optional[int] = None):
+    def __init__(self, basis: LieClosureBasis):
         self.basis = basis
         m = len(basis.elements)
-        if sample_count is None:
-            sample_count = max(2 * m, 64)
-        if sample_count <= m:
-            # with no more points than unknowns every target would solve
-            raise ValueError(
-                f"membership needs more sample points than the {m} "
-                f"basis elements, got {sample_count}"
-            )
-        self.sample_count = sample_count
+        self.sample_count = sample_count = m + POOL_MARGIN
         n, seed = basis.n_value, basis.seed
         self.pool = ExactPool.sample(n, sample_count, seed, MEMBERSHIP_STREAM)
         self.check_pool = ExactPool.sample(n, CHECK_POINTS, seed, CHECK_STREAM, CHECK_PRIME)
@@ -348,10 +324,3 @@ class MembershipChecker:
         if (matmul(self.check_values, combination, CHECK_PRIME) != self.check_pool.values(reduced)).any():
             return MembershipCertificate(target, "inconclusive", [], self.sample_count, no_lift)
         return MembershipCertificate(target, "member", coefficients, self.sample_count)
-
-
-def check_membership(
-    target: TracePolynomial, basis: LieClosureBasis, sample_count: Optional[int] = None
-) -> MembershipCertificate:
-    """Exact certificate of the target against the basis elements."""
-    return MembershipChecker(basis, sample_count).check(target)

@@ -48,6 +48,8 @@ class MatrixPair:
 def rank_residual(pair: MatrixPair, lambda_const: complex = DEFAULT_LAMBDA) -> float:
     """Second singular value of [X, Y] + lambda I, scaled by the first."""
     m = pair.X @ pair.Y - pair.Y @ pair.X + lambda_const * np.eye(pair.n)
+    if not np.isfinite(m).all():
+        raise FloatingPointError("non-finite entries in [X, Y] + lambda I")
     s = np.linalg.svd(m, compute_uv=False)
     if len(s) < 2 or s[0] == 0.0:
         return 0.0

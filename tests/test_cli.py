@@ -115,6 +115,13 @@ def test_flow_ode_comparison_takes_the_certified_image(capsys):
     assert "pass; max ode-vs-closed-form relative difference" in out
 
 
+def test_flow_image_that_is_not_finite_is_inconclusive(capsys):
+    # e^{2 t tr(AB)} overflows at t = 250: the image cannot be measured
+    code, out, err = run(capsys, "flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0")
+    assert code == EXIT_INCONCLUSIVE and err == ""
+    assert out == "inconclusive: non-finite entries in [X, Y] + lambda I\n"
+
+
 def test_flow_overflow_is_inconclusive(capsys):
     code, out, err = run(
         capsys, "flow", "--family", "scaling", "--t", "50", "--n", "2", "--steps", "10", "--seed", "0"
@@ -257,24 +264,7 @@ def test_membership_with_a_prime_in_a_denominator_is_inconclusive(capsys, tmp_pa
     }
 
 
-def test_membership_has_no_tolerance(capsys):
-    err = usage_error(capsys, "membership", "--target", "tr(A^2)", "--n", "2", "--tol", "membership=1e-8")
-    assert "unrecognized arguments: --tol membership=1e-8" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("bracket", "tr(A^2)", "tr(B^2)"),
-    ("reduce", "--n", "2", "tr(A^2)"),
-    ("verify", "--n", "2"),
-    ("replay", "--n", "2"),
-    ("closure", "--n", "2"),
-], ids=lambda argv: argv[0])
-def test_only_sample_and_flow_take_tolerances(capsys, argv):
-    err = usage_error(capsys, *argv, "--tol", "rank=1e-3")
-    assert "unrecognized arguments: --tol rank=1e-3" in err
-
-
-@pytest.mark.parametrize("argv", [
+NO_TOLERANCE_ARGV = [
     ("bracket", "tr(A^2)", "tr(B^2)"),
     ("reduce", "--n", "2", "tr(A^2)"),
     ("sample", "--n", "2"),
@@ -283,43 +273,25 @@ def test_only_sample_and_flow_take_tolerances(capsys, argv):
     ("replay", "--n", "2"),
     ("closure", "--n", "2"),
     ("membership", "--target", "tr(A^2)", "--n", "2"),
-], ids=lambda argv: argv[0])
-def test_no_subcommand_takes_a_tolerance(capsys, argv):
-    err = usage_error(capsys, *argv, "--tol", "rank=1e-3")
-    assert "unrecognized arguments: --tol rank=1e-3" in err
+]
+# Tolerances are module constants: each form a --tol override could take (a
+# known name, one outside its old safe range, a non-number, a missing value,
+# a name of another subcommand, an unknown name) is refused as an
+# unrecognized argument, before any point is sampled.
+TOLERANCE_FORMS = ["rank=1e-3", "rank=1.0", "rank=abc", "rank", "fit=1e-6", "flow_rank=1e-9",
+                   "membership=1e-8", "bogus=1"]
 
 
-# Tolerances are module constants: each form a --tol override could take is
-# refused as an unrecognized argument, before any point is sampled.
-
-@pytest.mark.parametrize("argv, name", [
-    (("sample", "--n", "2"), "flow_rank"),
-], ids=["sample"])
-def test_tolerance_of_the_other_subcommand_is_usage_error(capsys, argv, name):
-    err = usage_error(capsys, *argv, "--tol", f"{name}=1e-9")
-    assert f"unrecognized arguments: --tol {name}=1e-9" in err
-
-
-def test_tolerance_override_warns_outside_safe_range(capsys):
-    # no override can leave the safe range: it is refused, not warned about
-    err = usage_error(capsys, "sample", "--n", "2", "--seed", "0", "--tol", "rank=1.0")
-    assert "unrecognized arguments: --tol rank=1.0" in err
-    assert "outside documented safe range" not in err
-
-
-def test_tolerance_fit_is_unknown(capsys):
-    err = usage_error(capsys, "sample", "--n", "2", "--tol", "fit=1e-6")
-    assert "unrecognized arguments: --tol fit=1e-6" in err
-
-
-def test_non_numeric_tolerance_is_usage_error(capsys):
-    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank=abc")
-    assert "unrecognized arguments: --tol rank=abc" in err
-
-
-def test_tolerance_without_value_is_usage_error(capsys):
-    err = usage_error(capsys, "sample", "--n", "2", "--tol", "rank")
-    assert "unrecognized arguments: --tol rank" in err
+@pytest.mark.parametrize(
+    "argv, form",
+    [(argv, form) for argv in NO_TOLERANCE_ARGV for form in TOLERANCE_FORMS],
+    # the first form is named by its subcommand alone
+    ids=[argv[0] if form == TOLERANCE_FORMS[0] else f"{argv[0]}-{form}"
+         for argv in NO_TOLERANCE_ARGV for form in TOLERANCE_FORMS],
+)
+def test_no_subcommand_takes_a_tolerance(capsys, argv, form):
+    err = usage_error(capsys, *argv, "--tol", form)
+    assert f"unrecognized arguments: --tol {form}" in err
 
 
 def test_wrong_tail_fails_and_too_few_samples_are_a_usage_error(tmp_path, capsys):
@@ -372,12 +344,6 @@ def test_identity_reports_record_seed_and_samples(tmp_path, capsys, command):
     assert (report["n"], report["samples"], report["seed"]) == (2, 12, 7)
 
 
-def test_unknown_tolerance_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["flow", "--family", "shearA", "--t", "1", "--tol", "bogus=1"])
-    assert exc.value.code == EXIT_USAGE
-
-
 def usage_error(capsys, *argv):
     """Run a command that must fail as a usage error; return its stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -414,14 +380,10 @@ def test_degree_cap_below_every_generator_is_rejected_before_the_build(capsys, m
     assert "degree cap 1 is below the smallest generator degree 2" in err
 
 
-@pytest.mark.parametrize("samples", ["5", "9"])
-def test_membership_samples_not_above_basis_size_is_usage_error(capsys, samples):
-    # depth 1 at n=3 gives 9 elements; 5 points used to certify any target
-    err = usage_error(
-        capsys, "membership", "--target", "tr(A^3 B^3)", "--n", "3",
-        "--depth", "1", "--samples", samples, "--seed", "0",
-    )
-    assert f"more sample points than the 9 basis elements, got {samples}" in err
+def test_membership_takes_no_sample_count(capsys):
+    # its pool has POOL_MARGIN points beyond the basis elements
+    err = usage_error(capsys, "membership", "--target", "tr(A^2)", "--n", "2", "--samples", "50")
+    assert "unrecognized arguments: --samples 50" in err
 
 
 def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch):

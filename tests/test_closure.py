@@ -13,10 +13,9 @@ from sympy.utilities.iterables import partitions
 from cmpoisson.bracket import bracket_traceless
 from cmpoisson.closure import (
     LieClosureBasis,
+    POOL_MARGIN,
     MembershipChecker,
-    PoolTooSmallError,
     build_closure,
-    check_membership,
     default_depth_cap,
     dimension,
     reduce_pipeline,
@@ -51,7 +50,7 @@ def test_closure_contains_cube_of_second_letter(basis_n2):
     # tr B^3 = (tr B^2 / 2) tr B = 0 at n = 2
     target = P("tr(B^3)", TRACELESS)
     assert reduce_pipeline(target, 2, normalize=False).is_zero()
-    cert = check_membership(target, basis_n2)
+    cert = MembershipChecker(basis_n2).check(target)
     assert cert.valid
     assert cert.exact_coefficients == [ZERO] * len(basis_n2.elements)
 
@@ -61,20 +60,20 @@ def test_squared_generator_identity(basis_n2):
     inner = bracket_traceless(P("tr(A^2)", TRACELESS), P("tr(A B)*tr(A B)", TRACELESS))
     outer = bracket_traceless(P("tr(A^2)", TRACELESS), inner)
     assert outer == P("8*tr(A^2)*tr(A^2)", TRACELESS)
-    cert = check_membership(P("tr(A^2)*tr(A^2)", TRACELESS), basis_n2)
+    cert = MembershipChecker(basis_n2).check(P("tr(A^2)*tr(A^2)", TRACELESS))
     assert cert.valid
 
 
 def test_trivial_member_has_unit_coefficient(basis_n2):
     assert F(basis_n2.elements[0]) == "tr(A^2)"
-    cert = check_membership(P("3*tr(A^2)", TRACELESS), basis_n2)
+    cert = MembershipChecker(basis_n2).check(P("3*tr(A^2)", TRACELESS))
     assert cert.status == "member"
     assert cert.exact_coefficients == [(3, 0)] + [ZERO] * (len(basis_n2.elements) - 1)
     assert cert.coefficients[0] == 3.0
 
 
 def test_product_membership_at_n2(basis_n2):
-    cert = check_membership(P("tr(A B)*tr(A^2)", TRACELESS), basis_n2)
+    cert = MembershipChecker(basis_n2).check(P("tr(A B)*tr(A^2)", TRACELESS))
     assert cert.valid
 
 
@@ -82,7 +81,7 @@ def test_certificate_survives_fresh_resampling(basis_n2):
     # the certified combination equals the target exactly at points of an
     # unrelated seed, with i = -lambda
     target = P("tr(A^2 B^2)", TRACELESS)
-    cert = check_membership(target, basis_n2)
+    cert = MembershipChecker(basis_n2).check(target)
     assert cert.valid
     pool = ExactPool.sample(2, 100, seed=77)
     combo = np.zeros(len(pool), dtype=np.int64)
@@ -96,7 +95,7 @@ def test_certificate_coefficients_reconstruct_the_target(basis_n2):
     from cmpoisson.cm import PointEvaluator, sample_cm
 
     target = P("5*tr(A^2 B^2) - tr(A B)", TRACELESS)
-    cert = check_membership(target, basis_n2)
+    cert = MembershipChecker(basis_n2).check(target)
     assert cert.valid
     pt = PointEvaluator(sample_cm(2, traceless=True, seed=321))
     combo = sum(
@@ -118,27 +117,13 @@ def test_span_is_monotone_in_depth():
     assert sizes == sorted(sizes)
 
 
-def test_pool_too_small_is_reported():
-    with pytest.raises(PoolTooSmallError):
-        build_closure(standard_generators(), 6, 6, 2, seed=0, pool_size=8)
-
-
 def test_degree_cap_bounds_elements(basis_n2):
     assert all(e.degree() <= 6 for e in basis_n2.elements)
 
 
 def test_target_above_degree_cap_rejected(basis_n2):
     with pytest.raises(ValueError):
-        check_membership(P("tr(A^4 B^4)", TRACELESS), basis_n2)
-
-
-def test_membership_needs_more_points_than_basis_elements(basis_n2):
-    # with no more points than unknowns the fit is exact for any target
-    size = len(basis_n2.elements)
-    for count in (5, size):
-        with pytest.raises(ValueError, match="more sample points than the 16 basis elements"):
-            MembershipChecker(basis_n2, sample_count=count)
-    assert MembershipChecker(basis_n2, sample_count=size + 1).sample_count == size + 1
+        MembershipChecker(basis_n2).check(P("tr(A^4 B^4)", TRACELESS))
 
 
 def test_degree_cap_below_every_generator_rejected():
@@ -160,12 +145,12 @@ def test_dependent_basis_elements_are_rejected(basis_n2):
         pool_size=basis_n2.pool_size,
     )
     with pytest.raises(ValueError, match="linearly dependent on the membership pool"):
-        check_membership(P("tr(B^2)", TRACELESS), degenerate)
+        MembershipChecker(degenerate).check(P("tr(B^2)", TRACELESS))
 
 
 def test_not_found_wording_for_unreachable_depth():
     shallow = build_closure(standard_generators(), depth_cap=1, degree_cap=8, n_value=3, seed=0)
-    cert = check_membership(P("tr(A^3 B^3)", TRACELESS), shallow)
+    cert = MembershipChecker(shallow).check(P("tr(A^3 B^3)", TRACELESS))
     assert cert.status == "not_found_at_depth"  # never "not a member"
     assert not cert.valid and cert.exact_coefficients == []
 
@@ -180,7 +165,7 @@ def test_not_found_wording_for_unreachable_depth():
 )
 def test_coefficient_beyond_the_lifting_bound_is_inconclusive(basis_n2, text):
     assert F(basis_n2.elements[1]) == "tr(B^2)"
-    cert = check_membership(P(text, TRACELESS), basis_n2)
+    cert = MembershipChecker(basis_n2).check(P(text, TRACELESS))
     assert cert.status == "inconclusive"
     assert not cert.valid and cert.exact_coefficients == []
 
@@ -188,6 +173,16 @@ def test_coefficient_beyond_the_lifting_bound_is_inconclusive(basis_n2, text):
 @pytest.fixture(scope="module")
 def basis_n3():
     return build_closure(standard_generators(), depth_cap=10, degree_cap=6, n_value=3, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pools_have_the_margin_beyond_the_dimension_they_tell_apart(request, n):
+    # degree cap 6: the closure pool tells apart the degree <= 6 functions,
+    # the membership pool the span of the m elements
+    basis = request.getfixturevalue(f"basis_n{n}")
+    assert basis.pool_size == dimension(n, 6) + POOL_MARGIN == {2: 32, 3: 57}[n]
+    checker = MembershipChecker(basis)
+    assert checker.sample_count == len(checker.pool) == len(basis.elements) + POOL_MARGIN
 
 
 def test_target_scale_does_not_matter(basis_n3):

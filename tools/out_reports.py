@@ -40,6 +40,8 @@ JOBS += [
     ("closure_n3_degree6_depth2_seed2",
      ["closure", "--n", "3", "--degree", "6", "--depth", "2", "--seed", "2"]),
     ("closure_n4", ["closure", "--n", "4", "--seed", "0"]),
+    # 49 elements at a degree with 6,836 trace monomials
+    ("closure_n2_degree12", ["closure", "--n", "2", "--degree", "12", "--seed", "0"]),
     ("reduce_traceless_n2", ["reduce", "--mode", "traceless", "--n", "2", "tr(A^5 B^3)"]),
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
@@ -63,6 +65,8 @@ JOBS += [
     ("flow_hamiltonian_cubic_n4", ["flow", "--hamiltonian", "tr(A B)*tr(A B)*tr(A B) + 2*tr(A^2 B) + 5",
                                    "--t", "0.02+0.01i", "--n", "4", "--steps", "40", "--seed", "0"]),
     ("flow_scaling_t50_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2", "--seed", "0"]),
+    # e^{2 t tr(AB)} overflows: the image is not finite, so inconclusive
+    ("flow_scaling_t250_n2", ["flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0"]),
     ("flow_shearA_n3", ["flow", "--family", "shearA", "--t", "1+1i", "--n", "3", "--seed", "0"]),
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
     ("flow_bad_t", ["flow", "--family", "shearB", "--t", "abc", "--seed", "0"]),
