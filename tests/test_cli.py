@@ -264,6 +264,18 @@ def test_membership_with_a_prime_in_a_denominator_is_inconclusive(capsys, tmp_pa
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket", "tr(A^2)", "tr(B^2)"),
+    ("reduce", "--n", "2", "tr(A^2)"),
+    ("verify", "--n", "2"),
+    ("replay", "--n", "2"),
+    ("closure", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_only_sample_and_flow_take_tolerances(capsys, argv):
+    err = usage_error(capsys, *argv, "--tol", "rank=1e-3")
+    assert "unrecognized arguments: --tol rank=1e-3" in err
+
+
 NO_TOLERANCE_ARGV = [
     ("bracket", "tr(A^2)", "tr(B^2)"),
     ("reduce", "--n", "2", "tr(A^2)"),
