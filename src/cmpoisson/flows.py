@@ -79,8 +79,9 @@ def _traceless_image(fam: FlowFamily, A: np.ndarray, B: np.ndarray) -> tuple[np.
         return A, B - 3 * t * A2 + (3 * t / n) * np.trace(A2) * np.eye(n)
     # split form: A and B scale by exp(+-2tu); the equivalent
     # X + A(e^c - 1) cancels catastrophically when e^c ~ 0
-    w = np.exp(2 * t * np.trace(A @ B))
-    return A * w, B / w
+    with np.errstate(all="ignore"):  # a non-finite image is caught by its rank test
+        w = np.exp(2 * t * np.trace(A @ B))
+        return A * w, B / w
 
 
 def _central_split(X: np.ndarray, Y: np.ndarray):

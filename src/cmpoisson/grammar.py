@@ -5,7 +5,10 @@
     factor   := 'tr(' wordExpr ')'
     wordExpr := (('A'|'B'|'X'|'Y') ('^' int)?)+
     coeff    := rational ('*'? npart)? | npart
-    npart    := 'n' ('^' int)?
+    npart    := 'n' ('^' sint)?
+    rational := sint ('/' int)?
+    sint     := ('+'|'-')? int
+    int      := [0-9]+
 
 Whitespace-insensitive.  Plain mode words use letters X, Y; traceless mode
 words use A, B, and tr(X), tr(Y) denote the central scalar symbols left
@@ -18,7 +21,7 @@ Printing of canonical forms is deterministic and round-trips bit-stably.
 from __future__ import annotations
 
 from fractions import Fraction
-from .poly import PLAIN, TRACELESS, TracePolynomial, _monomial_order
+from .poly import PLAIN, TRACELESS, MonKey, TracePolynomial, _monomial_order
 from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord, Word, canonicalize
 
@@ -129,7 +132,7 @@ class _Scanner:
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer", start)
@@ -187,12 +190,13 @@ def _parse_word(sc: _Scanner, mode: str):
     sc.error(f"letter {bad[0]!r} is not valid in {mode} mode", bad[2])
 
 
-def _parse_term(sc: _Scanner, mode: str) -> TracePolynomial:
+def _parse_term(sc: _Scanner, mode: str, negate: bool) -> tuple[MonKey, QnCoeff]:
+    """One raw term: its unsorted monomial key and its coefficient."""
     rational = Fraction(1)
     n_power = 0
     have_coeff = False
     ch = sc.peek()
-    if ch.isdigit() or ch in "+-":
+    if "0" <= ch <= "9" or ch in "+-":
         rational = _parse_rational(sc)
         have_coeff = True
         sc.eat("*")
@@ -200,7 +204,8 @@ def _parse_term(sc: _Scanner, mode: str) -> TracePolynomial:
         n_power = _parse_npart(sc)
         have_coeff = True
         sc.eat("*")
-    poly = TracePolynomial.constant(QnCoeff.of(rational, n_power), mode)
+    central = [0, 0]
+    factors: list[CyclicWord] = []
     have_factor = False
     while True:
         sc.skip_ws()
@@ -211,14 +216,14 @@ def _parse_term(sc: _Scanner, mode: str) -> TracePolynomial:
         kind, value = _parse_word(sc, mode)
         sc.expect(")")
         if kind == "word":
-            poly = poly * TracePolynomial.trace(value, mode)
+            factors.append(value)
         else:
-            poly = poly * TracePolynomial.central_scalar(value)
+            central[value] += 1
         have_factor = True
         sc.eat("*")
     if not have_factor and not have_coeff:
         sc.error("expected a coefficient or tr(...) factor")
-    return poly
+    return (tuple(central), tuple(factors)), QnCoeff.of(-rational if negate else rational, n_power)
 
 
 def parse_polynomial(text: str, mode: str) -> TracePolynomial:
@@ -229,18 +234,15 @@ def parse_polynomial(text: str, mode: str) -> TracePolynomial:
     sc.skip_ws()
     if sc.pos == len(sc.text):
         sc.error("empty input")
-    if sc.text[sc.pos:].strip() == "0":
-        return TracePolynomial.zero(mode)
-    total = TracePolynomial.zero(mode)
+    terms = []
     negate = sc.eat("-")
     if not negate:
         sc.eat("+")
     while True:
-        term = _parse_term(sc, mode)
-        total = total + (-term if negate else term)
+        terms.append(_parse_term(sc, mode, negate))
         sc.skip_ws()
         if sc.pos >= len(sc.text):
-            return total
+            return TracePolynomial(mode, terms)
         if sc.eat("-"):
             negate = True
         elif sc.eat("+"):

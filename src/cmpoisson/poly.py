@@ -244,13 +244,13 @@ class TracePolynomial:
         """
         if self.mode != PLAIN:
             raise ValueError("to_traceless expects a plain-mode polynomial")
-        out = TracePolynomial.zero(TRACELESS)
+        acc: dict[MonKey, QnCoeff] = {}
         for (_, factors), coeff in self._terms.items():
             term = TracePolynomial.constant(coeff, TRACELESS)
             for w in factors:
                 term = term * _expand_factor(w, sign=+1, target_mode=TRACELESS)
-            out = out + term
-        return out
+            merge_terms(acc, term.items())
+        return TracePolynomial.from_canonical(TRACELESS, acc)
 
     def to_plain(self) -> "TracePolynomial":
         """Inverse substitution A = X - (tr X/n) I, B = Y - (tr Y/n) I."""
@@ -258,14 +258,14 @@ class TracePolynomial:
             raise ValueError("to_plain expects a traceless-mode polynomial")
         one_x = TracePolynomial.trace(((FIRST, 1),), PLAIN)
         one_y = TracePolynomial.trace(((SECOND, 1),), PLAIN)
-        out = TracePolynomial.zero(PLAIN)
+        acc: dict[MonKey, QnCoeff] = {}
         for (central, factors), coeff in self._terms.items():
             term = TracePolynomial.constant(coeff, PLAIN)
             term = term * one_x ** central[0] * one_y ** central[1]
             for w in factors:
                 term = term * _expand_factor(w, sign=-1, target_mode=PLAIN)
-            out = out + term
-        return out
+            merge_terms(acc, term.items())
+        return TracePolynomial.from_canonical(PLAIN, acc)
 
     def specialize_n(self, n_value: int) -> "TracePolynomial":
         """Collapse all coefficient powers of n at n = n_value."""
@@ -400,7 +400,7 @@ def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomia
         for k in range(exp + 1):
             choices.append((letter, exp - k, k, Fraction(math.comb(exp, k)) * (sign ** k)))
         per_run_choices.append(choices)
-    out = TracePolynomial.zero(target_mode)
+    terms = []
     for combo in iter_product(*per_run_choices):
         kept_runs = tuple((letter, kept) for letter, kept, _, _ in combo if kept > 0)
         reduced = canonicalize(Word(merge_runs(kept_runs)))
@@ -412,14 +412,13 @@ def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomia
         coeff = QnCoeff.of(binom, -(deleted_x + deleted_y))
         if target_mode == TRACELESS:
             key = ((deleted_x, deleted_y), (reduced,))
-            out = out + TracePolynomial(TRACELESS, [(key, coeff)])
         else:
             factors = [reduced]
             factors += [canonicalize(Word(((FIRST, 1),)))] * deleted_x
             factors += [canonicalize(Word(((SECOND, 1),)))] * deleted_y
             key = ((0, 0), tuple(factors))
-            out = out + TracePolynomial(PLAIN, [(key, coeff)])
-    return out
+        terms.append((key, coeff))
+    return TracePolynomial(target_mode, terms)
 
 
 @lru_cache(maxsize=256)

@@ -86,6 +86,13 @@ def straight_product_poly(words: tuple[tuple[int, int], ...]) -> TracePolynomial
     return TracePolynomial(TRACELESS, [(key, QnCoeff.one())])
 
 
+def same(p: TracePolynomial, q: TracePolynomial) -> None:
+    """Equal as polynomials, with the same term order and the same coefficients."""
+    assert p.mode == q.mode
+    assert list(p.items()) == list(q.items())
+    assert [list(c.terms.items()) for _, c in p.items()] == [list(c.terms.items()) for _, c in q.items()]
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -19,6 +19,7 @@ from cmpoisson.bracket import _word_bracket, bracket
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
 from cmpoisson.words import FIRST, SECOND, Word, canonicalize, merge_runs
+from conftest import same
 
 # ---------------- strategies ----------------
 
@@ -144,13 +145,6 @@ def ref_cayley_hamilton(p, n_value):
         rest_mono = TracePolynomial(mode, [((central, factors[:fi] + factors[fi + 1:]), coeff)])
         kept = TracePolynomial(mode, [(k, c) for k, c in work.items() if k != key])
         work = ref_add(kept, ref_mul(rest_mono, ref_specialize(replacement, n_value)))
-
-
-def same(p, q):
-    """Equal as polynomials, with the same term order and the same coefficients."""
-    assert p.mode == q.mode
-    assert list(p.items()) == list(q.items())
-    assert [list(c.terms.items()) for _, c in p.items()] == [list(c.terms.items()) for _, c in q.items()]
 
 
 # ---------------- properties ----------------

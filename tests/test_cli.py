@@ -115,6 +115,7 @@ def test_flow_ode_comparison_takes_the_certified_image(capsys):
     assert "pass; max ode-vs-closed-form relative difference" in out
 
 
+@pytest.mark.filterwarnings("error")
 def test_flow_image_that_is_not_finite_is_inconclusive(capsys):
     # e^{2 t tr(AB)} overflows at t = 250: the image cannot be measured
     code, out, err = run(capsys, "flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0")

@@ -46,6 +46,8 @@ JOBS += [
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
     ("bracket_plain", ["bracket", "--mode", "plain", "tr(X^3 Y^2)", "tr(X Y^4)"]),
+    # a superscript digit is no digit of the grammar: a parse error
+    ("bracket_superscript_exponent", ["bracket", "tr(A^\u00b2)", "tr(B^2)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
     # the largest n whose eigenvalue square is the fixed [-2, 2]^2: its draws pin the bits
     ("sample_traceless_n40", ["sample", "--n", "40", "--count", "2", "--traceless", "--seed", "0"]),
