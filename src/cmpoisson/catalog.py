@@ -23,6 +23,8 @@ from .bracket import EXACT, LEADING, BracketCatalogEntry, check_kind
 from .grammar import parse_polynomial
 from .poly import PLAIN, TRACELESS
 
+MAX_EXPONENT = 5  # the largest exponent of a letter in the default templates
+
 
 # ----------------------------------------------------------------------
 # formula templates (text level; no bracket engine involved)
@@ -111,10 +113,10 @@ def make_bracketformular_entry(j: int, k: int, p: int, q: int) -> BracketCatalog
 # default catalog records
 # ----------------------------------------------------------------------
 
-def default_catalog_records(max_exponent: int = 5) -> list[dict]:
+def default_catalog_records() -> list[dict]:
     records: list[dict] = []
-    for j in range(1, max_exponent + 1):
-        for q in range(1, max_exponent + 1):
+    for j in range(1, MAX_EXPONENT + 1):
+        for q in range(1, MAX_EXPONENT + 1):
             records.append(
                 {
                     "id": f"power-pair-{j}{q}",
@@ -125,8 +127,8 @@ def default_catalog_records(max_exponent: int = 5) -> list[dict]:
                     "kind": EXACT,
                 }
             )
-    for j in range(0, max_exponent + 1):
-        for k in range(0, max_exponent + 1):
+    for j in range(0, MAX_EXPONENT + 1):
+        for k in range(0, MAX_EXPONENT + 1):
             if j == 0 and k == 0:
                 continue
             records.append(
@@ -139,7 +141,7 @@ def default_catalog_records(max_exponent: int = 5) -> list[dict]:
                     "kind": EXACT,
                 }
             )
-    for j in range(1, max_exponent + 1):
+    for j in range(1, MAX_EXPONENT + 1):
         records.append(
             {
                 "id": f"single-splice-{j}",
@@ -151,8 +153,8 @@ def default_catalog_records(max_exponent: int = 5) -> list[dict]:
             }
         )
     for letter in ("A", "B"):
-        for j in range(1, max_exponent + 1):
-            for k in range(j, max_exponent + 1):
+        for j in range(1, MAX_EXPONENT + 1):
+            for k in range(j, MAX_EXPONENT + 1):
                 records.append(
                     {
                         "id": f"same-letter-{letter}{j}{k}",
@@ -164,8 +166,8 @@ def default_catalog_records(max_exponent: int = 5) -> list[dict]:
                     }
                 )
     for scalar in ("X", "Y"):
-        for j in range(0, max_exponent + 1):
-            for k in range(0, max_exponent + 1):
+        for j in range(0, MAX_EXPONENT + 1):
+            for k in range(0, MAX_EXPONENT + 1):
                 if j + k == 0:
                     continue
                 records.append(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 
 import numpy as np
@@ -41,8 +40,6 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-SEED_ENV_VAR = "CMPOISSON_SEED"
-
 class UsageError(Exception):
     """Bad input; main() reports it on one line and exits with EXIT_USAGE."""
 
@@ -64,14 +61,6 @@ def _at_least(minimum: int):
         return value
 
     return parse
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _cnum(z) -> list[float]:
@@ -170,9 +159,11 @@ def cmd_flow(args) -> int:
         for i in range(args.points)
     ]
     records = []
+    verdicts = []  # one endpoint_verdict per integrated point
+    summary = []
+    certified = True
     if args.hamiltonian:
         h = parse_polynomial(args.hamiltonian, TRACELESS)
-        failed = unresolved = 0
         for idx, pt in enumerate(points):
             out, err = ode_flow(h, pt, t, args.steps, return_error=True)
             records.append(
@@ -185,32 +176,22 @@ def cmd_flow(args) -> int:
                     "trace_residual": out.trace_residual,
                 }
             )
-            if out.rank_residual >= flows.FLOW_RANK_TOL:
-                # the exact flow stays on the locus: an endpoint whose own RK4
-                # error estimate reaches the tolerance cannot show a defect
-                scale = max(1.0, np.abs(out.pair.X).max(), np.abs(out.pair.Y).max())
-                if err / scale >= flows.FLOW_RANK_TOL:
-                    unresolved += 1
-                else:
-                    failed += 1
-        passed = len(points) - failed - unresolved
-        print(f"integrated {len(points)} point(s): {passed} pass, {unresolved} unresolved, {failed} FAIL")
-        code = EXIT_FAIL if failed else EXIT_INCONCLUSIVE if unresolved else EXIT_PASS
+            # the exact flow stays on the locus
+            verdicts.append(flows.endpoint_verdict(out.rank_residual, out, err))
     else:
         fam = FlowFamily(args.family, t)
         report = certify_symplectic(fam, points)
+        certified = report.passed
         ham = family_hamiltonian(fam)
-        ode_max = None
-        if args.steps:
-            diffs = []
-            for pt in points:
-                # certify_symplectic has checked this image on the locus
-                Xc, Yc = family_map(fam)(pt.pair.X, pt.pair.Y)
-                integrated = ode_flow(ham, pt, t, args.steps)
-                scale = max(1.0, np.abs(Xc).max(), np.abs(Yc).max())
-                gap = max(np.abs(integrated.pair.X - Xc).max(), np.abs(integrated.pair.Y - Yc).max())
-                diffs.append(float(gap / scale))
-            ode_max = max(diffs)
+        gaps = []
+        for pt in points if args.steps else []:
+            # certify_symplectic has checked this image on the locus
+            Xc, Yc = family_map(fam)(pt.pair.X, pt.pair.Y)
+            out, err = ode_flow(ham, pt, t, args.steps, return_error=True)
+            scale = max(1.0, np.abs(Xc).max(), np.abs(Yc).max())
+            gap = max(np.abs(out.pair.X - Xc).max(), np.abs(out.pair.Y - Yc).max())
+            gaps.append(float(gap / scale))
+            verdicts.append(flows.endpoint_verdict(gaps[-1], out, err))
         for r in report.records:
             records.append(
                 {
@@ -224,13 +205,17 @@ def cmd_flow(args) -> int:
                     "passed": r.passed,
                 }
             )
-        code = EXIT_PASS if report.passed else EXIT_FAIL
-        summary = f"family {fam.id} at t={t}: {'pass' if report.passed else 'FAIL'}"
-        if ode_max is not None:
-            summary += f"; max ode-vs-closed-form relative difference {ode_max:.3e}"
-        print(summary)
+        summary.append(f"family {fam.id} at t={t}: {'pass' if certified else 'FAIL'}")
+        if gaps:
+            summary.append(f"max ode-vs-closed-form relative difference {max(gaps):.3e}")
+    if verdicts:
+        counts = ", ".join(f"{verdicts.count(v)} {v}" for v in ("pass", "unresolved", "FAIL"))
+        summary.append(f"integrated {len(verdicts)} point(s): {counts}")
+    print("; ".join(summary))
     _write_report({"command": "flow", "records": records}, args.out)
-    return code
+    if not certified or "FAIL" in verdicts:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if "unresolved" in verdicts else EXIT_PASS
 
 
 def _identity_records(results, key: str) -> list[dict]:
@@ -396,28 +381,29 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cmpoisson", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, run, seed=True):
+        p.set_defaults(run=run)
         p.add_argument("--out", help="write a JSON report to this path")
         if seed:
-            p.add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
     p.add_argument("--mode", choices=(PLAIN, TRACELESS), default=TRACELESS)
     p.add_argument("f")
     p.add_argument("g")
-    common(p, seed=False)
+    common(p, cmd_bracket, seed=False)
 
     p = sub.add_parser("reduce", help="Cayley-Hamilton reduction at a matrix size")
     p.add_argument("--mode", choices=(PLAIN, TRACELESS), default=TRACELESS)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("poly")
-    common(p, seed=False)
+    common(p, cmd_reduce, seed=False)
 
     p = sub.add_parser("sample", help="sample rank-one variety points")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--count", type=_at_least(1), default=1)
     p.add_argument("--traceless", action="store_true")
-    common(p)
+    common(p, cmd_sample)
 
     p = sub.add_parser("flow", help="apply/integrate a flow and certify it")
     flow = p.add_mutually_exclusive_group(required=True)
@@ -427,33 +413,33 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--points", type=_at_least(1), default=3)
     p.add_argument("--steps", type=_at_least(0), default=0)
-    common(p)
+    common(p, cmd_flow)
 
     p = sub.add_parser("verify", help="verify the pinned bracket catalog")
     p.add_argument("--catalog", default="default")
     p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--samples", type=_at_least(1), default=50)
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("replay", help="replay proof chains step by step")
     p.add_argument("--chain", default="all")
     p.add_argument("--catalog", default="default")
     p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--samples", type=_at_least(1), default=40)
-    common(p)
+    common(p, cmd_replay)
 
     p = sub.add_parser("closure", help="build the Lie closure of the generators")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--depth", type=_at_least(0), default=0)
     p.add_argument("--degree", type=int, default=8)
-    common(p)
+    common(p, cmd_closure)
 
     p = sub.add_parser("membership", help="certify membership in the Lie closure")
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--depth", type=_at_least(0), default=0)
     p.add_argument("--degree", type=int, default=8)
-    common(p)
+    common(p, cmd_membership)
 
     return parser
 
@@ -462,26 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
-        if args.command == "bracket":
-            code = cmd_bracket(args)
-        elif args.command == "reduce":
-            code = cmd_reduce(args)
-        elif args.command == "sample":
-            code = cmd_sample(args)
-        elif args.command == "flow":
-            code = cmd_flow(args)
-        elif args.command == "verify":
-            code = cmd_verify(args)
-        elif args.command == "replay":
-            code = cmd_replay(args)
-        elif args.command == "closure":
-            code = cmd_closure(args)
-        elif args.command == "membership":
-            code = cmd_membership(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         parser.error(str(exc))
     except PolynomialParseError as exc:
@@ -495,7 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Concrete Calogero-Moser matrix pairs and numeric evaluation.
 
 Points are representatives (X, Y) in M_n(C) + M_n(C) with
-rank([X, Y] + lambda I) = 1 (lambda = -i by default, matching the involution
-convention; the construction works for any nonzero lambda).  The sampler uses
-the diagonal normal form X = diag(x), Y_jk = lambda (-1)^{j+k} / (x_j - x_k),
-for which [X, Y] + lambda I = lambda v v^T with v_j = (-1)^j, then conjugates
-by a bounded-condition random matrix.  All implemented functions are
+rank([X, Y] + lambda I) = 1, lambda = LAMBDA = -i, matching the involution
+convention and the exact side (any two nonzero lambda give isomorphic spaces
+under Y -> cY, so one value serves).  The sampler uses the diagonal normal
+form X = diag(x), Y_jk = lambda (-1)^{j+k} / (x_j - x_k), for which
+[X, Y] + lambda I = lambda v v^T with v_j = (-1)^j, then conjugates by a
+bounded-condition random matrix.  All implemented functions are
 conjugation-invariant, so representatives suffice.
 """
 
@@ -22,7 +23,10 @@ from .poly import PLAIN, TRACELESS, TracePolynomial
 from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord, splice_cuts
 
-DEFAULT_LAMBDA = -1j
+LAMBDA = -1j  # its real part is -0.0, and point_to_dict writes it
+# sample_cm's eigenvalue draws: the least separation and the tries allowed
+EIGEN_SEPARATION = 0.1
+MAX_RETRIES = 200
 # sample_cm's residual bounds: only rounding of the exact construction remains
 RANK_TOL = 1e-10
 TRACE_TOL = 1e-12
@@ -45,9 +49,9 @@ class MatrixPair:
             raise ValueError("matrices must be square of size n")
 
 
-def rank_residual(pair: MatrixPair, lambda_const: complex = DEFAULT_LAMBDA) -> float:
+def rank_residual(pair: MatrixPair) -> float:
     """Second singular value of [X, Y] + lambda I, scaled by the first."""
-    m = pair.X @ pair.Y - pair.Y @ pair.X + lambda_const * np.eye(pair.n)
+    m = pair.X @ pair.Y - pair.Y @ pair.X + LAMBDA * np.eye(pair.n)
     if not np.isfinite(m).all():
         raise FloatingPointError("non-finite entries in [X, Y] + lambda I")
     s = np.linalg.svd(m, compute_uv=False)
@@ -70,28 +74,19 @@ class CMPoint:
     trace_residual: float
     seed: int = 0
     index: int = 0
-    lambda_const: complex = DEFAULT_LAMBDA
 
     @classmethod
     def from_matrices(
-        cls,
-        X: np.ndarray,
-        Y: np.ndarray,
-        traceless: bool,
-        seed: int = 0,
-        index: int = 0,
-        lambda_const: complex = DEFAULT_LAMBDA,
+        cls, X: np.ndarray, Y: np.ndarray, traceless: bool, seed: int = 0, index: int = 0
     ) -> "CMPoint":
         """The point (X, Y) with its residuals recorded; it may lie off the locus."""
         pair = MatrixPair(X.shape[0], np.asarray(X, dtype=complex), np.asarray(Y, dtype=complex))
-        rres = rank_residual(pair, lambda_const)
+        rres = rank_residual(pair)
         tres = trace_residual(pair) if traceless else 0.0
-        return cls(pair, traceless, rres, tres, seed, index, lambda_const)
+        return cls(pair, traceless, rres, tres, seed, index)
 
 
-def diagonal_normal_form(
-    x: np.ndarray, p: np.ndarray, lambda_const: complex = DEFAULT_LAMBDA
-) -> tuple[np.ndarray, np.ndarray]:
+def diagonal_normal_form(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rank-one pair with X = diag(x) and prescribed Y-diagonal p."""
     x = np.asarray(x, dtype=complex)
     n = len(x)
@@ -100,26 +95,18 @@ def diagonal_normal_form(
     # Y_jk = lambda (-1)^(j+k) / (x_j - x_k) off the diagonal; the numerators are
     # Python complex products, so their signed zeros are those of lambda * (+-1)
     odd = np.add.outer(np.arange(n), np.arange(n)) % 2
-    Y = np.where(odd, lambda_const * -1, lambda_const * 1) / diff
+    Y = np.where(odd, LAMBDA * -1, LAMBDA * 1) / diff
     np.fill_diagonal(Y, np.asarray(p, dtype=complex))
     return np.diag(x), Y
 
 
-def sample_cm(
-    n: int,
-    traceless: bool,
-    seed: int,
-    index: int = 0,
-    lambda_const: complex = DEFAULT_LAMBDA,
-    eigen_separation: float = 0.1,
-    max_retries: int = 200,
-) -> CMPoint:
+def sample_cm(n: int, traceless: bool, seed: int, index: int = 0) -> CMPoint:
     """Sample a random point of the rank-one commutator variety.
 
     Deterministic given (seed, index); parallel batches should split the
     stream with distinct indices via child_rng.  The eigenvalues are drawn in
     the square [-h, h]^2, h = 2 max(1, n/40): its area grows like n^2, so the
-    expected number of pairs closer than eigen_separation stays bounded.
+    expected number of pairs closer than EIGEN_SEPARATION stays bounded.
     Raises ValueError if the point's residuals reach RANK_TOL or TRACE_TOL.
     """
     if n < 1:
@@ -128,21 +115,21 @@ def sample_cm(
     h = 2.0 * max(1.0, n / 40)
     j, k = np.triu_indices(n, 1)
     x = None
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         cand = rng.uniform(-h, h, n) + 1j * rng.uniform(-h, h, n)
-        if n == 1 or np.abs(cand[j] - cand[k]).min() >= eigen_separation:
+        if n == 1 or np.abs(cand[j] - cand[k]).min() >= EIGEN_SEPARATION:
             x = cand
             break
     if x is None:
         raise RuntimeError(
-            f"could not draw {n} eigenvalues with separation >= {eigen_separation} "
-            f"in {max_retries} tries"
+            f"could not draw {n} eigenvalues with separation >= {EIGEN_SEPARATION} "
+            f"in {MAX_RETRIES} tries"
         )
     p = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
     if traceless:
         x = x - x.mean()
         p = p - p.mean()
-    X, Y = diagonal_normal_form(x, p, lambda_const)
+    X, Y = diagonal_normal_form(x, p)
     # generic representative: conjugate by a random matrix of condition <= 4
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -151,7 +138,7 @@ def sample_cm(
     g_inv = q2.conj().T @ np.diag(1.0 / sigma) @ q1.conj().T
     X = g @ X @ g_inv
     Y = g @ Y @ g_inv
-    pt = CMPoint.from_matrices(X, Y, traceless, seed, index, lambda_const)
+    pt = CMPoint.from_matrices(X, Y, traceless, seed, index)
     if pt.rank_residual >= RANK_TOL:
         raise ValueError(f"rank-one residual {pt.rank_residual:.3e} exceeds {RANK_TOL:.1e}")
     if traceless and pt.trace_residual >= TRACE_TOL:
@@ -446,9 +433,7 @@ def finite_difference_gradient(
     X0, Y0 = pt.pair.X, pt.pair.Y
 
     def value(X: np.ndarray, Y: np.ndarray) -> complex:
-        shadow = CMPoint(
-            MatrixPair(n, X, Y), pt.traceless, 0.0, 0.0, pt.seed, pt.index, pt.lambda_const
-        )
+        shadow = CMPoint(MatrixPair(n, X, Y), pt.traceless, 0.0, 0.0, pt.seed, pt.index)
         return PointEvaluator(shadow).poly_value(p)
 
     dX = np.zeros((n, n), dtype=complex)
@@ -555,7 +540,7 @@ def point_to_dict(pt: CMPoint) -> dict:
         "traceless": pt.traceless,
         "seed": pt.seed,
         "index": pt.index,
-        "lambda": [pt.lambda_const.real, pt.lambda_const.imag],
+        "lambda": [LAMBDA.real, LAMBDA.imag],
         "X": _complex_matrix_to_lists(pt.pair.X),
         "Y": _complex_matrix_to_lists(pt.pair.Y),
         "rank_residual": pt.rank_residual,
@@ -564,18 +549,13 @@ def point_to_dict(pt: CMPoint) -> dict:
 
 
 def point_from_dict(data: dict) -> CMPoint:
+    if data["lambda"] != [LAMBDA.real, LAMBDA.imag]:
+        raise ValueError(f"lambda {data['lambda']!r} is not {[LAMBDA.real, LAMBDA.imag]}")
     pair = MatrixPair(
         data["n"], _complex_matrix_from_lists(data["X"]), _complex_matrix_from_lists(data["Y"])
     )
-    return CMPoint(
-        pair,
-        data["traceless"],
-        data["rank_residual"],
-        data["trace_residual"],
-        data["seed"],
-        data["index"],
-        complex(data["lambda"][0], data["lambda"][1]),
-    )
+    return CMPoint(pair, data["traceless"], data["rank_residual"], data["trace_residual"],
+                   data["seed"], data["index"])
 
 
 def save_points(points: list[CMPoint], path: str) -> None:

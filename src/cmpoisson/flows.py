@@ -185,12 +185,25 @@ def ode_flow(
         return Z
 
     Z1 = integrate(steps)
-    out = CMPoint.from_matrices(Z1[0], Z1[1], pt.traceless, pt.seed, pt.index, pt.lambda_const)
+    out = CMPoint.from_matrices(Z1[0], Z1[1], pt.traceless, pt.seed, pt.index)
     if not return_error:
         return out
     Z2 = integrate(2 * steps)
     err = float(np.abs(Z2 - Z1).max() * 16 / 15)
     return out, err
+
+
+def endpoint_verdict(miss: float, end: CMPoint, err: float) -> str:
+    """The verdict on an RK4 endpoint `end` with Richardson error estimate err,
+    where miss measures how far it is from what the exact flow gives (its rank
+    residual, or its relative gap to a closed-form image): "pass" when the miss
+    is below FLOW_RANK_TOL; "unresolved" when err, relative to
+    max(1, max |entry| of end), reaches that tolerance, so the endpoint cannot
+    show a defect; "FAIL" otherwise."""
+    if miss < FLOW_RANK_TOL:
+        return "pass"
+    scale = max(1.0, np.abs(end.pair.X).max(), np.abs(end.pair.Y).max())
+    return "unresolved" if err / scale >= FLOW_RANK_TOL else "FAIL"
 
 
 @dataclass
@@ -229,7 +242,7 @@ def certify_symplectic(fam: FlowFamily, pts: list[CMPoint]) -> FlowReport:
         res = pullback_residual(family_jacobian(fam, X, Y), n)
         A, B, cX, cY = _central_split(X, Y)
         Ap, Bp = _traceless_image(fam, A, B)
-        rres = rank_residual(MatrixPair(n, Ap, Bp), pt.lambda_const)
+        rres = rank_residual(MatrixPair(n, Ap, Bp))
         tres = trace_residual(MatrixPair(n, Ap + cX, Bp + cY)) if pt.traceless else 0.0
         ok = res < SYMPLECTIC_TOL and rres < FLOW_RANK_TOL and tres < FLOW_TRACE_TOL
         report.records.append(FlowCheckRecord(fam.id, fam.t, n, idx, res, rres, tres, ok))

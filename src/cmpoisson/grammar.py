@@ -169,7 +169,7 @@ def _parse_word(sc: _Scanner, mode: str):
         sc.pos += 1
         exp = 1
         if sc.eat("^"):
-            exp = sc.integer()
+            exp = sc.integer(signed=False)
         entries.append((ch, exp, pos))
     if not entries:
         sc.error("expected a word letter")

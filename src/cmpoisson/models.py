@@ -238,14 +238,11 @@ class LaurentAdapter:
 class TraceAdapter:
     """Matrix-pair factor: monomial keys of traceless trace polynomials."""
 
-    def __init__(self, mode: str = TRACELESS):
-        self.mode = mode
-
     def one_key(self):
         return ((0, 0), ())
 
     def _monomial(self, key) -> TracePolynomial:
-        return TracePolynomial(self.mode, [(key, QnCoeff.one())])
+        return TracePolynomial(TRACELESS, [(key, QnCoeff.one())])
 
     def mul_key(self, k1, k2):
         return dict((self._monomial(k1) * self._monomial(k2)).items())
@@ -254,7 +251,7 @@ class TraceAdapter:
         return dict(trace_bracket(self._monomial(k1), self._monomial(k2)).items())
 
     def decompose(self, poly: TracePolynomial):
-        if poly.mode != self.mode:
+        if poly.mode != TRACELESS:
             raise ValueError("mode mismatch")
         return dict(poly.items())
 

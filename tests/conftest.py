@@ -17,7 +17,7 @@ from cmpoisson.words import FIRST, SECOND, Word, canonicalize
 def apply_family(fam: FlowFamily, pt: CMPoint) -> CMPoint:
     """A family's closed-form image of pt, checked to lie on the traceless locus."""
     X, Y = family_map(fam)(pt.pair.X, pt.pair.Y)
-    out = CMPoint.from_matrices(X, Y, pt.traceless, pt.seed, pt.index, pt.lambda_const)
+    out = CMPoint.from_matrices(X, Y, pt.traceless, pt.seed, pt.index)
     assert out.rank_residual < FLOW_RANK_TOL and out.trace_residual < FLOW_TRACE_TOL
     return out
 

@@ -1,6 +1,5 @@
 """Command-line front end: outputs, exit codes, and determinism."""
 
-import functools
 import json
 
 import pytest
@@ -90,12 +89,14 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path, capsys):
 
 
 def test_flow_family_certifies(capsys):
+    # RK4 meets the closed-form image within FLOW_RANK_TOL at 1,000 steps
     code, out, _ = run(
         capsys, "flow", "--family", "scaling", "--t", "1+1i", "--n", "2",
-        "--points", "2", "--steps", "100", "--seed", "3",
+        "--points", "2", "--steps", "1000", "--seed", "3",
     )
     assert code == EXIT_PASS
-    assert "pass" in out
+    assert out.startswith("family scaling at t=(1+1j): pass; ")
+    assert out.endswith("; integrated 2 point(s): 2 pass, 0 unresolved, 0 FAIL\n")
 
 
 def test_flow_scaling_at_large_t_passes(capsys):
@@ -106,13 +107,36 @@ def test_flow_scaling_at_large_t_passes(capsys):
 
 def test_flow_ode_comparison_takes_the_certified_image(capsys):
     # the ode comparison once re-checked the stored t = 50 image, which fails
-    # its rank test although the certified traceless image passes
+    # its rank test although the certified traceless image passes; RK4 misses
+    # that image by no more than its own error estimate, so it is unresolved
     code, out, _ = run(
         capsys, "flow", "--family", "scaling", "--t", "50", "--n", "2",
         "--points", "2", "--steps", "400", "--seed", "0",
     )
-    assert code == EXIT_PASS
+    assert code == EXIT_INCONCLUSIVE
     assert "pass; max ode-vs-closed-form relative difference" in out
+    assert out.endswith("; integrated 2 point(s): 0 pass, 2 unresolved, 0 FAIL\n")
+
+
+FAMILY_STEPS_JOB = ("flow", "--family", "cubicShear", "--t", "0.3", "--n", "2", "--steps", "40", "--seed", "0")
+
+
+def test_flow_family_endpoint_off_the_image_fails(capsys, monkeypatch):
+    # an endpoint 1e-6 off the closed-form image whose RK4 estimate is zero
+    ode_flow = cli.ode_flow
+
+    def off_the_image(h, pt, t, steps, return_error=False):
+        out, _ = ode_flow(h, pt, t, steps, return_error=True)
+        return cm.CMPoint.from_matrices(out.pair.X + 1e-6, out.pair.Y, out.traceless), 0.0
+
+    monkeypatch.setattr(cli, "ode_flow", off_the_image)
+    code, out, _ = run(capsys, *FAMILY_STEPS_JOB)
+    assert code == EXIT_FAIL
+    assert out.endswith("; integrated 3 point(s): 0 pass, 0 unresolved, 3 FAIL\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *FAMILY_STEPS_JOB)
+    assert code == EXIT_PASS
+    assert out.endswith("; integrated 3 point(s): 3 pass, 0 unresolved, 0 FAIL\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -133,7 +157,7 @@ def test_flow_overflow_is_inconclusive(capsys):
 
 def test_sampler_that_gives_up_is_inconclusive(capsys, monkeypatch):
     # a sampler allowed no tries gives up; that says nothing about the mathematics
-    monkeypatch.setattr(cli, "sample_cm", functools.partial(cli.sample_cm, max_retries=0))
+    monkeypatch.setattr(cm, "MAX_RETRIES", 0)
     code, out, err = run(capsys, "sample", "--n", "100", "--seed", "0")
     assert code == EXIT_INCONCLUSIVE
     assert out == "inconclusive: could not draw 100 eigenvalues with separation >= 0.1 in 0 tries\n"
@@ -399,10 +423,15 @@ def test_membership_takes_no_sample_count(capsys):
     assert "unrecognized arguments: --samples 50" in err
 
 
-def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch):
+def test_malformed_seed_variable_is_usage_error(capsys, monkeypatch, tmp_path):
+    # the seed is --seed alone, 0 by default: no environment variable is read
     monkeypatch.setenv("CMPOISSON_SEED", "xyz")
-    err = usage_error(capsys, "sample", "--n", "2")
-    assert "CMPOISSON_SEED='xyz'" in err
+    paths = tmp_path / "default.json", tmp_path / "seed0.json"
+    for path, seed in zip(paths, ([], ["--seed", "0"])):
+        code, _, err = run(capsys, "sample", "--n", "2", *seed, "--out", str(path))
+        assert code == EXIT_PASS and err == ""
+    assert json.loads(paths[0].read_text())[0]["seed"] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize(

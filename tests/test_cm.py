@@ -1,5 +1,8 @@
 """Matrix-pair sampling, evaluation, gradients, and the numeric bracket."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -30,8 +33,10 @@ from cmpoisson.cm import (
 )
 from cmpoisson import cm
 from cmpoisson.bracket import bracket_standard, bracket_traceless
+from cmpoisson.catalog import default_catalog_records
 from cmpoisson.flows import FAMILY_IDS, family_hamiltonian
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
+from cmpoisson.models import TraceAdapter
 from cmpoisson.words import FIRST, SECOND, CyclicWord, splice_cuts
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
@@ -91,9 +96,26 @@ def test_point_off_the_locus_records_its_residuals():
     assert off.trace_residual == trace_residual(off.pair) > 0.01
 
 
-def test_separation_failure_reports():
-    with pytest.raises(RuntimeError):
-        sample_cm(4, traceless=False, seed=0, eigen_separation=10.0, max_retries=5)
+def test_separation_failure_reports(monkeypatch):
+    monkeypatch.setattr(cm, "EIGEN_SEPARATION", 10.0)
+    monkeypatch.setattr(cm, "MAX_RETRIES", 5)
+    with pytest.raises(RuntimeError, match="could not draw 4 eigenvalues with separation >= 10.0 in 5 tries"):
+        sample_cm(4, traceless=False, seed=0)
+
+
+def test_sampler_takes_no_settings():
+    # lambda, the eigenvalue separation, the retry budget, the adapter's mode
+    # and the catalog's largest exponent are module constants, not parameters
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(sample_cm) == ["n", "traceless", "seed", "index"]
+    assert params(CMPoint.from_matrices) == ["X", "Y", "traceless", "seed", "index"]
+    assert params(rank_residual) == ["pair"]
+    assert params(diagonal_normal_form) == ["x", "p"]
+    assert params(TraceAdapter) == []
+    assert params(default_catalog_records) == []
+    assert "lambda_const" not in CMPoint.__dataclass_fields__
 
 
 def test_seed_splitter_is_deterministic_and_independent():
@@ -104,10 +126,12 @@ def test_seed_splitter_is_deterministic_and_independent():
     assert not np.array_equal(a, c)
 
 
-def test_generic_rank_constant():
-    pt = sample_cm(3, traceless=False, seed=9, lambda_const=0.5 + 0.25j)
-    assert pt.rank_residual < 1e-10
-    assert rank_residual(pt.pair, 0.5 + 0.25j) < 1e-10
+def test_generic_rank_constant(monkeypatch):
+    pt = sample_cm(3, traceless=False, seed=9)
+    assert pt.rank_residual == rank_residual(pt.pair) < RANK_TOL
+    # negative control: the point is far from the locus of lambda = +i
+    monkeypatch.setattr(cm, "LAMBDA", 1j)
+    assert rank_residual(pt.pair) > 0.1
 
 
 # ---------------- evaluation ----------------
@@ -497,7 +521,14 @@ def test_point_roundtrip_is_bit_exact(tmp_path):
         assert np.array_equal(a.pair.Y, b.pair.Y)
         assert a.rank_residual == b.rank_residual
         assert a.seed == b.seed and a.index == b.index
-        assert a.lambda_const == b.lambda_const
     # dict round trip is stable too
     d = point_to_dict(pts[0])
     assert point_to_dict(point_from_dict(d)) == d
+
+
+@pytest.mark.parametrize("lam", [[0.5, 0.25], [-0.0, 1.0], [1.0, 0.0], [-1.0]])
+def test_point_with_another_lambda_is_rejected(lam):
+    d = point_to_dict(sample_cm(2, traceless=True, seed=17))
+    assert d["lambda"] == [-0.0, -1.0] and math.copysign(1.0, d["lambda"][0]) == -1.0
+    with pytest.raises(ValueError, match="lambda"):
+        point_from_dict({**d, "lambda": lam})

@@ -184,6 +184,17 @@ def test_integrator_rejects_bad_steps():
         ode_flow(P("tr(A^2)", TRACELESS), pt, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "miss, err, verdict",
+    [(0.0, 1.0, "pass"), (0.999e-9, 1.0, "pass"), (1e-6, 8e-9, "unresolved"), (1e-6, 7e-9, "FAIL"),
+     (1e-6, 0.0, "FAIL")],
+)
+def test_endpoint_verdict_rule(miss, err, verdict):
+    # an endpoint whose largest entry is 8: the estimate is judged relative to 8
+    end = CMPoint.from_matrices(np.diag([8.0, -8.0]), np.zeros((2, 2)), traceless=True)
+    assert flows.endpoint_verdict(miss, end, err) == verdict
+
+
 def test_certification_passes_for_families():
     pts = [sample_cm(2, traceless=True, seed=9, index=i) for i in range(4)]
     for fid in FAMILY_IDS:

@@ -79,8 +79,16 @@ def test_text_ending_inside_a_trace_is_an_error(text):
 
 
 def test_word_exponent_must_be_positive():
-    with pytest.raises(PolynomialParseError):
+    with pytest.raises(PolynomialParseError, match=">= 1"):
         P("tr(X^0)", PLAIN)
+
+
+@pytest.mark.parametrize("text", ["tr(A^+2)", "tr(A^-1)", "tr(A^+2 B)"])
+def test_word_exponent_takes_no_sign(text):
+    # a word exponent is an int of the grammar, which carries no sign
+    with pytest.raises(PolynomialParseError, match="expected an integer") as err:
+        P(text, TRACELESS)
+    assert (err.value.line, err.value.column) == (1, 6)
 
 
 def test_negative_rational_and_n_powers():

@@ -48,6 +48,8 @@ JOBS += [
     ("bracket_plain", ["bracket", "--mode", "plain", "tr(X^3 Y^2)", "tr(X Y^4)"]),
     # a superscript digit is no digit of the grammar: a parse error
     ("bracket_superscript_exponent", ["bracket", "tr(A^\u00b2)", "tr(B^2)"]),
+    # a word exponent is unsigned: a parse error at the sign
+    ("bracket_signed_word_exponent", ["bracket", "tr(A^+2)", "tr(B^2)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
     # the largest n whose eigenvalue square is the fixed [-2, 2]^2: its draws pin the bits
     ("sample_traceless_n40", ["sample", "--n", "40", "--count", "2", "--traceless", "--seed", "0"]),
@@ -75,6 +77,9 @@ JOBS += [
     ("flow_hamiltonian_no_steps", ["flow", "--hamiltonian", "tr(A^2)", "--t", "1", "--seed", "0"]),
     ("flow_scaling_t50_steps400_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2",
                                       "--steps", "400", "--seed", "0"]),
+    # two points stop before the overflow: RK4 misses the image by its own error estimate
+    ("flow_scaling_t50_steps400_points2_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2",
+                                              "--points", "2", "--steps", "400", "--seed", "0"]),
     ("membership_not_found_depth1_n3", ["membership", "--target", "tr(A^3 B^3)", "--n", "3",
                                         "--depth", "1", "--seed", "0"]),
     ("verify_samples4_n3", ["verify", "--n", "3", "--samples", "4", "--seed", "0"]),
