@@ -481,7 +481,7 @@ def symplectic_pullback_residual(
     map_fn: PointMap, pt: CMPoint, h: float = 1e-4
 ) -> float:
     """|J^T S J - S|_F / |S|_F with J the central-difference Jacobian of the map:
-    the finite-difference reference for closed-form Jacobians (`flows.family_jacobian`).
+    a float oracle on closed-form maps such as `flows.family_map`.
 
     The Jacobian combines the step-h and step-h/2 central differences,
     (4 J_{h/2} - J_h)/3 (Richardson extrapolation), cancelling the leading

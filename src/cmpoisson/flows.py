@@ -12,34 +12,34 @@ V_H = sum dH/dY_jk d/dX_kj - dH/dX_jk d/dY_kj, i.e. dF/dt = {F, H}) are
 
 Each formula is the global flow of its Hamiltonian on
 M_n + M_n, so it is holomorphic symplectic everywhere and restricts to the
-traceless rank-one locus.
+traceless rank-one locus.  `certify_symplectic` proves the flow property
+exactly mod p on the traceless Calogero-Moser space, for every t at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .cm import (
-    CMPoint,
-    MatrixPair,
-    gradient_function,
-    pullback_residual,
-    rank_residual,
-    trace_residual,
-)
+from .bracket import bracket_traceless
+from .cm import CMPoint, child_rng, gradient_function
+from .modp import PRIME, ExactPool, to_mod_p
 from .poly import TRACELESS, TracePolynomial
 from .words import FIRST, SECOND
 
 FAMILY_IDS = ("shearB", "shearA", "cubicShear", "scaling")
 
-# certificate tolerances, looser than the sampler's cm.RANK_TOL and
-# cm.TRACE_TOL: a flow's image also carries the rounding of the map or the ODE
-SYMPLECTIC_TOL = 1e-7
+# an RK4 endpoint's tolerance, looser than the sampler's cm.RANK_TOL: the
+# endpoint also carries the rounding and truncation of the integration
 FLOW_RANK_TOL = 1e-9
-FLOW_TRACE_TOL = 1e-10
+
+# the exact certificate's points and t: streams 0 and 1 of one fixed seed
+CERTIFICATE_SEED = 0
+CERTIFICATE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,10 @@ def family_hamiltonian(fam: FlowFamily | str) -> TracePolynomial:
 
 
 def _traceless_image(fam: FlowFamily, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The traceless parts (A', B') of a family's image; tr X and tr Y are conserved."""
+    """The traceless parts (A', B') of a family's image; tr X and tr Y are conserved.
+
+    The shears also run exactly over Q: with a Fraction t and object arrays of
+    integers, every entry comes out a Fraction."""
     t = fam.t
     n = A.shape[0]
     if fam.id == "shearB":
@@ -76,67 +79,24 @@ def _traceless_image(fam: FlowFamily, A: np.ndarray, B: np.ndarray) -> tuple[np.
         return A + 2 * t * B, B
     if fam.id == "cubicShear":
         A2 = A @ A
-        return A, B - 3 * t * A2 + (3 * t / n) * np.trace(A2) * np.eye(n)
+        return A, B - 3 * t * A2 + (3 * t / n) * np.trace(A2) * np.eye(n, dtype=int)
     # split form: A and B scale by exp(+-2tu); the equivalent
     # X + A(e^c - 1) cancels catastrophically when e^c ~ 0
-    with np.errstate(all="ignore"):  # a non-finite image is caught by its rank test
+    with np.errstate(all="ignore"):  # an image beyond double range stays inf or nan, silently
         w = np.exp(2 * t * np.trace(A @ B))
         return A * w, B / w
-
-
-def _central_split(X: np.ndarray, Y: np.ndarray):
-    """(A, B, tr X/n I, tr Y/n I) for one pair or a stack of pairs."""
-    n = X.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    cX = (np.trace(X, axis1=-2, axis2=-1) / n)[..., None, None] * eye
-    cY = (np.trace(Y, axis1=-2, axis2=-1) / n)[..., None, None] * eye
-    return X - cX, Y - cY, cX, cY
 
 
 def family_map(fam: FlowFamily) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Closed-form point map of a family on ambient matrix pairs."""
 
     def mapper(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A, B, cX, cY = _central_split(X, Y)
-        Ap, Bp = _traceless_image(fam, A, B)
+        eye = np.eye(X.shape[0], dtype=complex)
+        cX, cY = np.trace(X) / X.shape[0] * eye, np.trace(Y) / X.shape[0] * eye
+        Ap, Bp = _traceless_image(fam, X - cX, Y - cY)
         return Ap + cX, Bp + cY
 
     return mapper
-
-
-def family_jacobian(fam: FlowFamily, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The closed-form Jacobian of a family at (X, Y), in the flattened (X, Y)
-    coordinates of `cm.symplectic_structure_matrix`.
-
-    Column b is the image of the b-th of the 2n^2 basis directions (dX, dY),
-    all computed at once as a (2n^2, n, n) stack.  The shears are linear, so
-    their image of the direction stack is their Jacobian, and cubicShear has
-    dB' = dB - 3t(dA A + A dA) + (6t/n) tr(A dA) I.
-
-    For scaling the result is the Jacobian of the flow followed by the
-    rescaling (X, Y) -> (A/s + (tr X/n) I, s B + (tr Y/n) I), s = e^{2tu} at
-    the point: dA' = dA + 2t du A, dB' = dB - 2t du B, du = tr(dA B + A dB).
-    For any scalar s the rescaling preserves tr(dX ^ dY) exactly (tr dA =
-    tr dB = 0 kills the cross terms), so the composition is symplectic exactly
-    when the flow is, and its entries stay O(1) however large |t tr AB| is.
-    """
-    n = X.shape[0]
-    dim = n * n
-    units = np.eye(dim, dtype=complex).reshape(dim, n, n)
-    zeros = np.zeros_like(units)
-    dA, dB, dcX, dcY = _central_split(np.concatenate([units, zeros]), np.concatenate([zeros, units]))
-    A, B, _, _ = _central_split(X, Y)
-    t = fam.t
-    if fam.id in ("shearB", "shearA"):
-        dAp, dBp = _traceless_image(fam, dA, dB)
-    elif fam.id == "cubicShear":
-        trace_term = (6 * t / n) * np.einsum("ij,bji->b", A, dA)[:, None, None] * np.eye(n)
-        dAp, dBp = dA, dB - 3 * t * (dA @ A + A @ dA) + trace_term
-    else:
-        du = (np.einsum("bij,ji->b", dA, B) + np.einsum("ij,bji->b", A, dB))[:, None, None]
-        dAp, dBp = dA + 2 * t * du * A, dB - 2 * t * du * B
-    images = np.concatenate([(dAp + dcX).reshape(2 * dim, dim), (dBp + dcY).reshape(2 * dim, dim)], axis=1)
-    return images.T
 
 
 def ode_flow(
@@ -207,43 +167,87 @@ def endpoint_verdict(miss: float, end: CMPoint, err: float) -> str:
 
 
 @dataclass
-class FlowCheckRecord:
+class FlowCertificate:
     family: str
     t: complex
     n: int
-    point_id: int
-    symplectic_residual: float
-    rank_residual: float
-    trace_residual: float
+    generators: int
+    points: int
+    prime: int
     passed: bool
 
 
-@dataclass
-class FlowReport:
-    records: list[FlowCheckRecord] = field(default_factory=list)
+def invariant_generators(n: int) -> list[TracePolynomial]:
+    """The straight words tr(A^i B^j), 2 <= i + j <= n: Weyl's polarized power
+    sums, which generate C[h + h*]^{S_n} and, through Etingof and Ginzburg's
+    gr C[CM_n] = C[h + h*]^{S_n} (Invent. Math. 147, 2002), the functions on
+    the traceless Calogero-Moser space."""
+    return [TracePolynomial.trace(((FIRST, i), (SECOND, d - i)), TRACELESS)
+            for d in range(2, n + 1) for i in range(d + 1)]
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+
+def exact_image(fam_id: str, t: int, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A family's image mod PRIME of stacked traceless points (X, Y) at t mod
+    PRIME: the shears by `_traceless_image` over Q, reduced; scaling as
+    (tA, B/t), t standing for the unit w = e^{2t tr AB}."""
+    if fam_id == "scaling":
+        return X * t % PRIME, Y * pow(t, -1, PRIME) % PRIME
+    fam = FlowFamily(fam_id, Fraction(t))
+    images = [_traceless_image(fam, A.astype(object), B.astype(object)) for A, B in zip(X, Y)]
+    return tuple(np.vectorize(to_mod_p, otypes=[np.int64])(np.array(m)) for m in zip(*images))
 
 
-def certify_symplectic(fam: FlowFamily, pts: list[CMPoint]) -> FlowReport:
-    """Certify that a family is symplectic and preserves the rank condition and
-    the traceless locus on the given sample points.
+@cache
+def exact_certificate(fam_id: str, n: int) -> bool:
+    """Whether the family's map is the flow of its Hamiltonian H on the
+    traceless Calogero-Moser space of n x n matrices, for every t at once.
 
-    The symplectic residual comes from the closed-form `family_jacobian`.  The
-    rank test uses [A', B'] + lambda I of the traceless image parts, which
-    equals [X', Y'] + lambda I and stays resolvable when the trace parts dwarf
-    a scaled B' = B e^{-2tu}."""
-    report = FlowReport()
-    for idx, pt in enumerate(pts):
-        X, Y = pt.pair.X, pt.pair.Y
-        n = pt.pair.n
-        res = pullback_residual(family_jacobian(fam, X, Y), n)
-        A, B, cX, cY = _central_split(X, Y)
-        Ap, Bp = _traceless_image(fam, A, B)
-        rres = rank_residual(MatrixPair(n, Ap, Bp))
-        tres = trace_residual(MatrixPair(n, Ap + cX, Bp + cY)) if pt.traceless else 0.0
-        ok = res < SYMPLECTIC_TOL and rres < FLOW_RANK_TOL and tres < FLOW_TRACE_TOL
-        report.records.append(FlowCheckRecord(fam.id, fam.t, n, idx, res, rres, tres, ok))
-    return report
+    At CERTIFICATE_POINTS random traceless rank-one points mod PRIME and a
+    random t mod PRIME, the image must pass the exact locus test of ExactPool
+    and every generator f must pull back to exp(t ad_H) f, ad_H f = {f, H}.
+    For the shears the series ends within deg f + 1 terms, since ad_H lowers
+    the degree in one letter.  For scaling, {f, H} = 2 (a - b) tr(AB) f for f
+    of bidegree (a, b), with n symbolic, and tr AB is constant along the flow,
+    so exp(t ad_H) f = w^(a - b) f with w = e^{2t tr AB}; the image (wA, B/w)
+    is checked at a free unit w, so no value can overflow.  Both sides are
+    polynomials in t and the point, so a nonzero difference of degree d
+    survives the check with probability at most d/PRIME (Schwartz, J. ACM
+    27(4), 1980); a map that leaves the locus fails."""
+    pool = ExactPool.sample(n, CERTIFICATE_POINTS, CERTIFICATE_SEED)
+    t = int(child_rng(CERTIFICATE_SEED, 1).integers(2, PRIME))
+    h = family_hamiltonian(fam_id)
+    X, Y = exact_image(fam_id, t, pool.X, pool.Y)
+    try:
+        image = ExactPool(X, Y)
+    except ValueError:  # the image leaves the traceless rank-one locus
+        return False
+    u = TracePolynomial.trace(((FIRST, 1), (SECOND, 1)), TRACELESS)
+    for f in invariant_generators(n):
+        if fam_id == "scaling":
+            a, b = f.bidegree()
+            if bracket_traceless(f, h) != 2 * (a - b) * u * f:
+                return False
+            pulled = pow(t, a - b, PRIME) * pool.values(f) % PRIME
+        else:
+            pulled, term, coeff = pool.values(f), f, 1
+            for k in range(1, f.degree() + 2):
+                term = bracket_traceless(term, h)
+                if term.is_zero():
+                    break
+                coeff = coeff * t * pow(k, -1, PRIME) % PRIME
+                pulled = (pulled + coeff * pool.values(term)) % PRIME
+            else:
+                return False  # a series that does not end is no shear's
+        if (image.values(f) != pulled).any():
+            return False
+    return True
+
+
+def certify_symplectic(fam: FlowFamily, pts: list[CMPoint]) -> FlowCertificate:
+    """Certify the family on the traceless Calogero-Moser space of the points'
+    n by `exact_certificate`: its map is the flow of its Hamiltonian, so it is
+    symplectic there and keeps the locus, at every t.  The points give only n;
+    the verdict does not read fam.t."""
+    n = pts[0].pair.n
+    return FlowCertificate(fam.id, fam.t, n, len(invariant_generators(n)), CERTIFICATE_POINTS, PRIME,
+                           exact_certificate(fam.id, n))

@@ -8,18 +8,43 @@ import numpy as np
 import pytest
 
 from cmpoisson.cm import CMPoint
-from cmpoisson.flows import FLOW_RANK_TOL, FLOW_TRACE_TOL, FlowFamily, family_map
+from cmpoisson import flows
+from cmpoisson.flows import FlowFamily, family_map
 from cmpoisson.poly import TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
 from cmpoisson.words import FIRST, SECOND, Word, canonicalize
+
+
+# the locus bounds of a float family image: it carries the rounding of the map
+IMAGE_RANK_TOL = 1e-9
+IMAGE_TRACE_TOL = 1e-10
 
 
 def apply_family(fam: FlowFamily, pt: CMPoint) -> CMPoint:
     """A family's closed-form image of pt, checked to lie on the traceless locus."""
     X, Y = family_map(fam)(pt.pair.X, pt.pair.Y)
     out = CMPoint.from_matrices(X, Y, pt.traceless, pt.seed, pt.index)
-    assert out.rank_residual < FLOW_RANK_TOL and out.trace_residual < FLOW_TRACE_TOL
+    assert out.rank_residual < IMAGE_RANK_TOL and out.trace_residual < IMAGE_TRACE_TOL
     return out
+
+
+def ode_gap(fam: FlowFamily, pt: CMPoint, steps: int = 400) -> float:
+    """The largest entry gap between RK4 at `steps` steps and the closed-form
+    image, relative to max(1, the image's largest entry)."""
+    closed = apply_family(fam, pt)
+    integ = flows.ode_flow(flows.family_hamiltonian(fam), pt, fam.t, steps)
+    scale = max(1.0, float(max(np.abs(closed.pair.X).max(), np.abs(closed.pair.Y).max())))
+    gap = max(np.abs(integ.pair.X - closed.pair.X).max(), np.abs(integ.pair.Y - closed.pair.Y).max())
+    return float(gap / scale)
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Clear the cached exact flow certificates before and after a test that
+    patches what they are built from."""
+    flows.exact_certificate.cache_clear()
+    yield
+    flows.exact_certificate.cache_clear()
 
 
 def random_word(rng: np.random.Generator, max_degree: int, min_degree: int = 1) -> Word:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cmpoisson import cli, cm
+from cmpoisson import cli, cm, flows
 from cmpoisson.catalog import load_catalog_records
 from cmpoisson.chains import load_chain_records
 from cmpoisson.cli import (
@@ -141,10 +141,63 @@ def test_flow_family_endpoint_off_the_image_fails(capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_flow_image_that_is_not_finite_is_inconclusive(capsys):
-    # e^{2 t tr(AB)} overflows at t = 250: the image cannot be measured
-    code, out, err = run(capsys, "flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0")
+    # e^{2 t tr(AB)} overflows at t = 250: the float image cannot be compared
+    # with RK4, but the exact certificate never forms it
+    code, out, err = run(
+        capsys, "flow", "--family", "scaling", "--t", "250", "--n", "2", "--steps", "10", "--seed", "0"
+    )
     assert code == EXIT_INCONCLUSIVE and err == ""
-    assert out == "inconclusive: non-finite entries in [X, Y] + lambda I\n"
+    assert out == "inconclusive: non-finite state during integration\n"
+    code, out, err = run(capsys, "flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0")
+    assert code == EXIT_PASS and err == ""
+    assert out == "family scaling at t=(250+0j): pass\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "family, t, n",
+    [("shearB", "1e7", "3"), ("shearA", "1e7", "3"), ("cubicShear", "1e6", "3"), ("scaling", "1e308", "2")],
+)
+def test_flow_certificate_holds_at_every_t(capsys, tmp_path, family, t, n):
+    # float residuals grew like 3e-16 |t| and failed these exactly symplectic maps
+    path = tmp_path / "flow.json"
+    code, out, err = run(capsys, "flow", "--family", family, "--t", t, "--n", n, "--seed", "0", "--out", str(path))
+    assert code == EXIT_PASS and err == ""
+    assert out == f"family {family} at t={complex(t)}: pass\n"
+    [record] = json.loads(path.read_text())["records"]
+    assert record["passed"] and record["prime"] == PRIME and record["n"] == int(n)
+
+
+def swap_hamiltonian(monkeypatch):
+    hamiltonian = flows.family_hamiltonian
+    monkeypatch.setattr(flows, "family_hamiltonian", lambda fam: hamiltonian("shearA"))
+
+
+def double_the_map(monkeypatch):
+    monkeypatch.setattr(flows, "_traceless_image", lambda fam, A, B: (A, 2 * B))
+
+
+def miss_a_coefficient(monkeypatch):
+    image = flows._traceless_image
+
+    def wrong(fam, A, B):
+        if fam.id == "shearB":
+            return A, B - 3 * fam.t * A
+        return image(flows.FlowFamily(fam.id, 2 * fam.t), A, B)
+
+    monkeypatch.setattr(flows, "_traceless_image", wrong)
+
+
+@pytest.mark.parametrize(
+    "defect, family",
+    [(swap_hamiltonian, "shearB"), (double_the_map, "shearB"), (miss_a_coefficient, "shearB"),
+     (miss_a_coefficient, "cubicShear")],
+)
+def test_flow_certificate_negative_controls(capsys, monkeypatch, fresh_certificates, defect, family):
+    defect(monkeypatch)
+    code, out, err = run(capsys, "flow", "--family", family, "--t", "0.3", "--n", "3", "--seed", "0")
+    assert code == EXIT_FAIL and err == ""
+    assert out == f"family {family} at t=(0.3+0j): FAIL\n"
 
 
 def test_flow_overflow_is_inconclusive(capsys):

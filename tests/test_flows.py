@@ -1,22 +1,36 @@
 """Flow families: closed forms, the integrator, and symplectic certification."""
 
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from cmpoisson import flows
-from cmpoisson.cm import CMPoint, GradientPlan, MatrixPair, evaluate, numeric_gradient, sample_cm
+from cmpoisson.closure import POOL_MARGIN, dimension
+from cmpoisson.cm import (
+    CMPoint,
+    GradientPlan,
+    MatrixPair,
+    diagonal_normal_form,
+    evaluate,
+    numeric_gradient,
+    sample_cm,
+    symplectic_pullback_residual,
+)
 from cmpoisson.flows import (
     FAMILY_IDS,
     FlowFamily,
     certify_symplectic,
     family_hamiltonian,
-    family_jacobian,
     family_map,
+    invariant_generators,
     ode_flow,
 )
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
+from cmpoisson.modp import LAMBDAS, PRIME, Echelon, ExactPool, to_mod_p
 from cmpoisson.poly import TRACELESS
-from conftest import apply_family
+from conftest import apply_family, ode_gap
 
 
 def max_entry_diff(a, b):
@@ -196,23 +210,39 @@ def test_endpoint_verdict_rule(miss, err, verdict):
 
 
 def test_certification_passes_for_families():
-    pts = [sample_cm(2, traceless=True, seed=9, index=i) for i in range(4)]
-    for fid in FAMILY_IDS:
-        report = certify_symplectic(FlowFamily(fid, 1 + 1j), pts)
-        assert report.passed, [r.symplectic_residual for r in report.records]
+    for n in (1, 2, 3, 4):
+        pts = [sample_cm(n, traceless=True, seed=9)]
+        for fid in FAMILY_IDS:
+            cert = certify_symplectic(FlowFamily(fid, 1 + 1j), pts)
+            assert cert.passed, (fid, n)
+            assert (cert.family, cert.n, cert.generators, cert.points, cert.prime) == (
+                fid, n, len(invariant_generators(n)), flows.CERTIFICATE_POINTS, PRIME)
 
 
-def test_certifier_flags_non_symplectic_jacobian(monkeypatch):
-    # the Jacobian of (X, Y) -> (X, 2Y) in place of the family's
-    def doubling(fam, X, Y):
-        n = X.shape[0]
-        return np.diag([1.0] * (n * n) + [2.0] * (n * n)).astype(complex)
+def test_certifier_flags_non_symplectic_jacobian(monkeypatch, fresh_certificates):
+    # (X, Y) -> (X, 2Y) scales the symplectic form and leaves the locus
+    monkeypatch.setattr(flows, "_traceless_image", lambda fam, A, B: (A, 2 * B))
+    pts = [sample_cm(2, traceless=True, seed=9)]
+    assert not certify_symplectic(FlowFamily("shearB", 0.5), pts).passed
 
-    monkeypatch.setattr(flows, "family_jacobian", doubling)
-    pts = [sample_cm(2, traceless=True, seed=9, index=i) for i in range(2)]
-    report = certify_symplectic(FlowFamily("shearB", 0.5), pts)
-    assert not report.passed
-    assert all(r.symplectic_residual > 0.5 for r in report.records)
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_invariant_generators_generate(n):
+    # the products of degree <= 8 of the words the certificate checks span the
+    # functions of degree <= 8 on the traceless CM space (Molien's dimension)
+    target = dimension(n, 8)
+    pool = ExactPool.sample(n, target + POOL_MARGIN, seed=0)
+    gens = invariant_generators(n)
+    columns, degrees = [pool.values(g) for g in gens], [g.degree() for g in gens]
+    echelon = Echelon(len(pool))
+    for size in range(5):  # every generator has degree >= 2
+        for factors in combinations_with_replacement(range(len(columns)), size):
+            if sum(degrees[i] for i in factors) <= 8:
+                row = np.ones(len(pool), dtype=np.int64)
+                for i in factors:
+                    row = row * columns[i] % PRIME
+                echelon.add(row)
+    assert echelon.rank == target
 
 
 def test_kernel_shear_conserves_its_factor():
@@ -240,46 +270,47 @@ def test_completeness_witnesses_at_large_parameters():
     assert np.all(np.isfinite(Xp)) and np.all(np.isfinite(Yp))
 
 
-def finite_difference_jacobian(fam, X, Y, h=1e-5):
-    """Central-difference Jacobian of family_map in flattened (X, Y) coordinates."""
-    n = X.shape[0]
-    dim = 2 * n * n
-    z0 = np.concatenate([X.ravel(), Y.ravel()])
-    mapper = family_map(fam)
-
-    def apply_flat(z):
-        Xp, Yp = mapper(z[: n * n].reshape(n, n), z[n * n:].reshape(n, n))
-        return np.concatenate([Xp.ravel(), Yp.ravel()])
-
-    J = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[b] = h
-        J[:, b] = (apply_flat(z0 + e) - apply_flat(z0 - e)) / (2 * h)
-    return J
-
-
-def undo_rescaling(J, n, w):
-    """Multiply the traceless part of each column's X block by w and of its Y block by 1/w."""
-    cols = J.T.reshape(-1, 2, n, n)
-    central = (np.trace(cols, axis1=2, axis2=3) / n)[..., None, None] * np.eye(n)
-    cols = (cols - central) * np.array([w, 1 / w])[:, None, None] + central
-    return cols.reshape(-1, 2 * n * n).T
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("fid", FAMILY_IDS)
 def test_family_jacobian_matches_finite_differences(fid, n):
+    # the finite-difference Jacobian of the float map pulls the symplectic
+    # form back to itself: an oracle on family_map beside the exact certificate
     pt = sample_cm(n, traceless=True, seed=13)
-    X, Y = pt.pair.X, pt.pair.Y
-    fam = FlowFamily(fid, 0.3 + 0.2j)
-    J = family_jacobian(fam, X, Y)
-    if fid == "scaling":
-        A = X - np.trace(X) / n * np.eye(n)
-        B = Y - np.trace(Y) / n * np.eye(n)
-        J = undo_rescaling(J, n, np.exp(2 * fam.t * np.trace(A @ B)))
-    reference = finite_difference_jacobian(fam, X, Y)
-    assert np.linalg.norm(J - reference) <= 1e-8 * np.linalg.norm(reference)
+    assert symplectic_pullback_residual(family_map(FlowFamily(fid, 0.3 + 0.2j)), pt) < 1e-8
+
+
+def gaussian_mod_p(z):
+    """a + bi in F_p, with i the square root of -1 that is -lambda."""
+    z = np.asarray(z, dtype=complex)
+    i_p = -LAMBDAS[PRIME] % PRIME
+    reduce = np.vectorize(lambda v: (to_mod_p(Fraction(v.real)) + to_mod_p(Fraction(v.imag)) * i_p) % PRIME,
+                          otypes=[np.int64])
+    return reduce(z)
+
+
+@pytest.mark.parametrize("fid", ["shearB", "shearA", "cubicShear"])
+def test_family_map_is_the_exact_image(fid):
+    # at this point and t the float entries and images are dyadic Gaussian
+    # rationals, so exact, and they reduce mod p
+    X, Y = diagonal_normal_form(np.array([-2.0, 0.0, 2.0]), np.array([0.5, -0.25, -0.25]))
+    t = 0.5 + 0.25j
+    Xf, Yf = family_map(FlowFamily(fid, t))(X, Y)
+    Xp, Yp = flows.exact_image(fid, int(gaussian_mod_p(t)), gaussian_mod_p(X)[None], gaussian_mod_p(Y)[None])
+    assert np.array_equal(gaussian_mod_p(Xf), Xp[0]) and np.array_equal(gaussian_mod_p(Yf), Yp[0])
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+def test_wrong_scaling_exponent_fails_the_integrator_comparison(monkeypatch, factor):
+    # the free unit of the exact certificate cannot see w = e^{2t tr AB}; the
+    # RK4 comparison of criterion 5 (t = 0.1 and 0.3, gap below 1e-8) does
+    def image(fam, A, B):
+        w = np.exp(factor * fam.t * np.trace(A @ B))
+        return A * w, B / w
+
+    monkeypatch.setattr(flows, "_traceless_image", image)
+    for n in (2, 3):
+        pt = sample_cm(n, traceless=True, seed=506)
+        assert all(ode_gap(FlowFamily("scaling", t), pt) > 1e-8 for t in (0.1, 0.3))
 
 
 def test_scaling_certifies_at_the_t50_fault_points():
@@ -288,8 +319,7 @@ def test_scaling_certifies_at_the_t50_fault_points():
     # in the trace part)
     for n in (2, 3):
         pts = [sample_cm(n, traceless=True, seed=505, index=i) for i in range(10)]
-        report = certify_symplectic(FlowFamily("scaling", 50.0), pts)
-        assert report.passed, [(r.symplectic_residual, r.rank_residual) for r in report.records]
+        assert certify_symplectic(FlowFamily("scaling", 50.0), pts).passed
 
 
 SCALING_T10_PAIRS = {
@@ -303,5 +333,4 @@ def test_scaling_certifies_at_the_t10_pairs():
     # finite differences gave residuals of 1.1e-7 to 1.7e-6 at these points
     for n, pairs in SCALING_T10_PAIRS.items():
         pts = [sample_cm(n, traceless=True, seed=s, index=i) for s, i in pairs]
-        report = certify_symplectic(FlowFamily("scaling", 10.0), pts)
-        assert report.passed, [r.symplectic_residual for r in report.records]
+        assert certify_symplectic(FlowFamily("scaling", 10.0), pts).passed

@@ -69,8 +69,12 @@ JOBS += [
     ("flow_hamiltonian_cubic_n4", ["flow", "--hamiltonian", "tr(A B)*tr(A B)*tr(A B) + 2*tr(A^2 B) + 5",
                                    "--t", "0.02+0.01i", "--n", "4", "--steps", "40", "--seed", "0"]),
     ("flow_scaling_t50_n2", ["flow", "--family", "scaling", "--t", "50", "--n", "2", "--seed", "0"]),
-    # e^{2 t tr(AB)} overflows: the image is not finite, so inconclusive
+    # e^{2 t tr(AB)} overflows, but the exact certificate never forms it
     ("flow_scaling_t250_n2", ["flow", "--family", "scaling", "--t", "250", "--n", "2", "--seed", "0"]),
+    ("flow_scaling_t1e308_n2", ["flow", "--family", "scaling", "--t", "1e308", "--n", "2", "--seed", "0"]),
+    # the certificate holds at every t, where float residuals grew like |t|
+    ("flow_shearB_t1e7_n3", ["flow", "--family", "shearB", "--t", "1e7", "--n", "3", "--seed", "0"]),
+    ("flow_cubicShear_t1e6_n3", ["flow", "--family", "cubicShear", "--t", "1e6", "--n", "3", "--seed", "0"]),
     ("flow_shearA_n3", ["flow", "--family", "shearA", "--t", "1+1i", "--n", "3", "--seed", "0"]),
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
     ("flow_bad_t", ["flow", "--family", "shearB", "--t", "abc", "--seed", "0"]),
