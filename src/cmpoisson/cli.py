@@ -327,7 +327,13 @@ def cmd_membership(args) -> int:
     target = parse_polynomial(args.target, TRACELESS)
     _as_usage_error(validate_target, target, args.degree)
     basis = _build_closure_from_args(args)
-    checker = _as_usage_error(MembershipChecker, basis)
+    try:
+        checker = MembershipChecker(basis)
+    except ValueError as exc:
+        # elements that are independent on the closure pool but dependent on
+        # the membership pool: an unlucky pool, not bad input
+        print(f"inconclusive: {exc}")
+        return EXIT_INCONCLUSIVE
     cert = checker.check(target)
     if cert.status == "member":
         print(f"member: exact certificate, checked at {CHECK_POINTS} points mod {CHECK_PRIME}")

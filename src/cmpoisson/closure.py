@@ -1,10 +1,18 @@
 """Lie-closure construction and exact membership certificates.
 
 The closure of a generator set under the traceless bracket is built breadth
-first: each new bracket is Cayley-Hamilton-reduced at the working matrix size,
-discarded if its degree exceeds the degree cap, deduplicated by canonical
-form, and kept only when it enlarges the span of its values mod p on a fixed
-pool of exact traceless rank-one points (modp.py).  It stops once the basis
+first: a bracket of two kept elements whose degree would exceed the degree cap
+is skipped, and another is kept only when it enlarges the span of its values
+mod p on a fixed pool of exact traceless rank-one points (modp.py).  Those
+values are known before the bracket is formed: on invariant functions the
+bracket is Goldman's pairing of gradients, {f, g} = tr(dX_f dY_g) -
+tr(dY_f dX_g) (Invent. Math. 85, 1986), with the traceless parts of the
+splice gradients, so a candidate's value column is paired from the kept
+elements' gradients mod p (GradientPairing).  Only a kept candidate is
+bracketed symbolically and Cayley-Hamilton-reduced at the working matrix
+size.  Its own values then enter the span: the pairing is those values up
+to the rescaling of reduce_pipeline, so the kept elements are the ones that
+bracketing every candidate would keep.  It stops once the basis
 reaches dimension(n, D), the dimension of the functions of degree <= D on
 the traceless Calogero-Moser space.  By Etingof-Ginzburg (Invent. Math. 147,
 2002) that space's coordinate ring, filtered by degree in X and Y, has
@@ -37,6 +45,7 @@ MEMBERSHIP_STREAM = 1  # streams of the seed: the closure pool takes 0
 CHECK_STREAM = 2
 CHECK_POINTS = 40  # points mod CHECK_PRIME a lifted certificate must satisfy
 POOL_MARGIN = 16  # pool points beyond the dimension the pool must tell apart
+PAIRING_CHUNK = 64  # candidate pairs whose columns are paired and reduced at once
 
 Tree = tuple  # ("gen", generator_index) | ("br", left_element_index, right_element_index)
 
@@ -132,6 +141,44 @@ class LieClosureBasis:
         )
 
 
+class GradientPairing:
+    """The values on an exact pool of the brackets of kept elements, paired
+    from their gradients.
+
+    An element's gradient is the combination of its factors' trace gradients
+    by its Leibniz weights (ExactPool.leibniz_weights), and the bracket is
+    bilinear, so {e_i, e_j} is the double combination of the brackets
+    {tr v, tr w} of their factor words, each paired once from two gradients
+    (ExactPool.trace_bracket).  Only the weights are kept per element: the
+    factor words are far fewer than the elements, so this takes less time
+    and memory than keeping every element's (N, 2 n^2) gradient."""
+
+    def __init__(self, pool: ExactPool):
+        self.pool = pool
+        self.weights: list[dict] = []
+
+    def add(self, p: TracePolynomial) -> None:
+        self.weights.append(self.pool.leibniz_weights(p))
+
+    def columns(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """The (len(pairs), N) values mod p of the brackets {e_i, e_j}."""
+        pool, prime = self.pool, self.pool.prime
+        out = np.empty((len(pairs), len(pool)), dtype=np.int64)
+        with_j: dict = {}  # factor word v -> the values of {tr v, e_j}
+        for k, (i, j) in enumerate(pairs):
+            if k and j != pairs[k - 1][1]:
+                with_j.clear()
+            column = 0
+            for v, weight in self.weights[i].items():
+                if v not in with_j:
+                    with_j[v] = 0
+                    for w, c in self.weights[j].items():
+                        with_j[v] = (with_j[v] + c * pool.trace_bracket(v, w)) % prime
+                column = (column + weight * with_j[v]) % prime
+            out[k] = column
+        return out
+
+
 def default_depth_cap(n_value: int) -> int:
     return 8 if n_value <= 2 else 10
 
@@ -152,7 +199,22 @@ def build_closure(
     new random point shrinks the functions that vanish on the pool so far
     unless they all vanish there too, with probability at most d/p for their
     degree d after clearing the denominators (Schwartz-Zippel).  With k spare
-    points, k + 1 such points must occur."""
+    points, k + 1 such points must occur.
+
+    A candidate {e_i, e_j} is judged by its value column before it is formed:
+    the column is the pairing of the kept elements' gradients at each point
+    (GradientPairing), taken for PAIRING_CHUNK candidates at a time, and the
+    whole chunk is reduced against the span in one call.  A candidate in the
+    span when its chunk starts stays in it, as the span only grows, and is
+    dropped.  The others go through the span test in order, and only one that
+    enlarges the span is bracketed and reduced; its own value row enters the
+    span.  The pairing equals the values of the bracket, and reduce_pipeline
+    only rescales them, so each candidate gets the verdict it would get from
+    its own values, in the same order: the accepted elements, their trees and
+    levels cannot move.  A duplicate or a zero candidate has a column in the
+    span already, so it is never kept.  That is checked, not assumed: a kept
+    element that exceeds the degree cap, repeats a kept one or has values
+    that fail to enlarge the span is a defect, and raises AssertionError."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
@@ -175,24 +237,26 @@ def build_closure(
         seed=seed,
         pool_size=pool_size,
     )
-    seen: set = set()
+    degrees: list[int] = []
+    pairing = GradientPairing(pool)
+    kept: set = set()
 
-    def try_add(p: TracePolynomial, tree: Tree, level: int) -> bool:
-        if p.is_zero() or p.degree() > degree_cap:
-            return False
+    def keep(p: TracePolynomial, tree: Tree, level: int) -> None:
         key = p.canonical_key()
-        if key in seen:
-            return False
-        seen.add(key)
-        if not span.add(pool.values(p)):
-            return False
+        if p.degree() > degree_cap or key in kept or not span.add(pool.values(p)):
+            raise AssertionError(f"closure element {tree} exceeds the degree cap, repeats a kept element "
+                                 f"or is in their span")
+        kept.add(key)
         basis.elements.append(p)
         basis.trees.append(tree)
         basis.levels.append(level)
-        return True
+        degrees.append(p.degree())
+        pairing.add(p)
 
     for gi, g in enumerate(generators):
-        try_add(reduce_pipeline(g, n_value), ("gen", gi), 0)
+        p = reduce_pipeline(g, n_value)
+        if not p.is_zero() and p.degree() <= degree_cap and span.reduce(pool.values(p)).any():
+            keep(p, ("gen", gi), 0)
 
     level = 1
     while level <= depth_cap and len(basis.elements) < span_dimension:
@@ -202,19 +266,23 @@ def build_closure(
             (i, j)
             for j in range(count)
             for i in range(j)
-            if max(basis.levels[i], basis.levels[j]) == level - 1
+            # the bracket degree is exact: past the cap it cannot come back under it
+            if max(basis.levels[i], basis.levels[j]) == level - 1 and degrees[i] + degrees[j] - 2 <= degree_cap
         ]
-        for i, j in pairs:
-            ei, ej = basis.elements[i], basis.elements[j]
-            di = ei.degree()
-            dj = ej.degree()
-            if di + dj - 2 > degree_cap:
-                continue  # bracket degree is exact; cannot come back under the cap
-            candidate = reduce_pipeline(bracket_traceless(ei, ej), n_value)
-            if try_add(candidate, ("br", i, j), level):
+        for start in range(0, len(pairs), PAIRING_CHUNK):
+            chunk = pairs[start:start + PAIRING_CHUNK]
+            columns = span.reduce(pairing.columns(chunk))
+            for k in np.flatnonzero(columns.any(axis=1)):
+                if not span.reduce(columns[k]).any():
+                    continue  # in the span of the elements kept since the chunk started
+                i, j = chunk[k]
+                ei, ej = basis.elements[i], basis.elements[j]
+                keep(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level)
                 added = True
                 if len(basis.elements) >= span_dimension:
                     break  # span of degree<=cap functions is saturated
+            if len(basis.elements) >= span_dimension:
+                break
         if not added:
             break
         level += 1

@@ -10,12 +10,20 @@ Q.  A nonzero function of degree d vanishes at a uniformly random point with
 probability at most d/p (Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM
 1979), so a candidate wrongly found not to enlarge a span is that rare.
 
+A pool also gives the gradients of trace polynomials mod p.  The gradient
+of tr(w) with respect to one letter is the sum of the matrices of w's splice
+cuts at that letter, projected to its traceless part as the points are
+traceless; a product of traces takes the Leibniz combination of its factors'
+gradients, with the other factors' traces as weights.  Paired, two gradients
+give the values of a bracket without forming it.
+
 A second prime, CHECK_PRIME, gives points independent of PRIME on which
 lifted certificates are checked, and tail checks whose coefficients have no
 value mod PRIME.  Entries are int64 in [0, p) with p < 2^30.  Small products
 (the n x n matrices of a pool) stay in int64: a product of two entries is
 below 2^60, so a sum of up to 8 of them stays below 2^63, and longer sums
-split one operand into 15-bit halves.  The span test's long products run on
+split one operand into 15-bit halves, whose products stay below 2^45 (sums
+of more than 2^18 of them are cut into blocks).  The span test's long products run on
 float64 BLAS instead (blas_matmul): one operand is cut into 10-bit slices, a
 slice times an entry is below 2^40, and sums of up to 2^13 of them are exact
 in a double, the usual way to do exact linear algebra mod a word-size prime
@@ -33,11 +41,12 @@ import numpy as np
 from .cm import child_rng
 from .poly import TracePolynomial
 from .ring import QnCoeff
-from .words import FIRST, SECOND, CyclicWord
+from .words import FIRST, SECOND, CyclicWord, Runs, splice_cuts
 
 PRIME = 1073741789  # the largest prime below 2^30; 1 mod 4
 CHECK_PRIME = 1073741741  # the next prime below it that is 1 mod 4
 DIRECT_WIDTH = 8  # inner dimensions up to this need no operand split
+SPLIT_INNER = 2**18  # sums of this many products below 2^45 stay below 2^63
 MAX_INNER = 2**13  # sums of this many products below 2^40 stay below 2^53
 RATIONAL_BOUND = isqrt(PRIME // 2)  # 23170: numerators and denominators that lift
 
@@ -69,8 +78,12 @@ def _coefficient_value(coeff: QnCoeff, n: int, prime: int) -> int:
 
 def matmul(a: np.ndarray, b: np.ndarray, prime: int = PRIME) -> np.ndarray:
     """a @ b mod p for int64 operands with entries in [0, p)."""
-    if a.shape[-1] <= DIRECT_WIDTH:
+    k = a.shape[-1]
+    if k <= DIRECT_WIDTH:
         return (a @ b) % prime
+    if k > SPLIT_INNER:
+        head = matmul(a[..., :SPLIT_INNER], b[..., :SPLIT_INNER, :], prime)
+        return (head + matmul(a[..., SPLIT_INNER:], b[..., SPLIT_INNER:, :], prime)) % prime
     high, low = a >> 15, a & 0x7FFF
     return ((((high @ b) % prime) << 15) + low @ b) % prime
 
@@ -108,7 +121,9 @@ class ExactPool:
     Evaluates trace polynomials on all N points at once: each word trace is
     computed once by batched products mod p and cached as a length-N column.
     On these points A = X and B = Y, and the central symbols tr X, tr Y are
-    0, so both modes evaluate alike."""
+    0, so both modes evaluate alike.  The gradients of word traces are
+    cached too, as (N, 2 n^2) int32 arrays, and so are the brackets of two
+    word traces paired from them."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, prime: int = PRIME):
         X = np.asarray(X, dtype=np.int64)
@@ -119,6 +134,8 @@ class ExactPool:
         self._letter = {FIRST: X, SECOND: Y}
         self._powers: dict[int, list[np.ndarray]] = {}
         self._word_traces: dict[CyclicWord, np.ndarray] = {}
+        self._trace_gradients: dict[CyclicWord, np.ndarray] = {}
+        self._trace_brackets: dict[tuple[CyclicWord, CyclicWord], np.ndarray] = {}
 
     @classmethod
     def sample(cls, n: int, count: int, seed: int, stream: int = 0, prime: int = PRIME) -> "ExactPool":
@@ -159,17 +176,20 @@ class ExactPool:
             powers.append(matmul(powers[-1], powers[1], self.prime))
         return powers[exp]
 
+    def _product(self, runs: Runs) -> np.ndarray:
+        """The matrices of the word with these runs at every point."""
+        if not runs:
+            return np.broadcast_to(np.eye(self.n, dtype=np.int64), self.X.shape)
+        out = None
+        for letter, exp in runs:
+            power = self._power(letter, exp)
+            out = power if out is None else matmul(out, power, self.prime)
+        return out
+
     def word_trace(self, w: CyclicWord) -> np.ndarray:
         col = self._word_traces.get(w)
         if col is None:
-            if w.runs:
-                out = None
-                for letter, exp in w.runs:
-                    power = self._power(letter, exp)
-                    out = power if out is None else matmul(out, power, self.prime)
-                col = np.trace(out, axis1=1, axis2=2) % self.prime
-            else:
-                col = np.full(len(self), self.n % self.prime, dtype=np.int64)
+            col = np.trace(self._product(w.runs), axis1=1, axis2=2) % self.prime
             self._word_traces[w] = col
         return col
 
@@ -178,6 +198,74 @@ class ExactPool:
         the coefficients that values() uses."""
         return all(any(central) or coeff.evaluate(self.n).denominator % self.prime
                    for (central, _), coeff in p.items())
+
+    def trace_gradient(self, w: CyclicWord) -> np.ndarray:
+        """The gradient of tr(w) at every point, as an (N, 2 n^2) int32 array:
+        the traceless parts of dX then dY, each row-major, so that moving X by
+        a traceless H moves tr(w) by tr(dX H) to first order.  With respect to
+        one letter it is the sum of the matrices of w's distinct splice cuts
+        at that letter (words.splice_cuts), each multiplied out from the cached
+        letter powers and added once with its multiplicity.  Kept per word."""
+        grad = self._trace_gradients.get(w)
+        if grad is None:
+            n, prime = self.n, self.prime
+            eye = np.eye(n, dtype=bool)
+            halves = []
+            for letter in (FIRST, SECOND):
+                g = np.zeros_like(self.X)
+                for cut, mult in splice_cuts(w, letter):
+                    g = (g + mult * self._product(cut.runs)) % prime
+                shift = np.trace(g, axis1=1, axis2=2) * pow(n, -1, prime) % prime
+                g[:, eye] = (g[:, eye] - shift[:, None]) % prime
+                halves.append(g.reshape(len(self), n * n))
+            grad = self._trace_gradients[w] = np.concatenate(halves, axis=1).astype(np.int32)
+        return grad
+
+    def leibniz_weights(self, p: TracePolynomial) -> dict[CyclicWord, int | np.ndarray]:
+        """The weights c_w, an int or a length-N column mod prime, with which
+        p's gradient is the sum of c_w times the gradient of tr(w) at every
+        point: by Leibniz, each term's coefficient times the traces of its
+        other factors, summed over the factors w.  ValueError when p has a
+        term with tr X or tr Y, which values() takes as 0 but whose gradient
+        is not 0."""
+        prime = self.prime
+        weights: dict[CyclicWord, int | np.ndarray] = {}
+        for (central, factors), coeff in p.items():
+            if any(central):
+                raise ValueError("a term with tr X or tr Y is 0 on the pool, but its gradient is not")
+            traces = [self.word_trace(w) for w in factors]
+            for k, w in enumerate(factors):
+                weight = _coefficient_value(coeff, self.n, prime)
+                for trace in traces[:k] + traces[k + 1:]:
+                    weight = weight * trace % prime
+                weights[w] = (weights.get(w, 0) + weight) % prime
+        return weights
+
+    def gradient(self, p: TracePolynomial) -> tuple[np.ndarray, np.ndarray]:
+        """(dX, dY): the traceless parts of p's gradients with respect to X and
+        Y at every point, as (N, n, n) stacks mod prime; the combination of its
+        factors' trace gradients by its Leibniz weights."""
+        total = np.zeros((len(self), 2 * self.n * self.n), dtype=np.int64)
+        for w, weight in self.leibniz_weights(p).items():
+            total = (total + np.reshape(weight, (-1, 1)) * self.trace_gradient(w).astype(np.int64)) % self.prime
+        dx, dy = total.reshape(len(self), 2, self.n, self.n).transpose(1, 0, 2, 3)
+        return dx, dy
+
+    def trace_bracket(self, v: CyclicWord, w: CyclicWord) -> np.ndarray:
+        """Length-N column of the values of {tr v, tr w} mod prime, by
+        Goldman's pairing of their gradients (Invent. Math. 85, 1986):
+        tr(dX_v dY_w) - tr(dY_v dX_w) at each point, the dot product of v's
+        gradient with w's rearranged as (dY_w^T, -dX_w^T), a sum of 2 n^2
+        products.  Kept per ordered pair."""
+        column = self._trace_brackets.get((v, w))
+        if column is None:
+            n = self.n
+            dx, dy = self.trace_gradient(w).astype(np.int64).reshape(len(self), 2, n, n).transpose(1, 0, 3, 2)
+            partner = np.concatenate([dy, -dx % self.prime], axis=1).reshape(len(self), -1)
+            own = self.trace_gradient(v).astype(np.int64)
+            column = matmul(own[:, None, :], partner[:, :, None], self.prime)[:, 0, 0]
+            self._trace_brackets[(v, w)] = column
+        return column
 
     def values(self, p: TracePolynomial, conjugate: bool = False) -> np.ndarray:
         """Length-N column of p's values mod prime; with conjugate, at the points
@@ -242,14 +330,17 @@ class Echelon:
         """The kept rows as stored: each is 0 at the earlier rows' pivots and 1 at its own."""
         return self._rows[: self.rank].astype(np.int64)
 
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        """row less the kept rows' combination that clears its pivot entries."""
-        row = np.asarray(row, dtype=np.int64) % self.prime
+    def reduce(self, rows: np.ndarray) -> np.ndarray:
+        """rows less the kept rows' combinations that clear their pivot
+        entries, for one row or an (s, width) stack of rows; a reduced row is
+        0 exactly when the row is in the span."""
+        rows = np.asarray(rows, dtype=np.int64) % self.prime
         r = self.rank
         if r:
-            c = blas_matmul(row[self.pivots][None], self._t_inverse[:r, :r], self.prime)
-            row = (row - blas_matmul(c, self._rows[:r], self.prime)[0]) % self.prime
-        return row
+            stack = rows.reshape(-1, rows.shape[-1])
+            c = blas_matmul(stack[:, self.pivots], self._t_inverse[:r, :r], self.prime)
+            rows = ((stack - blas_matmul(c, self._rows[:r], self.prime)) % self.prime).reshape(rows.shape)
+        return rows
 
     def add(self, row: np.ndarray) -> bool:
         """Keep row if it is outside the span; return whether it was kept."""

@@ -325,6 +325,28 @@ def test_membership_beyond_the_lifting_bound_is_inconclusive(capsys, tmp_path):
     assert report["status"] == "inconclusive" and report["coefficients"] == []
 
 
+def test_membership_basis_dependent_on_its_pool_is_inconclusive(capsys, monkeypatch, tmp_path):
+    # elements independent on the closure pool can still be dependent on the
+    # membership pool, a Schwartz-Zippel accident of the pool: unresolved,
+    # not bad input.  A repeated element stands in for that accident.
+    build = cli.build_closure
+
+    def degenerate(*args, **kwargs):
+        basis = build(*args, **kwargs)
+        basis.elements = basis.elements[:1] * 2
+        return basis
+
+    monkeypatch.setattr(cli, "build_closure", degenerate)
+    out_file = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "membership", "--target", "tr(B^2)", "--n", "2", "--depth", "1",
+        "--degree", "4", "--seed", "0", "--out", str(out_file),
+    )
+    assert code == EXIT_INCONCLUSIVE and err == ""
+    assert out == "inconclusive: the basis elements are linearly dependent on the membership pool\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("prime", [PRIME, CHECK_PRIME])
 def test_membership_with_a_prime_in_a_denominator_is_inconclusive(capsys, tmp_path, prime):
     out_file = tmp_path / "m.json"

@@ -23,7 +23,7 @@ from cmpoisson.closure import (
 )
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
-from cmpoisson.modp import LAMBDA, PRIME, ExactPool, to_mod_p
+from cmpoisson.modp import LAMBDA, PRIME, Echelon, ExactPool, to_mod_p
 from cmpoisson.poly import PLAIN, TRACELESS
 from cmpoisson.span import lstsq_fit, value_matrix
 from conftest import straight_product_poly, straight_word_products
@@ -220,6 +220,64 @@ def test_exact_coefficients_match_the_float_fit():
         assert cert.valid
         _, fit, _ = lstsq_fit(matrix, pool.values_and_magnitudes(target)[0])
         assert np.abs(np.array(cert.coefficients) - fit).max() < 1e-8, words
+
+
+def bracket_first_closure(generators, depth_cap, degree_cap, n_value, seed=0):
+    """The closure built bracket first: every candidate is bracketed, reduced
+    and judged by its own values.  An oracle for build_closure, which judges
+    each candidate by the gradient pairing and brackets only the kept ones."""
+    span_dimension = dimension(n_value, degree_cap)
+    pool_size = span_dimension + POOL_MARGIN
+    pool = ExactPool.sample(n_value, pool_size, seed)
+    span = Echelon(pool_size)
+    basis = LieClosureBasis(generators, [], [], [], depth_cap, degree_cap, n_value, seed, pool_size)
+    seen = set()
+
+    def try_add(p, tree, level):
+        if p.is_zero() or p.degree() > degree_cap or p.canonical_key() in seen:
+            return False
+        seen.add(p.canonical_key())
+        if not span.add(pool.values(p)):
+            return False
+        basis.elements.append(p)
+        basis.trees.append(tree)
+        basis.levels.append(level)
+        return True
+
+    for gi, g in enumerate(generators):
+        try_add(reduce_pipeline(g, n_value), ("gen", gi), 0)
+    level = 1
+    while level <= depth_cap and len(basis.elements) < span_dimension:
+        added = False
+        count = len(basis.elements)
+        pairs = [(i, j) for j in range(count) for i in range(j) if max(basis.levels[i], basis.levels[j]) == level - 1]
+        for i, j in pairs:
+            ei, ej = basis.elements[i], basis.elements[j]
+            if ei.degree() + ej.degree() - 2 > degree_cap:
+                continue
+            if try_add(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level):
+                added = True
+                if len(basis.elements) >= span_dimension:
+                    break
+        if not added:
+            break
+        level += 1
+    return basis
+
+
+CLOSURE_CELLS = [(n, degree, None, seed) for n in (2, 3, 4) for degree in (4, 6, 8) for seed in (0, 1, 2)]
+SHORT_CELLS = [(3, 6, 2, 2), (4, 8, 2, 0), (4, 10, 1, 1)]  # stop below the dimension
+
+
+@pytest.mark.parametrize("n, degree, depth, seed", CLOSURE_CELLS + SHORT_CELLS)
+def test_value_first_closure_is_the_bracket_first_closure(n, degree, depth, seed):
+    depth_cap = depth or default_depth_cap(n)
+    want = bracket_first_closure(standard_generators(), depth_cap, degree, n, seed)
+    got = build_closure(standard_generators(), depth_cap, degree, n, seed)
+    assert (got.elements, got.trees, got.levels, got.pool_size) == (
+        want.elements, want.trees, want.levels, want.pool_size)
+    # the default depth saturates; the short cells stop below the dimension
+    assert (len(got.elements) < dimension(n, degree)) == (depth is not None)
 
 
 def test_default_depth_caps():

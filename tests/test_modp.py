@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmpoisson.closure import build_closure, default_depth_cap, dimension, standard_generators
+from cmpoisson.bracket import bracket_traceless
+from cmpoisson.closure import GradientPairing, build_closure, default_depth_cap, dimension, standard_generators
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.modp import (
@@ -15,6 +16,7 @@ from cmpoisson.modp import (
     MAX_INNER,
     PRIME,
     RATIONAL_BOUND,
+    SPLIT_INNER,
     Echelon,
     ExactPool,
     blas_matmul,
@@ -60,6 +62,14 @@ def test_matmul_is_exact(inner):
         for s in range(2)
     ]
     assert matmul(a, b).tolist() == want
+
+
+@pytest.mark.parametrize("inner", [8, 9, SPLIT_INNER, SPLIT_INNER + 1, 2 * SPLIT_INNER + 3])
+def test_matmul_is_exact_at_the_largest_entries(inner):
+    # (p - 1)^2 = 1 mod p, so each sum is inner mod p; past SPLIT_INNER the
+    # products of the 15-bit halves would overflow int64 in one sum
+    a = np.full((2, 1, inner), PRIME - 1, dtype=np.int64)
+    assert matmul(a, a.transpose(0, 2, 1)).tolist() == [[[inner % PRIME]]] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
@@ -197,6 +207,90 @@ def test_echelon_reduce_leaves_the_echelon_unchanged():
     outside = echelon.reduce(rows[4])
     assert outside.any() and not outside[pivots].any()
     assert (echelon.rows == kept).all() and echelon.pivots == pivots
+
+
+def test_echelon_reduces_a_stack_of_rows_as_it_reduces_each():
+    rng = np.random.default_rng(2)
+    rows = rng.integers(0, PRIME, size=(6, 30), dtype=np.int64)
+    echelon = Echelon(30)
+    assert (echelon.reduce(rows) == rows).all()  # nothing kept yet
+    for r in rows[:4]:
+        echelon.add(r)
+    stack = np.concatenate([rows, (2 * rows[:3] + rows[1:4]) % PRIME])
+    reduced = echelon.reduce(stack)
+    assert reduced.tolist() == [echelon.reduce(r).tolist() for r in stack]
+    assert reduced.any(axis=1).tolist() == [False] * 4 + [True] * 2 + [False] * 3
+
+
+def pairing_mismatches(n, degree, count=None):
+    """How many pairs (i, j), i <= j, of the first `count` elements of the
+    closure to this degree have a gradient pairing that differs from the
+    values of their bracket on the closure's pool."""
+    basis = build_closure(standard_generators(), default_depth_cap(n), degree, n, seed=0)
+    elements = basis.elements[:count]
+    pool = ExactPool.sample(n, basis.pool_size, seed=0)
+    pairing = GradientPairing(pool)
+    for e in elements:
+        pairing.add(e)
+    pairs = [(i, j) for j in range(len(elements)) for i in range(j + 1)]
+    columns = pairing.columns(pairs)
+    return sum(
+        (column != pool.values(bracket_traceless(elements[i], elements[j]))).any()
+        for (i, j), column in zip(pairs, columns)
+    )
+
+
+@pytest.mark.parametrize("n, degree, count", [(2, 8, None), (3, 8, None), (4, 8, 40)])
+def test_gradient_pairing_is_the_bracket_values(n, degree, count):
+    assert pairing_mismatches(n, degree, count) == 0
+
+
+def test_gradient_pairing_with_the_letters_swapped_misses(monkeypatch):
+    # negative control: dX and dY exchanged pair into minus the bracket
+    gradient = ExactPool.trace_gradient
+    monkeypatch.setattr(ExactPool, "trace_gradient", lambda self, w: np.roll(gradient(self, w), 4, axis=1))
+    assert pairing_mismatches(2, 8) > 0
+
+
+def test_gradient_is_the_traceless_directional_derivative():
+    # moving X (or Y) by a traceless H moves p by t tr(dX H) + O(t^2); p has
+    # degree <= 4 in t, so the exact derivative at 0 is the five-point one
+    # (-25 f(0) + 48 f(1) - 36 f(2) + 16 f(3) - 3 f(4)) / 12, taken mod p
+    p = P("tr(A^2 B)*tr(A B) - 1/3*tr(A B^3) + 2*tr(B^2)", TRACELESS)
+    n, count = 3, 4
+    pool = ExactPool.sample(n, count, seed=6)
+    dx, dy = pool.gradient(p)
+    assert not (np.trace(dx, axis1=1, axis2=2) % PRIME).any()
+    assert not (np.trace(dy, axis1=1, axis2=2) % PRIME).any()
+    H = np.random.default_rng(6).integers(0, PRIME, size=(count, n, n)).astype(object)
+    H[:, -1, -1] = -np.trace(H[:, :-1, :-1], axis1=1, axis2=2) % PRIME
+
+    def value(x, y):
+        # (x, y) is off the locus: multiply the words out in Python ints
+        total = 0
+        for (_, factors), coeff in p.items():
+            term = to_mod_p(coeff.evaluate(n))
+            for w in factors:
+                m = np.eye(n, dtype=object)
+                for letter, exp in w.runs:
+                    for _ in range(exp):
+                        m = m.dot((x, y)[letter]) % PRIME
+                term = term * np.trace(m) % PRIME
+            total += term
+        return total % PRIME
+
+    weights = [-25, 48, -36, 16, -3]
+    for k in range(count):
+        x, y, h = pool.X[k].astype(object), pool.Y[k].astype(object), H[k]
+        for d, moved in ((dx, lambda t: value(x + t * h, y)), (dy, lambda t: value(x, y + t * h))):
+            derivative = sum(w * moved(t) for t, w in enumerate(weights)) * pow(12, -1, PRIME) % PRIME
+            assert derivative == np.trace(d[k].astype(object).dot(h)) % PRIME
+
+
+def test_gradient_refuses_a_term_with_a_central_factor():
+    pool = ExactPool.sample(3, 4, seed=0)
+    with pytest.raises(ValueError, match="tr X or tr Y"):
+        pool.gradient(P("5*tr(X)*tr(A^2)", TRACELESS))
 
 
 def test_reconstruct_round_trips_within_the_bound():

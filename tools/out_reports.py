@@ -42,6 +42,8 @@ JOBS += [
     ("closure_n4", ["closure", "--n", "4", "--seed", "0"]),
     # 49 elements at a degree with 6,836 trace monomials
     ("closure_n2_degree12", ["closure", "--n", "2", "--degree", "12", "--seed", "0"]),
+    # 176 elements; the basis saturates partway through its last level
+    ("closure_n3_degree10", ["closure", "--n", "3", "--degree", "10", "--seed", "0"]),
     ("reduce_traceless_n2", ["reduce", "--mode", "traceless", "--n", "2", "tr(A^5 B^3)"]),
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
