@@ -13,7 +13,8 @@ V_H = sum dH/dY_jk d/dX_kj - dH/dX_jk d/dY_kj, i.e. dF/dt = {F, H}) are
 Each formula is the global flow of its Hamiltonian on
 M_n + M_n, so it is holomorphic symplectic everywhere and restricts to the
 traceless rank-one locus.  `certify_symplectic` proves the flow property
-exactly mod p on the traceless Calogero-Moser space, for every t at once.
+exactly mod p on the traceless Calogero-Moser space, for every t at once, by
+checking that the image solves the ODE of V_H on the matrices themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bracket import bracket_traceless
 from .cm import CMPoint, child_rng, gradient_function
 from .modp import PRIME, ExactPool, to_mod_p
 from .poly import TRACELESS, TracePolynomial
@@ -171,19 +171,9 @@ class FlowCertificate:
     family: str
     t: complex
     n: int
-    generators: int
     points: int
     prime: int
     passed: bool
-
-
-def invariant_generators(n: int) -> list[TracePolynomial]:
-    """The straight words tr(A^i B^j), 2 <= i + j <= n: Weyl's polarized power
-    sums, which generate C[h + h*]^{S_n} and, through Etingof and Ginzburg's
-    gr C[CM_n] = C[h + h*]^{S_n} (Invent. Math. 147, 2002), the functions on
-    the traceless Calogero-Moser space."""
-    return [TracePolynomial.trace(((FIRST, i), (SECOND, d - i)), TRACELESS)
-            for d in range(2, n + 1) for i in range(d + 1)]
 
 
 def exact_image(fam_id: str, t: int, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,22 +187,34 @@ def exact_image(fam_id: str, t: int, X: np.ndarray, Y: np.ndarray) -> tuple[np.n
     return tuple(np.vectorize(to_mod_p, otypes=[np.int64])(np.array(m)) for m in zip(*images))
 
 
+def _field(pool: ExactPool, h: TracePolynomial) -> np.ndarray:
+    """h's Hamiltonian vector field (dX/dt, dY/dt) = (dY, -dX) at the pool's
+    points, stacked as (2, N, n, n) mod PRIME; the pool's dX is already
+    (dh/dX)^T, the transpose the float field takes."""
+    dx, dy = pool.gradient(h)
+    return np.stack((dy, -dx % PRIME))
+
+
 @cache
 def exact_certificate(fam_id: str, n: int) -> bool:
     """Whether the family's map is the flow of its Hamiltonian H on the
     traceless Calogero-Moser space of n x n matrices, for every t at once.
 
-    At CERTIFICATE_POINTS random traceless rank-one points mod PRIME and a
+    At CERTIFICATE_POINTS random traceless rank-one points x mod PRIME and a
     random t mod PRIME, the image must pass the exact locus test of ExactPool
-    and every generator f must pull back to exp(t ad_H) f, ad_H f = {f, H}.
-    For the shears the series ends within deg f + 1 terms, since ad_H lowers
-    the degree in one letter.  For scaling, {f, H} = 2 (a - b) tr(AB) f for f
-    of bidegree (a, b), with n symbolic, and tr AB is constant along the flow,
-    so exp(t ad_H) f = w^(a - b) f with w = e^{2t tr AB}; the image (wA, B/w)
-    is checked at a free unit w, so no value can overflow.  Both sides are
-    polynomials in t and the point, so a nonzero difference of degree d
-    survives the check with probability at most d/PRIME (Schwartz, J. ACM
-    27(4), 1980); a map that leaves the locus fails."""
+    and solve the ODE dz/dt = X_H(z) on the matrices themselves, with the
+    field X_H = (dY, -dX) read from ExactPool.gradient.  A shear's image must
+    be x + t X_H(x) with X_H(image) = X_H(x): then t -> image starts at x and
+    has derivative X_H(image), so by the uniqueness of ODE solutions it is
+    the flow.  Scaling's image (wA, B/w) is checked at a free unit w, so no
+    value can overflow: X_H there must be 2u (wA, -B/w), u = tr AB at x,
+    which is d/dt of the image when w = e^{2tu}.  The free unit cannot see
+    that exponent; the RK4 comparison of acceptance criterion 5 pins it.
+    Since the matrices are compared, not only invariants, an image moved
+    along its conjugation orbit fails too.  Both sides are polynomials in t
+    (or w) and the point, so a nonzero difference of degree d survives the
+    check with probability at most d/PRIME (Schwartz, J. ACM 27(4), 1980);
+    a map that leaves the locus fails."""
     pool = ExactPool.sample(n, CERTIFICATE_POINTS, CERTIFICATE_SEED)
     t = int(child_rng(CERTIFICATE_SEED, 1).integers(2, PRIME))
     h = family_hamiltonian(fam_id)
@@ -221,33 +223,19 @@ def exact_certificate(fam_id: str, n: int) -> bool:
         image = ExactPool(X, Y)
     except ValueError:  # the image leaves the traceless rank-one locus
         return False
-    u = TracePolynomial.trace(((FIRST, 1), (SECOND, 1)), TRACELESS)
-    for f in invariant_generators(n):
-        if fam_id == "scaling":
-            a, b = f.bidegree()
-            if bracket_traceless(f, h) != 2 * (a - b) * u * f:
-                return False
-            pulled = pow(t, a - b, PRIME) * pool.values(f) % PRIME
-        else:
-            pulled, term, coeff = pool.values(f), f, 1
-            for k in range(1, f.degree() + 2):
-                term = bracket_traceless(term, h)
-                if term.is_zero():
-                    break
-                coeff = coeff * t * pow(k, -1, PRIME) % PRIME
-                pulled = (pulled + coeff * pool.values(term)) % PRIME
-            else:
-                return False  # a series that does not end is no shear's
-        if (image.values(f) != pulled).any():
-            return False
-    return True
+    field = _field(image, h)
+    if fam_id == "scaling":
+        u = pool.values(TracePolynomial.trace(((FIRST, 1), (SECOND, 1)), TRACELESS))
+        return np.array_equal(field, 2 * u[:, None, None] % PRIME * np.stack((X, -Y % PRIME)) % PRIME)
+    start = _field(pool, h)
+    moved = (np.stack((pool.X, pool.Y)) + t * start) % PRIME
+    return np.array_equal(np.stack((X, Y)), moved) and np.array_equal(field, start)
 
 
 def certify_symplectic(fam: FlowFamily, pts: list[CMPoint]) -> FlowCertificate:
     """Certify the family on the traceless Calogero-Moser space of the points'
-    n by `exact_certificate`: its map is the flow of its Hamiltonian, so it is
-    symplectic there and keeps the locus, at every t.  The points give only n;
-    the verdict does not read fam.t."""
+    n by `exact_certificate`: its map is the flow of its Hamiltonian on the
+    matrices, so it is symplectic there and keeps the locus, at every t.  The
+    points give only n; the verdict does not read fam.t."""
     n = pts[0].pair.n
-    return FlowCertificate(fam.id, fam.t, n, len(invariant_generators(n)), CERTIFICATE_POINTS, PRIME,
-                           exact_certificate(fam.id, n))
+    return FlowCertificate(fam.id, fam.t, n, CERTIFICATE_POINTS, PRIME, exact_certificate(fam.id, n))

@@ -23,11 +23,12 @@ value mod PRIME.  Entries are int64 in [0, p) with p < 2^30.  Small products
 (the n x n matrices of a pool) stay in int64: a product of two entries is
 below 2^60, so a sum of up to 8 of them stays below 2^63, and longer sums
 split one operand into 15-bit halves, whose products stay below 2^45 (sums
-of more than 2^18 of them are cut into blocks).  The span test's long products run on
-float64 BLAS instead (blas_matmul): one operand is cut into 10-bit slices, a
-slice times an entry is below 2^40, and sums of up to 2^13 of them are exact
-in a double, the usual way to do exact linear algebra mod a word-size prime
-on floating-point hardware (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+of more than 2^18 of them are cut into blocks).  The span test's long
+products run on float64 BLAS instead (blas_matmul): one operand is cut into
+10-bit slices, a slice times an entry is below 2^40, and sums of up to 2^13
+of them are exact in a double (longer sums are cut into blocks), the usual
+way to do exact linear algebra mod a word-size prime on floating-point
+hardware (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -92,11 +93,13 @@ def blas_matmul(a: np.ndarray, b: np.ndarray, prime: int = PRIME) -> np.ndarray:
     """a @ b mod p on float64 BLAS, for an (s, k) int64 a with entries in
     [0, p) and a (k, m) float64 b holding integers in [0, p).  a is split in
     10-bit slices, so a slice times an entry of b is below 2^40 and a sum of
-    up to MAX_INNER of them is exact in a double; one product of the three
-    stacked slices with b gives all three sums."""
+    up to MAX_INNER of them is exact in a double (longer sums are cut into
+    blocks); one product of the three stacked slices with b gives all three
+    sums."""
     s, k = a.shape
     if k > MAX_INNER:
-        raise ValueError(f"inner dimension {k} exceeds {MAX_INNER}, where float sums stay exact")
+        head = blas_matmul(a[:, :MAX_INNER], b[:MAX_INNER], prime)
+        return (head + blas_matmul(a[:, MAX_INNER:], b[MAX_INNER:], prime)) % prime
     slices = np.concatenate([a >> 20, a >> 10 & 0x3FF, a & 0x3FF]).astype(np.float64)
     high, mid, low = (slices @ b).astype(np.int64).reshape(3, s, -1)
     return ((high % prime << 20) + (mid % prime << 10) + low) % prime
@@ -244,7 +247,9 @@ class ExactPool:
     def gradient(self, p: TracePolynomial) -> tuple[np.ndarray, np.ndarray]:
         """(dX, dY): the traceless parts of p's gradients with respect to X and
         Y at every point, as (N, n, n) stacks mod prime; the combination of its
-        factors' trace gradients by its Leibniz weights."""
+        factors' trace gradients by its Leibniz weights.  They pair by trace:
+        dX = (dp/dX)^T, (dX)_kj = dp/dX_jk, so moving X by H moves p by
+        tr(dX H); cm.gradient_function gives dp/dX itself, untransposed."""
         total = np.zeros((len(self), 2 * self.n * self.n), dtype=np.int64)
         for w, weight in self.leibniz_weights(p).items():
             total = (total + np.reshape(weight, (-1, 1)) * self.trace_gradient(w).astype(np.int64)) % self.prime

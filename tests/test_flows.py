@@ -1,19 +1,18 @@
 """Flow families: closed forms, the integrator, and symplectic certification."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from cmpoisson import flows
-from cmpoisson.closure import POOL_MARGIN, dimension
+from cmpoisson import flows, modp
 from cmpoisson.cm import (
     CMPoint,
     GradientPlan,
     MatrixPair,
     diagonal_normal_form,
     evaluate,
+    gradient_function,
     numeric_gradient,
     sample_cm,
     symplectic_pullback_residual,
@@ -24,12 +23,12 @@ from cmpoisson.flows import (
     certify_symplectic,
     family_hamiltonian,
     family_map,
-    invariant_generators,
     ode_flow,
 )
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
-from cmpoisson.modp import LAMBDAS, PRIME, Echelon, ExactPool, to_mod_p
-from cmpoisson.poly import TRACELESS
+from cmpoisson.modp import LAMBDAS, PRIME, ExactPool, to_mod_p
+from cmpoisson.poly import TRACELESS, TracePolynomial
+from cmpoisson.words import FIRST, SECOND
 from conftest import apply_family, ode_gap
 
 
@@ -210,13 +209,12 @@ def test_endpoint_verdict_rule(miss, err, verdict):
 
 
 def test_certification_passes_for_families():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 10, 14):
         pts = [sample_cm(n, traceless=True, seed=9)]
         for fid in FAMILY_IDS:
             cert = certify_symplectic(FlowFamily(fid, 1 + 1j), pts)
             assert cert.passed, (fid, n)
-            assert (cert.family, cert.n, cert.generators, cert.points, cert.prime) == (
-                fid, n, len(invariant_generators(n)), flows.CERTIFICATE_POINTS, PRIME)
+            assert (cert.family, cert.n, cert.points, cert.prime) == (fid, n, flows.CERTIFICATE_POINTS, PRIME)
 
 
 def test_certifier_flags_non_symplectic_jacobian(monkeypatch, fresh_certificates):
@@ -226,23 +224,49 @@ def test_certifier_flags_non_symplectic_jacobian(monkeypatch, fresh_certificates
     assert not certify_symplectic(FlowFamily("shearB", 0.5), pts).passed
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_invariant_generators_generate(n):
-    # the products of degree <= 8 of the words the certificate checks span the
-    # functions of degree <= 8 on the traceless CM space (Molien's dimension)
-    target = dimension(n, 8)
-    pool = ExactPool.sample(n, target + POOL_MARGIN, seed=0)
-    gens = invariant_generators(n)
-    columns, degrees = [pool.values(g) for g in gens], [g.degree() for g in gens]
-    echelon = Echelon(len(pool))
-    for size in range(5):  # every generator has degree >= 2
-        for factors in combinations_with_replacement(range(len(columns)), size):
-            if sum(degrees[i] for i in factors) <= 8:
-                row = np.ones(len(pool), dtype=np.int64)
-                for i in factors:
-                    row = row * columns[i] % PRIME
-                echelon.add(row)
-    assert echelon.rank == target
+@pytest.mark.parametrize("fid", ["shearB", "shearA", "cubicShear"])
+def test_certifier_flags_a_conjugated_image(monkeypatch, fresh_certificates, fid):
+    # at n = 3, reversing rows and columns conjugates by the (0 2) transposition,
+    # which fixes v = (1, -1, 1): the image stays on the locus and keeps every
+    # trace, so a check on the values of invariants alone passes it
+    pool = ExactPool.sample(3, flows.CERTIFICATE_POINTS, flows.CERTIFICATE_SEED)
+    image = ExactPool(*flows.exact_image(fid, 5, pool.X, pool.Y))
+    traceless_image = flows._traceless_image
+    monkeypatch.setattr(flows, "_traceless_image",
+                        lambda fam, A, B: tuple(m[::-1, ::-1] for m in traceless_image(fam, A, B)))
+    conjugated = ExactPool(*flows.exact_image(fid, 5, pool.X, pool.Y))
+    assert not np.array_equal(conjugated.X, image.X) or not np.array_equal(conjugated.Y, image.Y)
+    for d in (2, 3):
+        for i in range(d + 1):
+            f = TracePolynomial.trace(((FIRST, i), (SECOND, d - i)), TRACELESS)
+            assert np.array_equal(conjugated.values(f), image.values(f))
+    assert not certify_symplectic(FlowFamily(fid, 0.3), [sample_cm(3, traceless=True, seed=9)]).passed
+
+
+def test_certifier_flags_a_shear_with_a_square_term(monkeypatch, fresh_certificates):
+    # (X, Y - 2tA - t^2 A) keeps [X, Y] and so the locus, but is no flow
+    monkeypatch.setattr(flows, "_traceless_image", lambda fam, A, B: (A, B - 2 * fam.t * A - fam.t**2 * A))
+    assert not certify_symplectic(FlowFamily("shearB", 0.3), [sample_cm(3, traceless=True, seed=9)]).passed
+
+
+def test_certifier_flags_an_euler_step_by_its_field(monkeypatch, fresh_certificates):
+    # x + t X_H(x) for H = (tr AB)^2 leaves the locus; with the locus test off,
+    # the field, which changes along that line, must still fail it
+    monkeypatch.setattr(modp, "check_points", lambda X, Y, prime=PRIME: None)
+    monkeypatch.setattr(flows, "family_hamiltonian", lambda fam: P("tr(A B)*tr(A B)", TRACELESS))
+
+    def euler_step(fam, A, B):
+        c = 2 * fam.t * np.trace(A @ B)
+        return A + c * A, B - c * B
+
+    monkeypatch.setattr(flows, "_traceless_image", euler_step)
+    assert not certify_symplectic(FlowFamily("shearB", 0.3), [sample_cm(3, traceless=True, seed=9)]).passed
+
+
+def test_certifier_flags_scaling_against_a_cubed_crossed_trace(monkeypatch, fresh_certificates):
+    # the field of (tr AB)^3 is 3 u^2 (A, -B), not the image's 2u (A, -B)
+    monkeypatch.setattr(flows, "family_hamiltonian", lambda fam: P("tr(A B)*tr(A B)*tr(A B)", TRACELESS))
+    assert not certify_symplectic(FlowFamily("scaling", 0.3), [sample_cm(3, traceless=True, seed=9)]).passed
 
 
 def test_kernel_shear_conserves_its_factor():
@@ -288,11 +312,30 @@ def gaussian_mod_p(z):
     return reduce(z)
 
 
+# diagonal normal forms whose entries, and the gradients at them, are dyadic
+DYADIC_POINTS = {
+    2: diagonal_normal_form(np.array([1.0, -1.0]), np.array([0.5, -0.5])),
+    3: diagonal_normal_form(np.array([-2.0, 0.0, 2.0]), np.array([0.5, -0.25, -0.25])),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", FAMILY_IDS)
+def test_integrator_field_is_the_certified_field(fid, n):
+    # RK4's float gradient, transposed, is the gradient the exact certificate
+    # reads its field from, entry for entry
+    X, Y = DYADIC_POINTS[n]
+    h = family_hamiltonian(fid)
+    dX, dY = gradient_function(h, n)(X, Y)
+    ex, ey = ExactPool(gaussian_mod_p(X)[None], gaussian_mod_p(Y)[None]).gradient(h)
+    assert np.array_equal(gaussian_mod_p(dX.T), ex[0]) and np.array_equal(gaussian_mod_p(dY.T), ey[0])
+
+
 @pytest.mark.parametrize("fid", ["shearB", "shearA", "cubicShear"])
 def test_family_map_is_the_exact_image(fid):
     # at this point and t the float entries and images are dyadic Gaussian
     # rationals, so exact, and they reduce mod p
-    X, Y = diagonal_normal_form(np.array([-2.0, 0.0, 2.0]), np.array([0.5, -0.25, -0.25]))
+    X, Y = DYADIC_POINTS[3]
     t = 0.5 + 0.25j
     Xf, Yf = family_map(FlowFamily(fid, t))(X, Y)
     Xp, Yp = flows.exact_image(fid, int(gaussian_mod_p(t)), gaussian_mod_p(X)[None], gaussian_mod_p(Y)[None])

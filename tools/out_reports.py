@@ -77,6 +77,8 @@ JOBS += [
     # the certificate holds at every t, where float residuals grew like |t|
     ("flow_shearB_t1e7_n3", ["flow", "--family", "shearB", "--t", "1e7", "--n", "3", "--seed", "0"]),
     ("flow_cubicShear_t1e6_n3", ["flow", "--family", "cubicShear", "--t", "1e6", "--n", "3", "--seed", "0"]),
+    # the largest n a contract job certifies at
+    ("flow_cubicShear_n10", ["flow", "--family", "cubicShear", "--t", "0.3", "--n", "10", "--seed", "0"]),
     ("flow_shearA_n3", ["flow", "--family", "shearA", "--t", "1+1i", "--n", "3", "--seed", "0"]),
     ("flow_shearB_t10_n3", ["flow", "--family", "shearB", "--t", "10", "--n", "3", "--seed", "0"]),
     ("flow_bad_t", ["flow", "--family", "shearB", "--t", "abc", "--seed", "0"]),
