@@ -19,12 +19,20 @@ the traceless Calogero-Moser space.  By Etingof-Ginzburg (Invent. Math. 147,
 associated graded ring C[h + h*]^{S_n}, h the reflection representation
 C^n/C, and by Wilson (Invent. Math. 133, 1998) the traces generate it; so
 the trace monomials of degree <= D span a space of this dimension, and a
-basis that reaches it spans them all.  Membership in the
-closure is certified by solving for the target mod p on fresh exact points,
-lifting the coefficients to Q(i) and checking the lift at points mod a second
-prime (the rank-condition ideal has no tractable symbolic normal form at this
-scale), so a membership failure is always reported as "not found at depth
-d", never as non-membership.
+basis that reaches it spans them all.
+
+The scaling flow (A, B) -> (wA, B/w) keeps the space and the bracket, and
+grades the functions by the weight k = #A - #B, which is the bigrading of
+C[h + h*]^{S_n} by the degrees in h and h*.  The bracket adds weights and
+Cayley-Hamilton reduction keeps them, so the span tests split by weight:
+each weight has its own Echelon, of at most its dimension in
+weight_dimensions(n, D), and one pool of the largest such dimension plus
+POOL_MARGIN points tells every weight's functions apart.  Membership in the
+closure is certified by solving for each weight part of the target mod p on
+fresh exact points, lifting the coefficients to Q(i) and checking the lift
+at points mod a second prime (the rank-condition ideal has no tractable
+symbolic normal form at this scale), so a membership failure is always
+reported as "not found at depth d", never as non-membership.
 """
 
 from __future__ import annotations
@@ -72,25 +80,40 @@ def _partitions(m: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (k,) + rest
 
 
-def dimension(n_value: int, degree_cap: int) -> int:
-    """The dimension of the functions of degree <= degree_cap on the traceless
-    Calogero-Moser space of n_value x n_value matrices.
+def weight_dimensions(n_value: int, degree_cap: int) -> dict[int, int]:
+    """The dimension of the functions of degree <= degree_cap and C* weight k
+    on the traceless Calogero-Moser space of n_value x n_value matrices, for
+    every weight |k| <= degree_cap; the scaling (A, B) -> (wA, B/w) keeps the
+    space and multiplies a function of weight k by w^k.
 
-    Molien's series of C[h + h*]^{S_n} is a sum over the cycle types lambda
-    of S_n: sum (1/z_lambda) (1 - t)^2 / prod_i (1 - t^{lambda_i})^2, where
-    z_lambda = prod_k k^{m_k} m_k! for m_k parts equal to k.  The dimension is
-    the sum of its coefficients up to t^D, which is [t^D] of the series times
-    1/(1 - t).  Up to degree D the series does not depend on n once n >= D,
+    The bigraded Molien series of C[h + h*]^{S_n}, by the degrees a in h and
+    b in h*, is a sum over the cycle types lambda of S_n:
+    sum (1/z_lambda) f_lambda(s) f_lambda(t), with
+    f_lambda(s) = (1 - s) / prod_i (1 - s^{lambda_i}) and
+    z_lambda = prod_k k^{m_k} m_k! for m_k parts equal to k.  The weight-k
+    dimension is the sum of its coefficients of s^a t^b over a + b <= D with
+    a - b = k.  Up to degree D the series does not depend on n once n >= D,
     so the sum runs over the partitions of min(n, D)."""
-    total = Fraction(0)
+    totals = {k: Fraction(0) for k in range(-degree_cap, degree_cap + 1)}
     for parts in _partitions(min(n_value, degree_cap), degree_cap):
-        series = [1] + [0] * degree_cap  # prod_i 1/(1 - t^{lambda_i})^2, truncated
-        for k in parts + parts:
+        series = [1] + [0] * degree_cap  # prod_i 1/(1 - s^{lambda_i}), truncated
+        for k in parts:
             for d in range(k, degree_cap + 1):
                 series[d] += series[d - k]
+        f = [series[0]] + [series[d] - series[d - 1] for d in range(1, degree_cap + 1)]
         z = prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
-        total += Fraction(series[degree_cap] - (series[degree_cap - 1] if degree_cap else 0), z)
-    return int(total)
+        for a in range(degree_cap + 1):
+            for b in range(degree_cap + 1 - a):
+                totals[a - b] += Fraction(f[a] * f[b], z)
+    return {k: int(total) for k, total in totals.items()}
+
+
+def dimension(n_value: int, degree_cap: int) -> int:
+    """The dimension of the functions of degree <= degree_cap on the traceless
+    Calogero-Moser space of n_value x n_value matrices: the sum of
+    weight_dimensions, which is the sum up to t^D of Molien's series
+    sum (1/z_lambda) (1 - t)^2 / prod_i (1 - t^{lambda_i})^2."""
+    return sum(weight_dimensions(n_value, degree_cap).values())
 
 
 def peak_coefficient(p: TracePolynomial, n_value: int) -> Fraction:
@@ -190,41 +213,56 @@ def build_closure(
     n_value: int,
     seed: int = 0,
 ) -> LieClosureBasis:
-    """Breadth-first nested bracketing, pruned by an exact span test mod p
-    on dimension(n, D) + POOL_MARGIN random points, until the basis reaches
-    dimension(n, D).
+    """Breadth-first nested bracketing, pruned by exact span tests mod p, one
+    per C* weight, until the basis reaches dimension(n, D).
 
-    The margin buys a pool on which no nonzero function of degree <= D
-    vanishes everywhere, so that every independent candidate is kept: each
-    new random point shrinks the functions that vanish on the pool so far
-    unless they all vanish there too, with probability at most d/p for their
-    degree d after clearing the denominators (Schwartz-Zippel).  With k spare
-    points, k + 1 such points must occur.
+    Every generator must be weight-homogeneous (ValueError otherwise).  The
+    bracket adds weights and Cayley-Hamilton reduction keeps them, so every
+    element has the weight of its tree, and the functions of degree <= D
+    split into a direct sum over the weights k, of dimensions
+    weight_dimensions(n, D).  A candidate is judged only against the kept
+    elements of its own weight, in that weight's Echelon, on one pool of
+    max_k dim_k + POOL_MARGIN random points shared by all weights.  A pair
+    whose weight is full, its kept elements numbering dim_k, is never paired:
+    every such candidate is in the span.  That covers the weights with no
+    functions, such as that of two pure-A factors, whose bracket is 0.
+
+    The margin buys a pool on which no nonzero function of degree <= D and
+    weight k vanishes everywhere, so that every independent candidate is
+    kept: each new random point shrinks the weight-k functions that vanish
+    on the pool so far unless they all vanish there too, with probability at
+    most d/p for their degree d after clearing the denominators
+    (Schwartz-Zippel).  Each weight's span test lives in a space of
+    dimension dim_k <= max_k dim_k, so with k spare points, k + 1 such points
+    must occur.
 
     A candidate {e_i, e_j} is judged by its value column before it is formed:
     the column is the pairing of the kept elements' gradients at each point
-    (GradientPairing), taken for PAIRING_CHUNK candidates at a time, and the
-    whole chunk is reduced against the span in one call.  A candidate in the
-    span when its chunk starts stays in it, as the span only grows, and is
-    dropped.  The others go through the span test in order, and only one that
-    enlarges the span is bracketed and reduced; its own value row enters the
-    span.  The pairing equals the values of the bracket, and reduce_pipeline
-    only rescales them, so each candidate gets the verdict it would get from
-    its own values, in the same order: the accepted elements, their trees and
-    levels cannot move.  A duplicate or a zero candidate has a column in the
-    span already, so it is never kept.  That is checked, not assumed: a kept
-    element that exceeds the degree cap, repeats a kept one or has values
+    (GradientPairing), taken for PAIRING_CHUNK candidates at a time, and each
+    weight's columns in the chunk are reduced against its span in one call.
+    A candidate in the span when its chunk starts stays in it, as the span
+    only grows, and is dropped.  The others go through the span test in
+    order, and only one that enlarges the span is bracketed and reduced; its
+    own value row enters the span.  The pairing equals the values of the
+    bracket, and reduce_pipeline only rescales them, so each candidate gets
+    the verdict it would get from its own values, in the same order: the
+    accepted elements, their trees and levels cannot move.  A duplicate or a
+    zero candidate has a column in the span already, so it is never kept.
+    That is checked, not assumed: a kept element that exceeds the degree
+    cap, repeats a kept one, has another weight than its tree's or has values
     that fail to enlarge the span is a defect, and raises AssertionError."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
             raise ValueError("closure generators must be traceless-mode polynomials")
     validate_degree_cap(generators, degree_cap)
-    # every element lives in the span of the degree <= cap functions on the variety
-    span_dimension = dimension(n_value, degree_cap)
-    pool_size = span_dimension + POOL_MARGIN
+    generator_weights = [g.weight() for g in generators]
+    # every element lives in the span of its weight's degree <= cap functions on the variety
+    room = weight_dimensions(n_value, degree_cap)
+    span_dimension = sum(room.values())
+    pool_size = max(room.values()) + POOL_MARGIN
     pool = ExactPool.sample(n_value, pool_size, seed)
-    span = Echelon(pool_size)
+    spans = {k: Echelon(pool_size) for k in room}
 
     basis = LieClosureBasis(
         generators=generators,
@@ -238,25 +276,29 @@ def build_closure(
         pool_size=pool_size,
     )
     degrees: list[int] = []
+    weights: list[int] = []
     pairing = GradientPairing(pool)
     kept: set = set()
 
-    def keep(p: TracePolynomial, tree: Tree, level: int) -> None:
+    def keep(p: TracePolynomial, tree: Tree, level: int, weight: int) -> None:
         key = p.canonical_key()
-        if p.degree() > degree_cap or key in kept or not span.add(pool.values(p)):
-            raise AssertionError(f"closure element {tree} exceeds the degree cap, repeats a kept element "
-                                 f"or is in their span")
+        if (p.degree() > degree_cap or key in kept or p.weight() != weight
+                or not spans[weight].add(pool.values(p))):
+            raise AssertionError(f"closure element {tree} exceeds the degree cap, repeats a kept element, "
+                                 f"has another weight than its tree's or is in their span")
         kept.add(key)
+        room[weight] -= 1
         basis.elements.append(p)
         basis.trees.append(tree)
         basis.levels.append(level)
         degrees.append(p.degree())
+        weights.append(weight)
         pairing.add(p)
 
-    for gi, g in enumerate(generators):
+    for gi, (g, weight) in enumerate(zip(generators, generator_weights)):
         p = reduce_pipeline(g, n_value)
-        if not p.is_zero() and p.degree() <= degree_cap and span.reduce(pool.values(p)).any():
-            keep(p, ("gen", gi), 0)
+        if not p.is_zero() and p.degree() <= degree_cap and spans[weight].reduce(pool.values(p)).any():
+            keep(p, ("gen", gi), 0, weight)
 
     level = 1
     while level <= depth_cap and len(basis.elements) < span_dimension:
@@ -268,16 +310,22 @@ def build_closure(
             for i in range(j)
             # the bracket degree is exact: past the cap it cannot come back under it
             if max(basis.levels[i], basis.levels[j]) == level - 1 and degrees[i] + degrees[j] - 2 <= degree_cap
+            and room.get(weights[i] + weights[j], 0) > 0
         ]
         for start in range(0, len(pairs), PAIRING_CHUNK):
-            chunk = pairs[start:start + PAIRING_CHUNK]
-            columns = span.reduce(pairing.columns(chunk))
-            for k in np.flatnonzero(columns.any(axis=1)):
-                if not span.reduce(columns[k]).any():
+            chunk = [(i, j) for i, j in pairs[start:start + PAIRING_CHUNK] if room[weights[i] + weights[j]]]
+            targets = [weights[i] + weights[j] for i, j in chunk]
+            columns = pairing.columns(chunk)
+            for k in set(targets):
+                rows = [r for r, t in enumerate(targets) if t == k]
+                columns[rows] = spans[k].reduce(columns[rows])
+            for r in np.flatnonzero(columns.any(axis=1)):
+                k = targets[r]
+                if not spans[k].reduce(columns[r]).any():
                     continue  # in the span of the elements kept since the chunk started
-                i, j = chunk[k]
+                i, j = chunk[r]
                 ei, ej = basis.elements[i], basis.elements[j]
-                keep(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level)
+                keep(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level, k)
                 added = True
                 if len(basis.elements) >= span_dimension:
                     break  # span of degree<=cap functions is saturated
@@ -322,38 +370,50 @@ def validate_target(target: TracePolynomial, degree_cap: int) -> None:
 
 
 class MembershipChecker:
-    """Solves targets against the basis elements mod p on one exact pool.
+    """Solves targets against the basis elements mod p on one exact pool, one
+    C* weight at a time.
 
     Certificate coefficients lie in Q(i).  Each target is solved at the pool's
     points (X, Y), where i = -lambda, and at (X, -Y), where i = lambda (the
     conjugate embedding).  Half the sum and the difference over 2i of the two
     solutions are the real and imaginary parts mod p, which rational
-    reconstruction lifts to Q.  A solve row carries each element's unit
-    vector, so reducing [target values | 0] leaves zeros on the pool exactly
-    when the target is in the span there, and minus the coefficients in the
-    tail.  The lift is accepted only if it holds exactly at CHECK_POINTS
+    reconstruction lifts to Q.  The functions split into a direct sum over
+    the weights, so the target's part of weight k is a combination of the
+    elements of weight k alone, and is solved against them in that weight's
+    echelon pair; a part of a weight with no elements must vanish on the
+    pool.  A solve row carries each element's unit vector, so reducing
+    [part values | 0] leaves zeros on the pool exactly when the part is in
+    the span there, and minus the coefficients in the tail.  The lift is
+    accepted only if the whole combination holds exactly at CHECK_POINTS
     points mod CHECK_PRIME, where a wrong lift survives a point with
     probability at most deg/CHECK_PRIME (Schwartz-Zippel).  The pool has
-    POOL_MARGIN points beyond the m elements, as build_closure's has."""
+    POOL_MARGIN points beyond the largest weight's element count, as
+    build_closure's has beyond the largest weight's dimension."""
 
     def __init__(self, basis: LieClosureBasis):
         self.basis = basis
         m = len(basis.elements)
-        self.sample_count = sample_count = m + POOL_MARGIN
+        self.members: dict[int, list[int]] = {}  # weight -> indices of its elements
+        for j, e in enumerate(basis.elements):
+            self.members.setdefault(e.weight(), []).append(j)
+        largest = max(map(len, self.members.values()), default=0)
+        self.sample_count = sample_count = largest + POOL_MARGIN
         n, seed = basis.n_value, basis.seed
         self.pool = ExactPool.sample(n, sample_count, seed, MEMBERSHIP_STREAM)
         self.check_pool = ExactPool.sample(n, CHECK_POINTS, seed, CHECK_STREAM, CHECK_PRIME)
         self.check_values = np.array(
             [self.check_pool.values(e) for e in basis.elements], dtype=np.int64
         ).reshape(m, CHECK_POINTS).T
-        self.echelons = []
-        for conjugate in (False, True):
-            echelon = Echelon(sample_count + m)
-            for e, unit in zip(basis.elements, np.eye(m, dtype=np.int64)):
-                echelon.add(np.concatenate([self.pool.values(e, conjugate), unit]))
-            if max(echelon.pivots, default=0) >= sample_count:
-                raise ValueError("the basis elements are linearly dependent on the membership pool")
-            self.echelons.append(echelon)
+        self.echelons: dict[int, list[Echelon]] = {}
+        for k, members in self.members.items():
+            self.echelons[k] = []
+            for conjugate in (False, True):
+                echelon = Echelon(sample_count + len(members))
+                for j, unit in zip(members, np.eye(len(members), dtype=np.int64)):
+                    echelon.add(np.concatenate([self.pool.values(basis.elements[j], conjugate), unit]))
+                if max(echelon.pivots, default=0) >= sample_count:
+                    raise ValueError("the basis elements are linearly dependent on the membership pool")
+                self.echelons[k].append(echelon)
 
     def check(self, target: TracePolynomial) -> MembershipCertificate:
         basis = self.basis
@@ -370,13 +430,16 @@ class MembershipChecker:
             if not pool.defined(reduced):
                 reason = f"the prime {pool.prime} divides a coefficient denominator of the target at peak 1"
                 return MembershipCertificate(target, "inconclusive", [], self.sample_count, reason)
-        solutions = []
-        for conjugate, echelon in zip((False, True), self.echelons):
-            values = self.pool.values(reduced, conjugate)
-            remainder = echelon.reduce(np.concatenate([values, np.zeros(m, dtype=np.int64)]))
-            if remainder[: self.sample_count].any():
-                return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
-            solutions.append(-remainder[self.sample_count:] % PRIME)
+        solutions = [np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)]
+        for k, part in reduced.weight_parts().items():
+            members = self.members.get(k, [])
+            echelons = self.echelons.get(k) or [Echelon(self.sample_count)] * 2
+            for conjugate, echelon, solution in zip((False, True), echelons, solutions):
+                values = self.pool.values(part, conjugate)
+                remainder = echelon.reduce(np.concatenate([values, np.zeros(len(members), dtype=np.int64)]))
+                if remainder[: self.sample_count].any():
+                    return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
+                solution[members] = -remainder[self.sample_count:] % PRIME
         (c1, c2), i = solutions, PRIME - LAMBDAS[PRIME]
         parts = (c1 + c2) * pow(2, -1, PRIME) % PRIME, (c1 - c2) * pow(2 * i, -1, PRIME) % PRIME
         lifted = {j: (reconstruct(parts[0][j]), reconstruct(parts[1][j])) for j in np.flatnonzero(c1 | c2)}

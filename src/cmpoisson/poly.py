@@ -229,6 +229,24 @@ class TracePolynomial:
             return MINUS_INF
         return max(_term_degree(key) for key in self._terms)
 
+    def weight_parts(self) -> dict[int, "TracePolynomial"]:
+        """p split by C* weight: the scaling (A, B) -> (wA, B/w) multiplies a
+        term by w^k, k its A-degree less its B-degree with the central
+        exponents counted too.  Keyed by weight; empty for the zero
+        polynomial."""
+        parts: dict[int, dict[MonKey, QnCoeff]] = {}
+        for key, coeff in self._terms.items():
+            parts.setdefault(_term_weight(key), {})[key] = coeff
+        return {k: TracePolynomial.from_canonical(self.mode, terms) for k, terms in parts.items()}
+
+    def weight(self) -> int:
+        """The C* weight of every term (0 for the zero polynomial); ValueError
+        when the terms' weights differ."""
+        parts = self.weight_parts()
+        if len(parts) > 1:
+            raise ValueError(f"not weight-homogeneous: terms of weights {sorted(parts)}")
+        return next(iter(parts), 0)
+
     def truncate_below_degree(self, d: int) -> "TracePolynomial":
         """Drop all monomials of degree <= d (compare results 'mod d')."""
         return TracePolynomial.from_canonical(
@@ -370,6 +388,14 @@ def _sorted_factors(factors: tuple[CyclicWord, ...]) -> tuple[CyclicWord, ...]:
 def _term_degree(key: MonKey) -> int:
     central, factors = key
     return central[0] + central[1] + sum(w.degree() for w in factors)
+
+
+def _term_weight(key: MonKey) -> int:
+    (a, b), factors = key
+    for w in factors:
+        i, j = w.bidegree()
+        a, b = a + i, b + j
+    return a - b
 
 
 def _monomial_order(key: MonKey):

@@ -1,5 +1,6 @@
 """Lie closure construction and membership certificates."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -12,20 +13,37 @@ from sympy.utilities.iterables import partitions
 
 from cmpoisson.bracket import bracket_traceless
 from cmpoisson.closure import (
+    CHECK_POINTS,
+    CHECK_STREAM,
+    MEMBERSHIP_STREAM,
     LieClosureBasis,
     POOL_MARGIN,
+    MembershipCertificate,
     MembershipChecker,
     build_closure,
     default_depth_cap,
     dimension,
+    peak_coefficient,
     reduce_pipeline,
     standard_generators,
+    validate_target,
+    weight_dimensions,
 )
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
-from cmpoisson.modp import LAMBDA, PRIME, Echelon, ExactPool, to_mod_p
+from cmpoisson.modp import (
+    CHECK_PRIME,
+    LAMBDA,
+    LAMBDAS,
+    PRIME,
+    Echelon,
+    ExactPool,
+    matmul,
+    reconstruct,
+    to_mod_p,
+)
 from cmpoisson.poly import PLAIN, TRACELESS
-from cmpoisson.span import lstsq_fit, value_matrix
+from cmpoisson.span import enumerate_trace_monomials, lstsq_fit, value_matrix
 from conftest import straight_product_poly, straight_word_products
 
 ZERO = (Fraction(0), Fraction(0))
@@ -177,12 +195,13 @@ def basis_n3():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pools_have_the_margin_beyond_the_dimension_they_tell_apart(request, n):
-    # degree cap 6: the closure pool tells apart the degree <= 6 functions,
-    # the membership pool the span of the m elements
+    # degree cap 6: the closure pool tells apart the degree <= 6 functions of
+    # each weight, the membership pool the span of each weight's elements
     basis = request.getfixturevalue(f"basis_n{n}")
-    assert basis.pool_size == dimension(n, 6) + POOL_MARGIN == {2: 32, 3: 57}[n]
+    assert basis.pool_size == max(weight_dimensions(n, 6).values()) + POOL_MARGIN == {2: 20, 3: 23}[n]
     checker = MembershipChecker(basis)
-    assert checker.sample_count == len(checker.pool) == len(basis.elements) + POOL_MARGIN
+    largest = max(Counter(e.weight() for e in basis.elements).values())
+    assert checker.sample_count == len(checker.pool) == largest + POOL_MARGIN
 
 
 def test_target_scale_does_not_matter(basis_n3):
@@ -274,8 +293,9 @@ def test_value_first_closure_is_the_bracket_first_closure(n, degree, depth, seed
     depth_cap = depth or default_depth_cap(n)
     want = bracket_first_closure(standard_generators(), depth_cap, degree, n, seed)
     got = build_closure(standard_generators(), depth_cap, degree, n, seed)
-    assert (got.elements, got.trees, got.levels, got.pool_size) == (
-        want.elements, want.trees, want.levels, want.pool_size)
+    assert (got.elements, got.trees, got.levels) == (want.elements, want.trees, want.levels)
+    # the oracle judges every weight on one pool of dimension(n, D) + POOL_MARGIN points
+    assert got.pool_size == max(weight_dimensions(n, degree).values()) + POOL_MARGIN < want.pool_size
     # the default depth saturates; the short cells stop below the dimension
     assert (len(got.elements) < dimension(n, degree)) == (depth is not None)
 
@@ -340,3 +360,156 @@ def test_pipeline_normalizes_peak_coefficient():
     reduced = reduce_pipeline(p, 3)
     peak = max(abs(complex(c.evaluate(3))) for _, c in reduced.items())
     assert peak == pytest.approx(1.0)
+
+
+def bigraded_weight_dimensions(n, top):
+    """sympy's series of sum over the cycle types lambda of S_n (all of them)
+    of (1/z_lambda) (1 - s)(1 - t) / prod_i (1 - s^{lambda_i})(1 - t^{lambda_i}),
+    its coefficients of s^a t^b summed over a + b <= top by a - b.  u counts
+    the total degree, the one series variable."""
+    R, s, t, u = ring("s,t,u", QQ)
+    precision = top + 1
+    series = R(0)
+    for cycle_type in partitions(n):
+        z = 1
+        denominator = R(1)
+        for k, m in cycle_type.items():
+            z *= k**m * factorial(m)
+            denominator *= ((1 - (s * u) ** k) * (1 - (t * u) ** k)) ** m
+        inverse = rs_series_inversion(denominator, u, precision)
+        series += rs_mul(inverse, (1 - s * u) * (1 - t * u), u, precision) * QQ(1, z)
+    dims = {k: 0 for k in range(-top, top + 1)}
+    for (a, b, _), coeff in series.items():
+        dims[a - b] += int(coeff)
+    return dims
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_dimensions_are_the_bigraded_molien_series(n):
+    for top in range(11):
+        assert weight_dimensions(n, top) == bigraded_weight_dimensions(n, top), top
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weight_dimensions_are_the_monomial_ranks_of_each_weight(n):
+    # the monomials in order of degree, one Echelon per weight, on a pool of
+    # the largest weight's dimension plus the margin, as build_closure's:
+    # after each degree d the rank of weight k is weight_dimensions(n, d)[k]
+    top = 8
+    pool = ExactPool.sample(n, max(weight_dimensions(n, top).values()) + POOL_MARGIN, seed=2)
+    echelons = {k: Echelon(len(pool)) for k in range(-top, top + 1)}
+    monomials = enumerate_trace_monomials(top, TRACELESS)
+    for d in range(top + 1):
+        for m in monomials:
+            if m.degree() == d:
+                echelons[m.weight()].add(pool.values(m))
+        ranks = {k: echelons[k].rank for k in range(-d, d + 1)}
+        assert ranks == weight_dimensions(n, d), d
+
+
+def test_an_inhomogeneous_generator_is_rejected():
+    generators = standard_generators() + [P("tr(A^2) + tr(B^3)", TRACELESS)]
+    with pytest.raises(ValueError, match=r"not weight-homogeneous: terms of weights \[-3, 2\]"):
+        build_closure(generators, depth_cap=4, degree_cap=6, n_value=3)
+
+
+def test_the_weight_is_the_scaling_flow_grading(basis_n3):
+    # tr AB generates the scaling (A, B) -> (e^s A, e^-s B), under which an
+    # element of weight k is an eigenvector: {tr AB, e} = -k e, exactly
+    h = P("tr(A B)", TRACELESS)
+    weights = Counter()
+    for e in basis_n3.elements:
+        weights[e.weight()] += 1
+        assert reduce_pipeline(bracket_traceless(h, e), 3, normalize=False) == e * -e.weight(), F(e)
+    assert weights == {k: d for k, d in weight_dimensions(3, 6).items() if d}
+
+
+class UnsplitMembershipChecker:
+    """The membership certificate solved against all the elements at once, on
+    a pool of their number plus POOL_MARGIN points.  An oracle for
+    MembershipChecker, which solves each weight part of the target against
+    that weight's elements on a pool of the largest weight's count plus
+    POOL_MARGIN points."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        m = len(basis.elements)
+        self.sample_count = sample_count = m + POOL_MARGIN
+        n, seed = basis.n_value, basis.seed
+        self.pool = ExactPool.sample(n, sample_count, seed, MEMBERSHIP_STREAM)
+        self.check_pool = ExactPool.sample(n, CHECK_POINTS, seed, CHECK_STREAM, CHECK_PRIME)
+        self.check_values = np.array(
+            [self.check_pool.values(e) for e in basis.elements], dtype=np.int64
+        ).reshape(m, CHECK_POINTS).T
+        self.echelons = []
+        for conjugate in (False, True):
+            echelon = Echelon(sample_count + m)
+            for e, unit in zip(basis.elements, np.eye(m, dtype=np.int64)):
+                echelon.add(np.concatenate([self.pool.values(e, conjugate), unit]))
+            assert max(echelon.pivots, default=0) < sample_count
+            self.echelons.append(echelon)
+
+    def check(self, target):
+        basis = self.basis
+        validate_target(target, basis.degree_cap)
+        m = len(basis.elements)
+        reduced = reduce_pipeline(target, basis.n_value, normalize=False)
+        peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)
+        reduced = reduced * (1 / peak)
+        for pool in (self.pool, self.check_pool):
+            if not pool.defined(reduced):
+                return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+        solutions = []
+        for conjugate, echelon in zip((False, True), self.echelons):
+            values = self.pool.values(reduced, conjugate)
+            remainder = echelon.reduce(np.concatenate([values, np.zeros(m, dtype=np.int64)]))
+            if remainder[: self.sample_count].any():
+                return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
+            solutions.append(-remainder[self.sample_count:] % PRIME)
+        (c1, c2), i = solutions, PRIME - LAMBDAS[PRIME]
+        parts = (c1 + c2) * pow(2, -1, PRIME) % PRIME, (c1 - c2) * pow(2 * i, -1, PRIME) % PRIME
+        lifted = {j: (reconstruct(parts[0][j]), reconstruct(parts[1][j])) for j in np.flatnonzero(c1 | c2)}
+        if any(x is None for pair in lifted.values() for x in pair):
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+        i_check = CHECK_PRIME - LAMBDAS[CHECK_PRIME]
+        combination = np.zeros(m, dtype=np.int64)
+        coefficients = [(Fraction(0), Fraction(0))] * m
+        for j, (a, b) in lifted.items():
+            combination[j] = (to_mod_p(a, CHECK_PRIME) + i_check * to_mod_p(b, CHECK_PRIME)) % CHECK_PRIME
+            coefficients[j] = (peak * a, peak * b)
+        if (matmul(self.check_values, combination, CHECK_PRIME) != self.check_pool.values(reduced)).any():
+            return MembershipCertificate(target, "inconclusive", [], self.sample_count)
+        return MembershipCertificate(target, "member", coefficients, self.sample_count)
+
+
+MIXED_TARGET = "tr(A^2)*tr(B^2) + tr(A^3) + tr(A B^2)"  # weights 0, 3 and -1
+
+
+CRITERION_6 = {n: [straight_product_poly(w) for w in straight_word_products(d)] for n, d in ((2, 6), (3, 8))}
+
+
+@pytest.mark.parametrize(
+    "n, depth, targets, statuses",
+    [
+        (2, 8, CRITERION_6[2], {"member": len(CRITERION_6[2])}),
+        (3, 10, CRITERION_6[3], {"member": len(CRITERION_6[3])}),
+        (3, 10, [P(MIXED_TARGET, TRACELESS)], {"member": 1}),
+        # depth 1 stops below the dimension: tr(A^3 B^3) and the mixed target
+        # are not found, nor is tr(A^2) + tr(A B^2), as no element has weight -1;
+        # tr(A B)*tr(A^2) and tr(A^2) are found
+        (3, 1, [P(t, TRACELESS) for t in
+                ("tr(A^3 B^3)", "tr(A B)*tr(A^2)", MIXED_TARGET, "tr(A^2) + tr(A B^2)", "tr(A^2)")],
+         {"not_found_at_depth": 3, "member": 2}),
+    ],
+    ids=["criterion6-n2", "criterion6-n3", "mixed-n3", "depth1-n3"],
+)
+def test_split_membership_is_the_unsplit_membership(n, depth, targets, statuses):
+    basis = build_closure(standard_generators(), depth_cap=depth, degree_cap=8, n_value=n, seed=0)
+    split, unsplit = MembershipChecker(basis), UnsplitMembershipChecker(basis)
+    got_statuses = Counter()
+    for target in targets:
+        got, want = split.check(target), unsplit.check(target)
+        assert (got.status, got.exact_coefficients) == (want.status, want.exact_coefficients), F(target)
+        got_statuses[got.status] += 1
+    assert got_statuses == statuses
+    assert split.sample_count < unsplit.sample_count

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from cmpoisson.bracket import bracket_traceless
-from cmpoisson.closure import GradientPairing, build_closure, default_depth_cap, dimension, standard_generators
+from cmpoisson.closure import (
+    POOL_MARGIN,
+    GradientPairing,
+    build_closure,
+    default_depth_cap,
+    dimension,
+    standard_generators,
+)
 from cmpoisson.cm import PointPool
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.modp import (
@@ -338,7 +345,8 @@ def test_monomial_rank_is_the_dimension_at_each_degree(n, top):
 def test_float_span_accepts_every_exact_closure_element(n):
     basis = build_closure(standard_generators(), default_depth_cap(n), 8, n, seed=0)
     assert len(basis.elements) == {2: 25, 3: 90}[n]
-    pool = PointPool.sample(n, basis.pool_size, seed=0)
+    # one float span holds every weight: it needs a point per element and more
+    pool = PointPool.sample(n, dimension(n, 8) + POOL_MARGIN, seed=0)
     tracker = SpanTracker(len(pool))
     for e in basis.elements:
         assert tracker.add(pool.values_and_magnitudes(e)[0])

@@ -119,6 +119,36 @@ def test_central_symbols_count_in_degree():
     assert p.degree() == 4
 
 
+def test_weight_counts_letters_less_second_letters_and_central_symbols():
+    assert P("tr(A^2 B)", TRACELESS).weight() == 1
+    assert P("tr(X)*tr(Y)*tr(Y)*tr(A B^3) + tr(B^3)", TRACELESS).weight() == -3
+    assert P("tr(A B)*tr(A B) - 4", TRACELESS).weight() == 0
+    assert TracePolynomial.zero(TRACELESS).weight() == 0
+
+
+def test_weight_parts_split_an_inhomogeneous_polynomial():
+    p = P("tr(A^2)*tr(B^2) + tr(A^3) - 2*tr(A B^2) + tr(A^2 B)*tr(A^2)", TRACELESS)
+    parts = p.weight_parts()
+    assert {k: F(part) for k, part in parts.items()} == {
+        0: "tr(A^2)*tr(B^2)", 3: "tr(A^3) + tr(A^2)*tr(A^2 B)", -1: "-2*tr(A B^2)"}
+    assert sum(parts.values(), TracePolynomial.zero(TRACELESS)) == p
+    with pytest.raises(ValueError, match=r"not weight-homogeneous: terms of weights \[-1, 0, 3\]"):
+        p.weight()
+    assert TracePolynomial.zero(TRACELESS).weight_parts() == {}
+
+
+def test_reduction_keeps_each_weight(rng):
+    # Cayley-Hamilton rewrites L^n by products of traces of the same letter,
+    # so every term it writes has the weight of the term it replaces
+    for n_value in (2, 3):
+        for _ in range(10):
+            p = random_polynomial(rng, PLAIN, max_degree=7)
+            for mode_p in (p, p.to_traceless()):
+                for k, part in mode_p.weight_parts().items():
+                    reduced = part.cayley_hamilton_reduce(n_value)
+                    assert reduced.is_zero() or reduced.weight() == k
+
+
 def test_truncation_drops_low_degrees():
     p = P("tr(A^3 B) + tr(A B)", TRACELESS)
     assert p.truncate_below_degree(2) == P("tr(A^3 B)", TRACELESS)

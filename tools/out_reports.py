@@ -93,6 +93,9 @@ JOBS += [
     ("verify_samples4_n3", ["verify", "--n", "3", "--samples", "4", "--seed", "0"]),
     # no subcommand takes --tol, so it is a usage error
     ("verify_tol_rank_n2", ["verify", "--n", "2", "--tol", "rank=1e-3", "--seed", "0"]),
+    # a target of three weights, 0, 3 and -1, each solved against its own elements
+    ("membership_mixed_n3", ["membership", "--target", "tr(A^2)*tr(B^2) + tr(A^3) + tr(A B^2)",
+                             "--n", "3", "--seed", "0"]),
     ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
                                     "--n", "2", "--seed", "0"]),
     # leading-law-3113 with a wrong tail whose denominator is modp.PRIME
