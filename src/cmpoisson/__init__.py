@@ -1,6 +1,7 @@
 """Exact Poisson algebra of trace polynomials on Calogero-Moser matrix pairs.
 
-Symbolic core: cyclic-word trace polynomials over Q[n, n^-1] with the
+Symbolic core: trace polynomials over Q[n, n^-1] in cyclic words (run
+tuples brought to their least rotation by `canonicalize`), with the
 standard and traceless-corrected brackets, Cayley-Hamilton reduction, and a
 pinned identity catalog.  Numeric side: rank-one variety sampling, exact
 splice gradients, symplectic flow certification, and Lie-closure membership
@@ -9,7 +10,7 @@ carry exact symbolic closures.
 """
 
 from .ring import QnCoeff
-from .words import CyclicWord, Word, canonicalize, splice_cuts
+from .words import CyclicWord, canonicalize, splice_cuts
 from .poly import PLAIN, TRACELESS, TracePolynomial
 from .grammar import PolynomialParseError, format_polynomial, parse_polynomial
 from .bracket import (

@@ -48,7 +48,7 @@ def _word_bracket_terms(v: CyclicWord, w: CyclicWord, corrected: bool) -> list[R
         for v_cut, mv in v_cuts:
             for w_cut, mw in w_cuts:
                 mult = QnCoeff.of(sign * mv * mw)
-                terms.append((mult, (0, 0), (canonicalize(v_cut.concat(w_cut)),)))
+                terms.append((mult, (0, 0), (canonicalize(v_cut + w_cut),)))
                 if corrected:
                     terms.append(
                         (

@@ -281,7 +281,7 @@ def _as_usage_error(fn, *args, **kwargs):
 def _build_closure_from_args(args):
     generators = standard_generators()
     _as_usage_error(validate_degree_cap, generators, args.degree)
-    depth = args.depth if args.depth else default_depth_cap(args.n)
+    depth = default_depth_cap(args.n) if args.depth is None else args.depth
     return build_closure(
         generators,
         depth_cap=depth,
@@ -423,14 +423,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="build the Lie closure of the generators")
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--depth", type=_at_least(0), default=0)
+    p.add_argument("--depth", type=_at_least(0))
     p.add_argument("--degree", type=int, default=8)
     common(p, cmd_closure)
 
     p = sub.add_parser("membership", help="certify membership in the Lie closure")
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--depth", type=_at_least(0), default=0)
+    p.add_argument("--depth", type=_at_least(0))
     p.add_argument("--degree", type=int, default=8)
     common(p, cmd_membership)
 

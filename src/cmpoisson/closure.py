@@ -121,17 +121,16 @@ def peak_coefficient(p: TracePolynomial, n_value: int) -> Fraction:
     return max((abs(c.evaluate(n_value)) for _, c in p.items()), default=Fraction(0))
 
 
-def reduce_pipeline(
-    p: TracePolynomial, n_value: int, normalize: bool = True
-) -> TracePolynomial:
-    """Canonical post-bracket reduction: CH-reduce, collapse n, renormalize.
+def reduce_pipeline(p: TracePolynomial, n_value: int) -> TracePolynomial:
+    """Canonical post-bracket reduction: CH-reduce at n (which also collapses
+    n in the coefficients), then renormalize.
 
     The exact rescaling by the largest coefficient magnitude keeps nested
     brackets' coefficients O(1), so certificate coefficients stay small
     enough to lift from F_p to Q(i)."""
-    reduced = p.cayley_hamilton_reduce(n_value).specialize_n(n_value)
+    reduced = p.cayley_hamilton_reduce(n_value)
     peak = peak_coefficient(reduced, n_value)
-    return reduced * (1 / peak) if normalize and peak else reduced
+    return reduced * (1 / peak) if peak else reduced
 
 
 @dataclass
@@ -419,7 +418,7 @@ class MembershipChecker:
         basis = self.basis
         validate_target(target, basis.degree_cap)
         m = len(basis.elements)
-        reduced = reduce_pipeline(target, basis.n_value, normalize=False)
+        reduced = target.cayley_hamilton_reduce(basis.n_value)
         # solve for the target at peak coefficient 1, like the elements, so
         # that its scale cannot push the coefficients past the lifting bound
         peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)

@@ -325,7 +325,7 @@ class GradientPlan:
             slot = len(self.grads)
             letters = []
             for letter in (FIRST, SECOND):
-                cuts = [(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
+                cuts = [(mult, word_id(cut)) for cut, mult in splice_cuts(w, letter)]
                 if cuts:
                     letters.append(letter)
                     self.grads.append((*cuts[0], cuts[1:]))

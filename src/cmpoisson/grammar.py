@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from .poly import PLAIN, TRACELESS, MonKey, TracePolynomial, _monomial_order
 from .ring import QnCoeff
-from .words import FIRST, SECOND, CyclicWord, Word, canonicalize
+from .words import FIRST, SECOND, CyclicWord, canonicalize
 
 _WORD_LETTERS = {PLAIN: {"X": FIRST, "Y": SECOND}, TRACELESS: {"A": FIRST, "B": SECOND}}
 _CENTRAL_LETTERS = {"X": FIRST, "Y": SECOND}
@@ -180,7 +180,7 @@ def _parse_word(sc: _Scanner, mode: str):
             if exp < 1:
                 sc.error(f"word exponent must be >= 1, got {exp}", pos)
             runs.append((word_map[ch], exp))
-        return "word", canonicalize(Word(tuple(runs)))
+        return "word", canonicalize(runs)
     if mode == TRACELESS and len(entries) == 1 and entries[0][0] in _CENTRAL_LETTERS:
         ch, exp, pos = entries[0]
         if exp != 1:

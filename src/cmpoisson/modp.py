@@ -61,7 +61,6 @@ def _sqrt_minus_one(prime: int) -> int:
 
 
 LAMBDAS = {p: p - _sqrt_minus_one(p) for p in (PRIME, CHECK_PRIME)}  # -i in F_p
-LAMBDA = LAMBDAS[PRIME]
 
 
 def to_mod_p(q: Fraction, prime: int = PRIME) -> int:
@@ -217,7 +216,7 @@ class ExactPool:
             for letter in (FIRST, SECOND):
                 g = np.zeros_like(self.X)
                 for cut, mult in splice_cuts(w, letter):
-                    g = (g + mult * self._product(cut.runs)) % prime
+                    g = (g + mult * self._product(cut)) % prime
                 shift = np.trace(g, axis1=1, axis2=2) * pow(n, -1, prime) % prime
                 g[:, eye] = (g[:, eye] - shift[:, None]) % prime
                 halves.append(g.reshape(len(self), n * n))

@@ -23,7 +23,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator
 
 from .ring import QnCoeff
-from .words import FIRST, SECOND, CyclicWord, Run, Word, canonicalize, merge_runs
+from .words import FIRST, SECOND, CyclicWord, Run, canonicalize
 
 PLAIN = "plain"
 TRACELESS = "traceless"
@@ -106,14 +106,9 @@ class TracePolynomial:
         return cls(mode, [(((0, 0), ()), c)])
 
     @classmethod
-    def trace(cls, runs: Iterable[Run] | Word | CyclicWord, mode: str, coeff=1) -> "TracePolynomial":
+    def trace(cls, runs: Iterable[Run] | CyclicWord, mode: str, coeff=1) -> "TracePolynomial":
         """coeff * tr(word)."""
-        if isinstance(runs, CyclicWord):
-            w = runs
-        elif isinstance(runs, Word):
-            w = canonicalize(runs)
-        else:
-            w = canonicalize(Word(merge_runs(runs)))
+        w = runs if isinstance(runs, CyclicWord) else canonicalize(runs)
         c = coeff if isinstance(coeff, QnCoeff) else QnCoeff.of(coeff)
         return cls(mode, [(((0, 0), (w,)), c)])
 
@@ -410,7 +405,7 @@ def _monomial_order(key: MonKey):
 
 def _straight_word(w: CyclicWord) -> CyclicWord:
     i, j = w.bidegree()
-    return canonicalize(Word(merge_runs(((FIRST, i), (SECOND, j)))))
+    return canonicalize(((FIRST, i), (SECOND, j)))
 
 
 def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomial:
@@ -428,8 +423,7 @@ def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomia
         per_run_choices.append(choices)
     terms = []
     for combo in iter_product(*per_run_choices):
-        kept_runs = tuple((letter, kept) for letter, kept, _, _ in combo if kept > 0)
-        reduced = canonicalize(Word(merge_runs(kept_runs)))
+        reduced = canonicalize((letter, kept) for letter, kept, _, _ in combo)
         deleted_x = sum(k for letter, _, k, _ in combo if letter == FIRST)
         deleted_y = sum(k for letter, _, k, _ in combo if letter == SECOND)
         binom = Fraction(1)
@@ -440,8 +434,8 @@ def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomia
             key = ((deleted_x, deleted_y), (reduced,))
         else:
             factors = [reduced]
-            factors += [canonicalize(Word(((FIRST, 1),)))] * deleted_x
-            factors += [canonicalize(Word(((SECOND, 1),)))] * deleted_y
+            factors += [canonicalize(((FIRST, 1),))] * deleted_x
+            factors += [canonicalize(((SECOND, 1),))] * deleted_y
             key = ((0, 0), tuple(factors))
         terms.append((key, coeff))
     return TracePolynomial(target_mode, terms)
@@ -485,7 +479,7 @@ def _reduce_word_once(w: CyclicWord, run_idx: int, n_value: int, mode: str) -> T
     rest = runs[run_idx + 1:] + runs[:run_idx]  # cut the cycle after the big run
     out = TracePolynomial.zero(mode)
     for k in range(1, n_value + 1):
-        reduced = canonicalize(Word(merge_runs(((letter, exp - k),) + rest)))
+        reduced = canonicalize(((letter, exp - k),) + rest)
         term = elementary[k] * TracePolynomial.trace(reduced, mode)
         out = out + (term if k % 2 == 1 else -term)
     return out.specialize_n(n_value)

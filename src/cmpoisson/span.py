@@ -9,7 +9,7 @@ import numpy as np
 
 from .poly import TRACELESS, TracePolynomial
 from .ring import QnCoeff
-from .words import CyclicWord, Word, canonicalize
+from .words import CyclicWord, canonicalize, runs_from_letters
 
 RCOND = 1e-13  # singular values at or below RCOND * the largest count as 0
 
@@ -21,7 +21,7 @@ def enumerate_cyclic_words(degree: int) -> tuple[CyclicWord, ...]:
         return ()
     seen: set[CyclicWord] = set()
     for letters in iter_product((0, 1), repeat=degree):
-        seen.add(canonicalize(Word.from_letters(letters)))
+        seen.add(canonicalize(runs_from_letters(letters)))
     return tuple(sorted(seen, key=lambda w: w.runs))
 
 

@@ -1,15 +1,17 @@
 """Words in two noncommuting matrix letters and their cyclic canonical forms.
 
-A Word is a finite product of the two letters (0 = first, 1 = second; rendered
-X/Y in plain mode and A/B in traceless mode), stored as run-length pairs
-(letter, exponent) with alternating letters and exponents >= 1.  The empty
-word denotes the identity matrix.
+A linear word is a finite product of the two letters (0 = first, 1 = second;
+rendered X/Y in plain mode and A/B in traceless mode), kept as a tuple of
+run-length pairs (letter, exponent).  A run tuple is merged when its letters
+alternate and every exponent is >= 1; merge_runs makes it so.  The empty
+tuple denotes the identity matrix.
 
-A CyclicWord is the rotation class of a Word; traces of cyclically equivalent
-words coincide, so trace factors are always kept in the canonical (least)
-rotation.  Canonical form = lexicographically minimal rotation of the flat
-letter sequence under 0 < 1; it begins with a run of the first letter, so
-only the rotations starting at those runs are compared.
+A CyclicWord is the rotation class of a linear word; traces of cyclically
+equivalent words coincide, so trace factors are always kept in the canonical
+(least) rotation, and canonicalize is the one way from runs to a CyclicWord.
+Canonical form = lexicographically minimal rotation of the flat letter
+sequence under 0 < 1; it begins with a run of the first letter, so only the
+rotations starting at those runs are compared.
 """
 
 from __future__ import annotations
@@ -52,56 +54,13 @@ def merge_runs(runs: Iterable[Run]) -> Runs:
     return tuple(out)
 
 
-class Word:
-    """Linear word over two letters, run-length encoded and immutable."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: Iterable[Run] = ()):
-        object.__setattr__(self, "runs", merge_runs(runs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    @classmethod
-    def from_letters(cls, letters: Sequence[int]) -> "Word":
-        return cls(runs_from_letters(letters))
-
-    def letters(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for letter, exp in self.runs:
-            out.extend([letter] * exp)
-        return tuple(out)
-
-    def bidegree(self) -> tuple[int, int]:
-        first = sum(e for l, e in self.runs if l == FIRST)
-        second = sum(e for l, e in self.runs if l == SECOND)
-        return (first, second)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.runs)
-
-    def is_empty(self) -> bool:
-        return not self.runs
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.runs + other.runs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.runs == other.runs
-
-    def __hash__(self) -> int:
-        return hash(("Word", self.runs))
-
-    def __repr__(self) -> str:
-        if not self.runs:
-            return "Word()"
-        body = " ".join(f"{'ab'[l]}^{e}" if e > 1 else "ab"[l] for l, e in self.runs)
-        return f"Word({body})"
+def _letters(runs: Runs) -> tuple[int, ...]:
+    """The flat letter sequence of a run tuple."""
+    return tuple(letter for letter, exp in runs for _ in range(exp))
 
 
 class CyclicWord:
-    """Rotation class of a Word, stored in the canonical (least) rotation."""
+    """Rotation class of a linear word, stored in the canonical (least) rotation."""
 
     __slots__ = ("runs", "_degree", "_hash")
 
@@ -126,11 +85,8 @@ class CyclicWord:
     def is_empty(self) -> bool:
         return not self.runs
 
-    def to_word(self) -> Word:
-        return Word(self.runs)
-
     def letters(self) -> tuple[int, ...]:
-        return self.to_word().letters()
+        return _letters(self.runs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicWord) and self.runs == other.runs
@@ -154,53 +110,53 @@ def _sort_key(runs: Runs) -> tuple:
 
 @lru_cache(maxsize=65536)
 def _canonical_runs(runs: Runs) -> Runs:
-    if not runs:
-        return ()
-    if len(runs) == 1:
+    """The least rotation of merged runs."""
+    if len(runs) <= 1:
         return runs
     # Close the cycle: merge first/last runs of equal letter before rotating.
     if runs[0][0] == runs[-1][0]:
-        runs = (( runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
+        runs = ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
         if len(runs) == 1:
             return runs
     # Both letters occur, so the least rotation of the letters begins with a
     # run of FIRST; the end runs differ, so a rotation of the runs there is
-    # already in normal form.
+    # already merged.
     rotated = [runs[i:] + runs[:i] for i, (letter, _) in enumerate(runs) if letter == FIRST]
-    return min(rotated, key=lambda r: Word(r).letters())
+    return min(rotated, key=_letters)
 
 
-def canonicalize(word: Word | Runs) -> CyclicWord:
-    """Canonical rotation of a word; all rotations map to the same CyclicWord."""
-    runs = word.runs if isinstance(word, Word) else merge_runs(word)
-    return CyclicWord(_canonical_runs(runs))
+def canonicalize(runs: Iterable[Run]) -> CyclicWord:
+    """Canonical rotation of a word given by any runs; all rotations map to
+    the same CyclicWord."""
+    return CyclicWord(_canonical_runs(merge_runs(runs)))
 
 
-def rotations(word: Word) -> list[Word]:
-    """All rotations of a word (by flat letters). Brute-force oracle for tests."""
-    letters = word.letters()
-    n = len(letters)
-    if n == 0:
-        return [word]
-    return [Word.from_letters(letters[k:] + letters[:k]) for k in range(n)]
+def rotations(runs: Iterable[Run]) -> list[Runs]:
+    """All rotations of a word (by flat letters), as merged runs.  Brute-force
+    oracle for tests."""
+    letters = _letters(merge_runs(runs))
+    if not letters:
+        return [()]
+    return [runs_from_letters(letters[k:] + letters[:k]) for k in range(len(letters))]
 
 
-def splice_cuts(base: CyclicWord, letter: int) -> list[tuple[Word, int]]:
+def splice_cuts(base: CyclicWord, letter: int) -> list[tuple[Runs, int]]:
     """Splice derivative of tr(base) with respect to one letter.
 
     For each occurrence of `letter` in the cyclic word, cutting the cycle at
     that occurrence and deleting the letter yields a linear word; the list
-    pairs each distinct cut word with its multiplicity.  The total
-    multiplicity equals the letter's exponent in the base word.
+    pairs the merged runs of each distinct cut word with its multiplicity,
+    in run order.  The total multiplicity equals the letter's exponent in
+    the base word.
     """
     runs = base.runs
-    terms: dict[Word, int] = {}
+    terms: dict[Runs, int] = {}
     for idx, (run_letter, exp) in enumerate(runs):
         if run_letter != letter:
             continue
         rest = runs[idx + 1:] + runs[:idx]
         for pos in range(1, exp + 1):
             # delete occurrence `pos` inside this run: letter^(exp-pos) rest letter^(pos-1)
-            cut = Word(((letter, exp - pos),) + rest + ((letter, pos - 1),))
+            cut = merge_runs(((letter, exp - pos),) + rest + ((letter, pos - 1),))
             terms[cut] = terms.get(cut, 0) + 1
-    return sorted(terms.items(), key=lambda kv: (kv[0].runs))
+    return sorted(terms.items())

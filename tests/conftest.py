@@ -12,7 +12,7 @@ from cmpoisson import flows
 from cmpoisson.flows import FlowFamily, family_map
 from cmpoisson.poly import TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
-from cmpoisson.words import FIRST, SECOND, Word, canonicalize
+from cmpoisson.words import FIRST, SECOND, Runs, canonicalize, runs_from_letters
 
 
 # the locus bounds of a float family image: it carries the rounding of the map
@@ -47,10 +47,10 @@ def fresh_certificates():
     flows.exact_certificate.cache_clear()
 
 
-def random_word(rng: np.random.Generator, max_degree: int, min_degree: int = 1) -> Word:
+def random_word(rng: np.random.Generator, max_degree: int, min_degree: int = 1) -> Runs:
     length = int(rng.integers(min_degree, max_degree + 1))
     letters = [int(rng.integers(0, 2)) for _ in range(length)]
-    return Word.from_letters(letters)
+    return runs_from_letters(letters)
 
 
 def random_polynomial(
@@ -74,8 +74,8 @@ def random_polynomial(
         for _ in range(int(rng.integers(1, max_factors + 1))):
             if budget < min_word:
                 break
-            w = random_word(rng, min(budget, max_degree), min_word)
-            factors.append(canonicalize(w))
+            w = canonicalize(random_word(rng, min(budget, max_degree), min_word))
+            factors.append(w)
             budget -= w.degree()
         coeff = Fraction(int(rng.integers(-4, 5)) or 1, int(rng.integers(1, 4)))
         n_power = int(rng.integers(-1, 2)) if allow_n_powers else 0
@@ -106,7 +106,7 @@ def straight_word_products(max_degree: int) -> list[tuple[tuple[int, int], ...]]
 def straight_product_poly(words: tuple[tuple[int, int], ...]) -> TracePolynomial:
     key = (
         (0, 0),
-        tuple(canonicalize(Word(((FIRST, p), (SECOND, q)))) for p, q in words),
+        tuple(canonicalize(((FIRST, p), (SECOND, q))) for p, q in words),
     )
     return TracePolynomial(TRACELESS, [(key, QnCoeff.one())])
 

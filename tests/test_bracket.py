@@ -145,7 +145,7 @@ def _brute_force_word_bracket(v, w, mode):
     Enumerates letter positions directly instead of run-length cuts."""
     from cmpoisson.poly import TracePolynomial
     from cmpoisson.ring import QnCoeff
-    from cmpoisson.words import FIRST, SECOND, Word, canonicalize
+    from cmpoisson.words import FIRST, SECOND, canonicalize, runs_from_letters
 
     corrected = mode == TRACELESS
 
@@ -161,7 +161,7 @@ def _brute_force_word_bracket(v, w, mode):
     for sign, a, b in ((1, FIRST, SECOND), (-1, SECOND, FIRST)):
         for cv in cuts(lv, a):
             for cw in cuts(lw, b):
-                joined = canonicalize(Word.from_letters(cv + cw))
+                joined = canonicalize(runs_from_letters(cv + cw))
                 terms.append((((0, 0), (joined,)), QnCoeff.of(sign)))
                 if corrected:
                     terms.append(
@@ -169,8 +169,8 @@ def _brute_force_word_bracket(v, w, mode):
                             (
                                 (0, 0),
                                 (
-                                    canonicalize(Word.from_letters(cv)),
-                                    canonicalize(Word.from_letters(cw)),
+                                    canonicalize(runs_from_letters(cv)),
+                                    canonicalize(runs_from_letters(cw)),
                                 ),
                             ),
                             QnCoeff.of(-sign, -1),
@@ -181,12 +181,12 @@ def _brute_force_word_bracket(v, w, mode):
 
 def test_splice_engine_matches_flat_letter_oracle(rng):
     from cmpoisson.bracket import _word_bracket
-    from cmpoisson.words import Word, canonicalize
+    from cmpoisson.words import canonicalize, runs_from_letters
 
     for mode in (PLAIN, TRACELESS):
         for _ in range(30):
-            v = canonicalize(Word.from_letters([int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 8)))]))
-            w = canonicalize(Word.from_letters([int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 8)))]))
+            v = canonicalize(runs_from_letters([int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 8)))]))
+            w = canonicalize(runs_from_letters([int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 8)))]))
             assert _word_bracket(v, w, mode) == _brute_force_word_bracket(v, w, mode)
 
 

@@ -18,7 +18,7 @@ from cmpoisson import poly
 from cmpoisson.bracket import _word_bracket, bracket
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
-from cmpoisson.words import FIRST, SECOND, Word, canonicalize, merge_runs
+from cmpoisson.words import FIRST, SECOND, canonicalize, runs_from_letters
 from conftest import same
 
 # ---------------- strategies ----------------
@@ -26,7 +26,7 @@ from conftest import same
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.dictionaries(st.integers(-2, 2), rationals, max_size=3).map(QnCoeff)
 words = st.lists(st.sampled_from((FIRST, SECOND)), min_size=0, max_size=6).map(
-    lambda letters: canonicalize(Word.from_letters(letters))
+    lambda letters: canonicalize(runs_from_letters(letters))
 )
 
 
@@ -109,7 +109,7 @@ def ref_specialize(p, n_value):
 
 
 def ref_trace(runs, mode):
-    return TracePolynomial(mode, [(((0, 0), (canonicalize(Word(merge_runs(runs))),)), QnCoeff.one())])
+    return TracePolynomial(mode, [(((0, 0), (canonicalize(runs),)), QnCoeff.one())])
 
 
 def ref_elementary(letter, n_value, mode):

@@ -252,6 +252,28 @@ def test_closure_that_stops_short_says_so(capsys):
     )
 
 
+def test_closure_at_depth_0_keeps_only_the_generators(tmp_path, capsys):
+    out_file = tmp_path / "closure.json"
+    code, out, _ = run(
+        capsys, "closure", "--n", "2", "--depth", "0", "--degree", "4",
+        "--seed", "0", "--out", str(out_file),
+    )
+    assert code == EXIT_PASS
+    assert out.splitlines()[0] == "closure at n=2: 3 independent elements (depth cap 0, degree cap 4)"
+    report = json.loads(out_file.read_text())
+    assert report["depth_cap"] == 0 and report["levels"] == [0, 0, 0]
+    assert all(tree[0] == "gen" for tree in report["trees"])
+
+
+def test_membership_at_depth_0_solves_against_the_generators(capsys):
+    code, out, _ = run(
+        capsys, "membership", "--target", "tr(A^2) + 2*tr(B^2)", "--n", "2", "--depth", "0", "--seed", "0",
+    )
+    assert code == EXIT_PASS and out.startswith("member: ")
+    code, out, _ = run(capsys, "membership", "--target", "tr(A B)", "--n", "2", "--depth", "0", "--seed", "0")
+    assert code == EXIT_INCONCLUSIVE and out.startswith("not found at depth 0: ")
+
+
 def test_flow_hamiltonian_integration(capsys):
     code, out, _ = run(
         capsys, "flow", "--hamiltonian", "tr(A^2)", "--t", "0.5", "--n", "2",

@@ -33,7 +33,6 @@ from cmpoisson.cm import PointPool
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
 from cmpoisson.modp import (
     CHECK_PRIME,
-    LAMBDA,
     LAMBDAS,
     PRIME,
     Echelon,
@@ -67,7 +66,7 @@ def test_plain_mode_generators_rejected():
 def test_closure_contains_cube_of_second_letter(basis_n2):
     # tr B^3 = (tr B^2 / 2) tr B = 0 at n = 2
     target = P("tr(B^3)", TRACELESS)
-    assert reduce_pipeline(target, 2, normalize=False).is_zero()
+    assert target.cayley_hamilton_reduce(2).is_zero()
     cert = MembershipChecker(basis_n2).check(target)
     assert cert.valid
     assert cert.exact_coefficients == [ZERO] * len(basis_n2.elements)
@@ -104,7 +103,7 @@ def test_certificate_survives_fresh_resampling(basis_n2):
     pool = ExactPool.sample(2, 100, seed=77)
     combo = np.zeros(len(pool), dtype=np.int64)
     for (re, im), e in zip(cert.exact_coefficients, basis_n2.elements):
-        c = (to_mod_p(re) - LAMBDA * to_mod_p(im)) % PRIME
+        c = (to_mod_p(re) - LAMBDAS[PRIME] * to_mod_p(im)) % PRIME
         combo = (combo + c * pool.values(e)) % PRIME
     assert combo.tolist() == pool.values(target).tolist()
 
@@ -420,7 +419,7 @@ def test_the_weight_is_the_scaling_flow_grading(basis_n3):
     weights = Counter()
     for e in basis_n3.elements:
         weights[e.weight()] += 1
-        assert reduce_pipeline(bracket_traceless(h, e), 3, normalize=False) == e * -e.weight(), F(e)
+        assert bracket_traceless(h, e).cayley_hamilton_reduce(3) == e * -e.weight(), F(e)
     assert weights == {k: d for k, d in weight_dimensions(3, 6).items() if d}
 
 
@@ -453,7 +452,7 @@ class UnsplitMembershipChecker:
         basis = self.basis
         validate_target(target, basis.degree_cap)
         m = len(basis.elements)
-        reduced = reduce_pipeline(target, basis.n_value, normalize=False)
+        reduced = target.cayley_hamilton_reduce(basis.n_value)
         peak = peak_coefficient(reduced, basis.n_value) or Fraction(1)
         reduced = reduced * (1 / peak)
         for pool in (self.pool, self.check_pool):

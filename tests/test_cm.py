@@ -319,7 +319,7 @@ def reference_gradient(p: TracePolynomial, n: int) -> PointMap:
     def factor_id(w: CyclicWord) -> int:
         if w not in factors:
             factors[w] = len(factor_cuts)
-            cuts = [[(mult, word_id(cut.runs)) for cut, mult in splice_cuts(w, letter)]
+            cuts = [[(mult, word_id(cut)) for cut, mult in splice_cuts(w, letter)]
                     for letter in (FIRST, SECOND)]
             factor_cuts.append((word_id(w.runs), cuts))
         return factors[w]

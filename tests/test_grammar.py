@@ -21,7 +21,7 @@ from cmpoisson.grammar import (
 )
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
-from cmpoisson.words import FIRST, SECOND, Word, canonicalize, merge_runs
+from cmpoisson.words import FIRST, SECOND, canonicalize
 from conftest import random_polynomial, same
 
 
@@ -158,15 +158,15 @@ def term_by_term_expand_factor(w, sign, target_mode):
     ]
     out = TracePolynomial.zero(target_mode)
     for combo in iter_product(*per_run_choices):
-        reduced = canonicalize(Word(merge_runs(tuple((l, kept) for l, kept, _, _ in combo if kept > 0))))
+        reduced = canonicalize(tuple((l, kept) for l, kept, _, _ in combo if kept > 0))
         deleted_x = sum(k for letter, _, k, _ in combo if letter == FIRST)
         deleted_y = sum(k for letter, _, k, _ in combo if letter == SECOND)
         coeff = QnCoeff.of(math.prod(c for _, _, _, c in combo), -(deleted_x + deleted_y))
         if target_mode == TRACELESS:
             key = ((deleted_x, deleted_y), (reduced,))
         else:
-            singles = [canonicalize(Word(((FIRST, 1),)))] * deleted_x
-            singles += [canonicalize(Word(((SECOND, 1),)))] * deleted_y
+            singles = [canonicalize(((FIRST, 1),))] * deleted_x
+            singles += [canonicalize(((SECOND, 1),))] * deleted_y
             key = ((0, 0), (reduced, *singles))
         out = out + TracePolynomial(target_mode, [(key, coeff)])
     return out

@@ -18,7 +18,6 @@ from cmpoisson.cm import PointPool
 from cmpoisson.grammar import parse_polynomial as P
 from cmpoisson.modp import (
     CHECK_PRIME,
-    LAMBDA,
     LAMBDAS,
     MAX_INNER,
     PRIME,
@@ -48,7 +47,7 @@ def test_prime_and_lambda():
         assert prime < 2**30 and prime % 4 == 1
         assert all(prime % d for d in range(2, 32768))  # 32768^2 > p
         assert LAMBDAS[prime] * LAMBDAS[prime] % prime == prime - 1
-    assert LAMBDA == LAMBDAS[PRIME] and CHECK_PRIME != PRIME
+    assert CHECK_PRIME != PRIME
 
 
 def test_fractions_map_to_the_field():

@@ -40,6 +40,8 @@ JOBS += [
     ("closure_n3_degree6_depth2_seed2",
      ["closure", "--n", "3", "--degree", "6", "--depth", "2", "--seed", "2"]),
     ("closure_n4", ["closure", "--n", "4", "--seed", "0"]),
+    # depth 0 keeps the generators alone: 3 elements at n = 2
+    ("closure_n2_depth0", ["closure", "--n", "2", "--depth", "0", "--seed", "0"]),
     # 49 elements at a degree with 6,836 trace monomials
     ("closure_n2_degree12", ["closure", "--n", "2", "--degree", "12", "--seed", "0"]),
     # 176 elements; the basis saturates partway through its last level
@@ -96,6 +98,9 @@ JOBS += [
     # a target of three weights, 0, 3 and -1, each solved against its own elements
     ("membership_mixed_n3", ["membership", "--target", "tr(A^2)*tr(B^2) + tr(A^3) + tr(A B^2)",
                              "--n", "3", "--seed", "0"]),
+    # a combination of two generators is a member at depth 0
+    ("membership_depth0_n2", ["membership", "--target", "tr(A^2) + 2*tr(B^2)", "--n", "2",
+                              "--depth", "0", "--seed", "0"]),
     ("membership_inconclusive_n2", ["membership", "--target", "tr(A^2) + 1/1000003*tr(B^2)",
                                     "--n", "2", "--seed", "0"]),
     # leading-law-3113 with a wrong tail whose denominator is modp.PRIME
