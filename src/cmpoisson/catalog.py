@@ -1,8 +1,11 @@
 """Pinned bracket-identity catalog: closed-form templates and loading.
 
 The default catalog is built in process from closed-form templates
-(independent of the bracket engine they test); a JSON file of records in the
-same form can replace it:
+(independent of the bracket engine they test).  A template is a list of
+(rational, n-power, words) terms: the default records print it as polynomial
+text, and make_bracketformular_entry builds its leading-law entries from the
+same list without text.  A JSON file of records in the same form can replace
+the default catalog:
 
     {tr A^j, tr B^q}      = jq tr A^{j-1}B^{q-1} - (jq/n) tr A^{j-1} tr B^{q-1}
     {tr A^j B^k, tr AB}   = (j-k) tr A^j B^k
@@ -21,17 +24,27 @@ from typing import Iterable
 
 from .bracket import EXACT, LEADING, BracketCatalogEntry, check_kind
 from .grammar import parse_polynomial
-from .poly import PLAIN, TRACELESS
+from .poly import PLAIN, TRACELESS, TracePolynomial
+from .ring import QnCoeff
+from .words import FIRST, SECOND, canonicalize
 
 MAX_EXPONENT = 5  # the largest exponent of a letter in the default templates
 
 
 # ----------------------------------------------------------------------
-# formula templates (text level; no bracket engine involved)
+# formula templates: (rational, n_power, [(i, j) words]) terms, printed as
+# text or built as polynomials (no bracket engine involved)
 # ----------------------------------------------------------------------
 
+Term = tuple[int, int, list[tuple[int, int]]]
+
+
 def word_text(i: int, j: int) -> str | None:
-    """'A^i B^j' with zero exponents dropped; None for the empty word."""
+    """'A^i B^j' with zero exponents dropped; None for the empty word.
+
+    Raises ValueError for a negative exponent, which no text can carry."""
+    if i < 0 or j < 0:
+        raise ValueError("negative exponent in run")
     parts = []
     if i:
         parts.append("A" + (f"^{i}" if i > 1 else ""))
@@ -84,21 +97,53 @@ def ajbk_expected_text(j: int, q: int) -> str:
     )
 
 
+def terms_polynomial(terms: Iterable[Term]) -> TracePolynomial:
+    """The traceless polynomial that parse_polynomial gives for the text
+    poly_text([term_text(*t) for t in terms]), term order included, built
+    without the text: a zero rational drops its term, an empty word is one
+    more power of n, and a word is the canonical word of its nonzero runs.
+
+    Raises ValueError (from canonicalize) for a word with a negative
+    exponent under a nonzero rational, which has no text the parser
+    accepts."""
+    raw = []
+    for rat, n_power, words in terms:
+        rat = Fraction(rat)
+        if rat == 0:
+            continue
+        factors = []
+        for i, j in words:
+            if i == j == 0:
+                n_power += 1
+            else:
+                factors.append(canonicalize(((FIRST, i), (SECOND, j))))
+        raw.append((((0, 0), tuple(factors)), QnCoeff.of(rat, n_power)))
+    return TracePolynomial(TRACELESS, raw)
+
+
+def law_terms(j: int, k: int, p: int, q: int) -> list[Term]:
+    """The leading law of {tr A^jB^k, tr A^pB^q} as three terms:
+    (jq - kp) tr A^{j+p-1}B^{k+q-1} - (jq/n) tr A^{j-1}B^k tr A^pB^{q-1}
+    + (kp/n) tr A^jB^{k-1} tr A^{p-1}B^q.  A negative exponent only ever
+    appears under a zero rational."""
+    return [
+        (j * q - k * p, 0, [(j + p - 1, k + q - 1)]),
+        (-j * q, -1, [(j - 1, k), (p, q - 1)]),
+        (k * p, -1, [(j, k - 1), (p - 1, q)]),
+    ]
+
+
 def bracketformular_expected_text(j: int, k: int, p: int, q: int) -> str:
-    return poly_text(
-        [
-            term_text(j * q - k * p, 0, [(j + p - 1, k + q - 1)]),
-            term_text(-j * q, -1, [(j - 1, k), (p, q - 1)]),
-            term_text(k * p, -1, [(j, k - 1), (p - 1, q)]),
-        ]
-    )
+    return poly_text([term_text(*t) for t in law_terms(j, k, p, q)])
 
 
 def make_bracketformular_entry(j: int, k: int, p: int, q: int) -> BracketCatalogEntry:
-    """Leading-law entry for {tr A^jB^k, tr A^pB^q}, bound j+k+p+q-6."""
-    lhs = parse_polynomial(poly_text([term_text(1, 0, [(j, k)])]), TRACELESS)
-    rhs = parse_polynomial(poly_text([term_text(1, 0, [(p, q)])]), TRACELESS)
-    expected = parse_polynomial(bracketformular_expected_text(j, k, p, q), TRACELESS)
+    """Leading-law entry for {tr A^jB^k, tr A^pB^q}, bound j+k+p+q-6, built
+    from the law's terms; equal, term order included, to the record_to_entry
+    of its default record text."""
+    lhs = terms_polynomial([(1, 0, [(j, k)])])
+    rhs = terms_polynomial([(1, 0, [(p, q)])])
+    expected = terms_polynomial(law_terms(j, k, p, q))
     return BracketCatalogEntry(
         id=f"leading-law-{j}{k}{p}{q}",
         lhs=lhs,

@@ -408,11 +408,13 @@ def _straight_word(w: CyclicWord) -> CyclicWord:
     return canonicalize(((FIRST, i), (SECOND, j)))
 
 
+@lru_cache(maxsize=4096)
 def _expand_factor(w: CyclicWord, sign: int, target_mode: str) -> TracePolynomial:
     """Expand tr(w) under letter -> letter' + sign*(scalar/n) I, one run at a time.
 
     sign=+1 with scalar = central symbol: plain word -> traceless expression.
     sign=-1 with scalar = tr of the length-1 word: traceless -> plain.
+    Cached per argument tuple (the result is immutable).
     """
     runs = w.runs
     per_run_choices = []

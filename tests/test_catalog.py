@@ -2,21 +2,29 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product as iter_product
 
-from cmpoisson import bracket_traceless
+import pytest
+
+from cmpoisson import bracket_traceless, catalog
 from cmpoisson.bracket import EXACT, LEADING, BracketCatalogEntry, verify_catalog
 from cmpoisson.catalog import (
     bracketformular_expected_text,
     default_catalog_records,
     load_catalog_entries,
     load_catalog_records,
+    law_terms,
     make_bracketformular_entry,
     poly_text,
     record_to_entry,
     term_text,
+    terms_polynomial,
 )
-from cmpoisson.grammar import parse_polynomial as P
+from cmpoisson.grammar import PolynomialParseError, parse_polynomial as P
 from cmpoisson.poly import TRACELESS
+from conftest import same
+
+LAW_TUPLES = [t for t in iter_product(range(11), repeat=4) if 0 < sum(t) <= 10]
 
 
 def test_term_text_folds_empty_words():
@@ -31,6 +39,53 @@ def test_leading_law_expected_for_spec_instance():
         bracketformular_expected_text(2, 1, 1, 2)
         == "3*tr(A^2 B^2) - 4*n^-1*tr(A B)*tr(A B) + n^-1*tr(A^2)*tr(B^2)"
     )
+
+
+def test_leading_law_entries_equal_the_parse_of_their_text():
+    assert len(LAW_TUPLES) == 1000
+    for j, k, p, q in LAW_TUPLES:
+        entry = make_bracketformular_entry(j, k, p, q)
+        same(entry.lhs, P(poly_text([term_text(1, 0, [(j, k)])]), TRACELESS))
+        same(entry.rhs, P(poly_text([term_text(1, 0, [(p, q)])]), TRACELESS))
+        same(entry.expected, P(bracketformular_expected_text(j, k, p, q), TRACELESS))
+        assert entry.id == f"leading-law-{j}{k}{p}{q}"
+        assert entry.kind == LEADING
+        assert entry.degree_bound == j + k + p + q - 6
+
+
+def test_default_leading_law_records_load_as_the_built_entries():
+    records = [r for r in load_catalog_records() if r["id"].startswith("leading-law-")]
+    assert len(records) == 4
+    for record in records:
+        loaded = record_to_entry(record)
+        built = make_bracketformular_entry(*(int(c) for c in record["id"][-4:]))
+        assert loaded == built
+        for side in ("lhs", "rhs", "expected"):
+            same(getattr(loaded, side), getattr(built, side))
+
+
+def test_leading_law_entries_are_built_without_the_parser(monkeypatch):
+    def refuse(text, mode):
+        raise AssertionError("parse_polynomial called")
+
+    monkeypatch.setattr(catalog, "parse_polynomial", refuse)
+    entry = make_bracketformular_entry(2, 1, 1, 2)
+    assert entry.expected == terms_polynomial(law_terms(2, 1, 1, 2))
+
+
+def test_terms_polynomial_refuses_what_the_parser_refuses():
+    with pytest.raises(ValueError, match="negative exponent"):
+        terms_polynomial([(1, 0, [(-1, 2)])])
+    with pytest.raises(ValueError, match="negative exponent"):
+        term_text(1, 0, [(-1, 2)])
+    with pytest.raises(PolynomialParseError):
+        P("tr(A^-1 B^2)", TRACELESS)
+    # under a zero rational the word is never looked at
+    assert terms_polynomial([(0, -1, [(-1, 2)])]).is_zero()
+    assert term_text(0, -1, [(-1, 2)]) is None
+    # an empty word is a power of n; a length-1 word vanishes in traceless mode
+    same(terms_polynomial([(3, -1, [(0, 0), (1, 1)])]), P("3*tr(A B)", TRACELESS))
+    assert terms_polynomial([(1, 0, [(1, 0)])]).is_zero()
 
 
 def test_catalog_loads_and_partitions():
