@@ -55,7 +55,8 @@ def _normalize_term(
         kept.append(w)
     if coeff.is_zero():
         return None
-    kept.sort(key=_factor_sort_key)
+    if len(kept) > 1:
+        kept.sort(key=_factor_sort_key)
     return (central, tuple(kept)), coeff
 
 

@@ -3,6 +3,12 @@
 Every bracket and substitution identity in this package introduces only
 rational constants and powers of 1/n, so coefficients live in Q[n, n^-1].
 The ring is exact (no floats) and has no zero divisors.
+
+Almost every coefficient the brackets make is a small integer, so a rational
+is stored as an int when it is integral and as a Fraction otherwise (_rat);
+int arithmetic is several times cheaper than Fraction arithmetic.  The public
+views, QnCoeff.terms and QnCoeff.evaluate, give Fractions all the same, so a
+caller's division such as 1 / peak stays exact.
 """
 
 from __future__ import annotations
@@ -14,28 +20,24 @@ Rat = Union[int, Fraction]
 
 
 class QnCoeff:
-    """Immutable element of Q[n, n^-1], stored as {power of n: nonzero Fraction}."""
+    """Immutable element of Q[n, n^-1], stored as {power of n: nonzero rational},
+    each rational an int when integral and a Fraction otherwise."""
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rat] = {}
         for power, coeff in items:
-            c = Fraction(coeff)
-            if c == 0:
-                continue
-            c += acc.get(power, Fraction(0))
-            if c == 0:
-                acc.pop(power, None)
-            else:
-                acc[power] = c
+            c = _rat(coeff)
+            if c:
+                _accumulate(acc, power, c)
         self._terms = acc
         self._hash = None
 
     @classmethod
-    def _trusted(cls, terms: dict[int, Fraction]) -> "QnCoeff":
-        """Wrap an already-normalized dict (nonzero Fraction values) without copying."""
+    def _trusted(cls, terms: dict[int, Rat]) -> "QnCoeff":
+        """Wrap an already-normalized dict (nonzero _rat values) without copying."""
         out = object.__new__(cls)
         out._terms = terms
         out._hash = None
@@ -43,7 +45,7 @@ class QnCoeff:
 
     @classmethod
     def of(cls, coeff: Rat, n_power: int = 0) -> "QnCoeff":
-        c = Fraction(coeff)
+        c = _rat(coeff)
         return cls._trusted({n_power: c} if c else {})
 
     @classmethod
@@ -56,7 +58,8 @@ class QnCoeff:
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        """{power of n: nonzero Fraction}."""
+        return {p: Fraction(c) for p, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -83,13 +86,17 @@ class QnCoeff:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
-            return QnCoeff._trusted({p: c * other for p, c in self._terms.items()})
+            return QnCoeff._trusted({p: _rat(c * other) for p, c in self._terms.items()})
         if not isinstance(other, QnCoeff):
             return NotImplemented
-        acc: dict[int, Fraction] = {}
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            ((p1, c1),) = self._terms.items()
+            ((p2, c2),) = other._terms.items()
+            return QnCoeff._trusted({p1 + p2: _rat(c1 * c2)})
+        acc: dict[int, Rat] = {}
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():
-                _accumulate(acc, p1 + p2, c1 * c2)
+                _accumulate(acc, p1 + p2, _rat(c1 * c2))
         return QnCoeff._trusted(acc)
 
     __rmul__ = __mul__
@@ -102,7 +109,7 @@ class QnCoeff:
         if n_value < 1:
             raise ValueError("n_value must be a positive integer")
         if self._terms.keys() == {0}:
-            return self._terms[0]  # a constant
+            return Fraction(self._terms[0])  # a constant
         total = Fraction(0)
         for power, coeff in self._terms.items():
             total += coeff * Fraction(n_value) ** power
@@ -135,13 +142,22 @@ class QnCoeff:
         return f"QnCoeff({body})"
 
 
-def _accumulate(acc: dict[int, Fraction], power: int, c: Fraction) -> None:
-    """acc[power] += c for a nonzero c, dropping the power if it cancels."""
+def _rat(c) -> Rat:
+    """A rational as QnCoeff stores it: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _accumulate(acc: dict[int, Rat], power: int, c: Rat) -> None:
+    """acc[power] += c for a nonzero _rat c, dropping the power if it cancels."""
     old = acc.get(power)
     if old is None:
         acc[power] = c
         return
-    c = old + c
+    c = _rat(old + c)
     if c:
         acc[power] = c
     else:
@@ -149,4 +165,4 @@ def _accumulate(acc: dict[int, Fraction], power: int, c: Fraction) -> None:
 
 
 _ZERO = QnCoeff._trusted({})
-_ONE = QnCoeff._trusted({0: Fraction(1)})
+_ONE = QnCoeff._trusted({0: 1})

@@ -12,6 +12,10 @@ equivalent words coincide, so trace factors are always kept in the canonical
 Canonical form = lexicographically minimal rotation of the flat letter
 sequence under 0 < 1; it begins with a run of the first letter, so only the
 rotations starting at those runs are compared.
+
+Words are immutable, so the exact core memoizes them in bounded lru caches:
+canonicalize by its run tuple (every rotation of a word returns the one
+object cached for its canonical runs) and splice_cuts by (word, letter).
 """
 
 from __future__ import annotations
@@ -62,22 +66,24 @@ def _letters(runs: Runs) -> tuple[int, ...]:
 class CyclicWord:
     """Rotation class of a linear word, stored in the canonical (least) rotation."""
 
-    __slots__ = ("runs", "_degree", "_hash")
+    __slots__ = ("runs", "_bidegree", "_degree", "_hash")
 
     def __init__(self, runs: Runs):
         # Trusted constructor: `runs` must already be canonical. Use canonicalize().
-        # Degree and hash are computed once; words are dict keys on every hot path.
+        # Bidegree, degree and hash are computed once; words are dict keys on
+        # every hot path.
+        first = sum(e for l, e in runs if l == FIRST)
+        second = sum(e for l, e in runs if l == SECOND)
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "_degree", sum(e for _, e in runs))
+        object.__setattr__(self, "_bidegree", (first, second))
+        object.__setattr__(self, "_degree", first + second)
         object.__setattr__(self, "_hash", hash(("CyclicWord", runs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicWord is immutable")
 
     def bidegree(self) -> tuple[int, int]:
-        first = sum(e for l, e in self.runs if l == FIRST)
-        second = sum(e for l, e in self.runs if l == SECOND)
-        return (first, second)
+        return self._bidegree
 
     def degree(self) -> int:
         return self._degree
@@ -128,7 +134,17 @@ def _canonical_runs(runs: Runs) -> Runs:
 def canonicalize(runs: Iterable[Run]) -> CyclicWord:
     """Canonical rotation of a word given by any runs; all rotations map to
     the same CyclicWord."""
-    return CyclicWord(_canonical_runs(merge_runs(runs)))
+    return _canonical_word(runs if type(runs) is tuple else tuple(runs))
+
+
+@lru_cache(maxsize=65536)
+def _canonical_word(runs: tuple) -> CyclicWord:
+    """canonicalize of a run tuple.  A tuple that is not canonical returns the
+    entry of its canonical runs, so every rotation shares one object."""
+    canonical = _canonical_runs(merge_runs(runs))
+    if canonical == runs:
+        return CyclicWord(canonical)
+    return _canonical_word(canonical)
 
 
 def rotations(runs: Iterable[Run]) -> list[Runs]:
@@ -140,11 +156,12 @@ def rotations(runs: Iterable[Run]) -> list[Runs]:
     return [runs_from_letters(letters[k:] + letters[:k]) for k in range(len(letters))]
 
 
-def splice_cuts(base: CyclicWord, letter: int) -> list[tuple[Runs, int]]:
+@lru_cache(maxsize=65536)
+def splice_cuts(base: CyclicWord, letter: int) -> tuple[tuple[Runs, int], ...]:
     """Splice derivative of tr(base) with respect to one letter.
 
     For each occurrence of `letter` in the cyclic word, cutting the cycle at
-    that occurrence and deleting the letter yields a linear word; the list
+    that occurrence and deleting the letter yields a linear word; the tuple
     pairs the merged runs of each distinct cut word with its multiplicity,
     in run order.  The total multiplicity equals the letter's exponent in
     the base word.
@@ -159,4 +176,4 @@ def splice_cuts(base: CyclicWord, letter: int) -> list[tuple[Runs, int]]:
             # delete occurrence `pos` inside this run: letter^(exp-pos) rest letter^(pos-1)
             cut = merge_runs(((letter, exp - pos),) + rest + ((letter, pos - 1),))
             terms[cut] = terms.get(cut, 0) + 1
-    return sorted(terms.items())
+    return tuple(sorted(terms.items()))

@@ -7,18 +7,36 @@ that builds every intermediate result through the normalizing constructor,
 as the code did before the fast paths.  Equality includes the order of
 list(items()): evaluation adds terms in that order, so a float result depends
 on it.
+
+The memoized words (canonicalize, splice_cuts) are compared with their
+uncached computations, and QnCoeff, which keeps integral rationals as ints,
+with arithmetic on Fractions alone.
 """
 
+import importlib
+import importlib.util
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmpoisson import poly
 from cmpoisson.bracket import _word_bracket, bracket
 from cmpoisson.poly import PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
-from cmpoisson.words import FIRST, SECOND, canonicalize, runs_from_letters
+from cmpoisson.words import (
+    FIRST,
+    SECOND,
+    CyclicWord,
+    _canonical_runs,
+    canonicalize,
+    merge_runs,
+    rotations,
+    runs_from_letters,
+    splice_cuts,
+)
 from conftest import same
 
 # ---------------- strategies ----------------
@@ -28,6 +46,12 @@ coeffs = st.dictionaries(st.integers(-2, 2), rationals, max_size=3).map(QnCoeff)
 words = st.lists(st.sampled_from((FIRST, SECOND)), min_size=0, max_size=6).map(
     lambda letters: canonicalize(runs_from_letters(letters))
 )
+# raw runs: zero exponents and repeated letters, not merged
+run_tuples = st.lists(
+    st.tuples(st.sampled_from((FIRST, SECOND)), st.integers(0, 3)), max_size=7
+).map(tuple)
+raw_coeffs = st.dictionaries(st.integers(-2, 2), rationals, max_size=3)
+scalars = st.one_of(st.integers(-3, 3), rationals)
 
 
 @st.composite
@@ -209,3 +233,127 @@ def test_cancelling_coefficients_are_zero_and_hash_as_zero(a, b):
         assert z.terms == {}
     assert (a + b) - b == a
     assert hash((a + b) - b) == hash(a)
+
+
+# ---------------- memoized words ----------------
+
+def uncached_splice_cuts(base, letter):
+    """splice_cuts as computed before it was cached."""
+    runs = base.runs
+    terms = {}
+    for idx, (run_letter, exp) in enumerate(runs):
+        if run_letter != letter:
+            continue
+        rest = runs[idx + 1:] + runs[:idx]
+        for pos in range(1, exp + 1):
+            cut = merge_runs(((letter, exp - pos),) + rest + ((letter, pos - 1),))
+            terms[cut] = terms.get(cut, 0) + 1
+    return sorted(terms.items())
+
+
+@given(run_tuples, st.sampled_from((tuple, list, iter)))
+def test_cached_canonicalize_is_the_uncached_construction(runs, container):
+    want = CyclicWord(_canonical_runs(merge_runs(runs)))
+    got = canonicalize(container(runs))
+    assert got == want and got.runs == want.runs and hash(got) == hash(want)
+    first = sum(e for letter, e in runs if letter == FIRST)
+    second = sum(e for letter, e in runs if letter == SECOND)
+    assert got.bidegree() == (first, second) and got.degree() == first + second
+    # every rotation, and the canonical runs themselves, give the one cached object
+    for rotation in rotations(runs) + [want.runs]:
+        assert canonicalize(rotation) is got
+
+
+@given(run_tuples, st.integers(0, 7), st.integers(-3, -1))
+def test_a_negative_exponent_raises_on_every_call(runs, at, exp):
+    bad = runs[:at] + ((SECOND, exp),) + runs[at:]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            canonicalize(bad)
+
+
+@given(st.lists(st.sampled_from((FIRST, SECOND)), max_size=9), st.sampled_from((FIRST, SECOND)))
+def test_cached_splice_cuts_are_the_uncached_computation(letters, letter):
+    w = canonicalize(runs_from_letters(letters))
+    cuts = splice_cuts(w, letter)
+    assert isinstance(cuts, tuple) and list(cuts) == uncached_splice_cuts(w, letter)
+    assert splice_cuts(w, letter) is cuts
+
+
+def test_the_benchmark_tracer_reads_the_word_and_bracket_caches():
+    """perfbench/tracing.py reports the hit ratios of these lru caches by name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # by module path: the package namespace rebinds `bracket` to the function
+    bracket_module = importlib.import_module("cmpoisson.bracket")
+    assert tracing.CACHES == {
+        "bracket.word_bracket_hit_ratio": bracket_module._word_bracket,
+        "words.canonical_hit_ratio": _canonical_runs,
+    }
+    tracer = tracing.Tracer()  # reads cache_info() of each
+    assert set(tracer._cache_start) == set(tracing.CACHES)
+    for fn in tracing.CACHES.values():
+        assert fn.cache_info().maxsize == 65536
+
+
+# ---------------- QnCoeff against Fraction arithmetic ----------------
+
+def fraction_terms(raw):
+    """{power: nonzero Fraction}, summed as QnCoeff's constructor sums."""
+    out = {}
+    for power, c in raw.items():
+        out[power] = out.get(power, Fraction(0)) + Fraction(c)
+    return {p: c for p, c in out.items() if c}
+
+
+def fraction_add(a, b):
+    out = dict(a)
+    for power, c in b.items():
+        out[power] = out.get(power, Fraction(0)) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def fraction_mul(a, b):
+    out = {}
+    for (p1, c1), (p2, c2) in iter_product(a.items(), b.items()):
+        out[p1 + p2] = out.get(p1 + p2, Fraction(0)) + c1 * c2
+    return {p: c for p, c in out.items() if c}
+
+
+def assert_is(c, ref):
+    """c has the Fraction terms ref, and stores each as an int when integral."""
+    assert c.terms == ref
+    assert all(type(v) is Fraction for v in c.terms.values())
+    for v in c._terms.values():
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@given(raw_coeffs, raw_coeffs, scalars, st.integers(-2, 2), st.integers(1, 4))
+def test_coefficient_arithmetic_is_fraction_arithmetic(raw_a, raw_b, s, k, n_value):
+    a, b = QnCoeff(raw_a), QnCoeff(raw_b)
+    ref_a, ref_b = fraction_terms(raw_a), fraction_terms(raw_b)
+    assert_is(a, ref_a)
+    assert_is(a + b, fraction_add(ref_a, ref_b))
+    assert_is(a - b, fraction_add(ref_a, {p: -c for p, c in ref_b.items()}))
+    assert_is(-a, {p: -c for p, c in ref_a.items()})
+    assert_is(a * b, fraction_mul(ref_a, ref_b))
+    assert_is(a * s, {p: c * s for p, c in ref_a.items() if s})
+    assert_is(s * a, {p: c * s for p, c in ref_a.items() if s})
+    assert_is(a.times_n_power(k), {p + k: c for p, c in ref_a.items()})
+    value = a.evaluate(n_value)
+    assert type(value) is Fraction
+    assert value == sum((c * Fraction(n_value) ** p for p, c in ref_a.items()), Fraction(0))
+    assert_is(a.specialize(n_value), {0: value} if value else {})
+
+
+def test_an_integral_fraction_and_its_int_are_one_coefficient():
+    for n_power in (-1, 0, 2):
+        a, b = QnCoeff.of(Fraction(6, 3), n_power), QnCoeff.of(2, n_power)
+        assert a == b and hash(a) == hash(b)
+        assert a._terms == {n_power: 2} and type(a._terms[n_power]) is int
+    a, b = QnCoeff({0: Fraction(6, 3), 1: Fraction(1, 2)}), QnCoeff({0: 2, 1: Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b)
+    assert QnCoeff.of(Fraction(6, 3)) == 2 and QnCoeff.of(2) == Fraction(6, 3)
+    assert QnCoeff.of(Fraction(1, 2)) * 4 == QnCoeff.of(2) and type((QnCoeff.of(Fraction(1, 2)) * 4)._terms[0]) is int

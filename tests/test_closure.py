@@ -89,6 +89,26 @@ def test_trivial_member_has_unit_coefficient(basis_n2):
     assert cert.coefficients[0] == 3.0
 
 
+def test_integral_coefficients_stay_exact_rationals(basis_n2):
+    # QnCoeff stores integral coefficients as ints; its views stay Fractions,
+    # or 1 / peak in reduce_pipeline and check would be a float
+    target = P("6*tr(A^2 B^2) - 2*tr(A B)", TRACELESS)
+    reduced = target.cayley_hamilton_reduce(2)
+    assert [type(c.evaluate(2)) for _, c in reduced.items()] == [Fraction] * len(reduced)
+    peak = peak_coefficient(reduced, 2)
+    assert type(peak) is Fraction and peak == 6
+    assert type(peak_coefficient(reduced - reduced, 2)) is Fraction
+    normalized = reduce_pipeline(target, 2)
+    assert sorted(c.evaluate(2) for _, c in normalized.items()) == [Fraction(-1, 3), 1]
+    cert = MembershipChecker(basis_n2).check(target)
+    assert cert.status == "member"
+    assert all(type(x) is Fraction for pair in cert.exact_coefficients for x in pair)
+    # the certificate that Fraction-only arithmetic gave
+    assert {j: pair for j, pair in enumerate(cert.exact_coefficients) if any(pair)} == {
+        2: (-6, 0), 3: (-2, 0), 7: (-6, 0)
+    }
+
+
 def test_product_membership_at_n2(basis_n2):
     cert = MembershipChecker(basis_n2).check(P("tr(A B)*tr(A^2)", TRACELESS))
     assert cert.valid

@@ -107,4 +107,4 @@ def test_splice_multiplicity_equals_exponent(rng):
 def test_splice_pure_power_collapses():
     w = canonicalize(((FIRST, 4),))
     cuts = splice_cuts(w, FIRST)
-    assert cuts == [(((FIRST, 3),), 4)]
+    assert cuts == ((((FIRST, 3),), 4),)
