@@ -55,8 +55,7 @@ def _normalize_term(
         kept.append(w)
     if coeff.is_zero():
         return None
-    if len(kept) > 1:
-        kept.sort(key=_factor_sort_key)
+    kept.sort(key=_factor_sort_key)
     return (central, tuple(kept)), coeff
 
 

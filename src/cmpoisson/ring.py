@@ -89,10 +89,6 @@ class QnCoeff:
             return QnCoeff._trusted({p: _rat(c * other) for p, c in self._terms.items()})
         if not isinstance(other, QnCoeff):
             return NotImplemented
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            ((p1, c1),) = self._terms.items()
-            ((p2, c2),) = other._terms.items()
-            return QnCoeff._trusted({p1 + p2: _rat(c1 * c2)})
         acc: dict[int, Rat] = {}
         for p1, c1 in self._terms.items():
             for p2, c2 in other._terms.items():

@@ -134,7 +134,11 @@ def _canonical_runs(runs: Runs) -> Runs:
 def canonicalize(runs: Iterable[Run]) -> CyclicWord:
     """Canonical rotation of a word given by any runs; all rotations map to
     the same CyclicWord."""
-    return _canonical_word(runs if type(runs) is tuple else tuple(runs))
+    runs = runs if type(runs) is tuple else tuple(runs)
+    try:
+        return _canonical_word(runs)
+    except TypeError:  # unhashable runs, such as [letter, exponent] lists from JSON
+        return _canonical_word(merge_runs(runs))
 
 
 @lru_cache(maxsize=65536)

@@ -251,7 +251,12 @@ def uncached_splice_cuts(base, letter):
     return sorted(terms.items())
 
 
-@given(run_tuples, st.sampled_from((tuple, list, iter)))
+def json_runs(runs):
+    """Runs in the shape JSON gives them: a list of [letter, exponent] lists."""
+    return [list(run) for run in runs]
+
+
+@given(run_tuples, st.sampled_from((tuple, list, iter, json_runs, lambda r: tuple(json_runs(r)))))
 def test_cached_canonicalize_is_the_uncached_construction(runs, container):
     want = CyclicWord(_canonical_runs(merge_runs(runs)))
     got = canonicalize(container(runs))
@@ -268,8 +273,13 @@ def test_cached_canonicalize_is_the_uncached_construction(runs, container):
 def test_a_negative_exponent_raises_on_every_call(runs, at, exp):
     bad = runs[:at] + ((SECOND, exp),) + runs[at:]
     for _ in range(2):
-        with pytest.raises(ValueError, match="negative exponent"):
-            canonicalize(bad)
+        for given_runs in (bad, json_runs(bad)):
+            with pytest.raises(ValueError, match="negative exponent"):
+                canonicalize(given_runs)
+
+
+def test_a_trace_of_json_runs_is_the_trace_of_their_tuple():
+    assert TracePolynomial.trace([[FIRST, 2]], PLAIN) == TracePolynomial.trace(((FIRST, 2),), PLAIN)
 
 
 @given(st.lists(st.sampled_from((FIRST, SECOND)), max_size=9), st.sampled_from((FIRST, SECOND)))
