@@ -29,17 +29,16 @@ import numpy as np
 from .cm import PointPool
 from .grammar import format_polynomial
 from .modp import CHECK_PRIME, PRIME, Echelon, ExactPool
-from .poly import PLAIN, TRACELESS, TracePolynomial, merge_product, merge_terms
+from .poly import PLAIN, TRACELESS, MonKey, TracePolynomial, _sorted_factors, merge_product, merge_terms
 from .ring import QnCoeff
 from .span import RCOND, enumerate_trace_monomials, value_matrix
 from .words import FIRST, SECOND, CyclicWord, canonicalize, splice_cuts
 
-RawTerm = tuple[QnCoeff, tuple[int, int], tuple[CyclicWord, ...]]
 
-
-def _word_bracket_terms(v: CyclicWord, w: CyclicWord, corrected: bool) -> list[RawTerm]:
-    """Raw (uncanonicalized) terms of {tr v, tr w} at the single-factor level."""
-    terms: list[RawTerm] = []
+def _word_bracket_terms(v: CyclicWord, w: CyclicWord, corrected: bool) -> list[tuple[MonKey, QnCoeff]]:
+    """Raw terms of {tr v, tr w} at the single-factor level: keys with
+    unsorted factors, before tr A = tr B = 0 is applied."""
+    terms: list[tuple[MonKey, QnCoeff]] = []
     v_first = splice_cuts(v, FIRST)
     v_second = splice_cuts(v, SECOND)
     w_first = splice_cuts(w, FIRST)
@@ -48,24 +47,17 @@ def _word_bracket_terms(v: CyclicWord, w: CyclicWord, corrected: bool) -> list[R
         for v_cut, mv in v_cuts:
             for w_cut, mw in w_cuts:
                 mult = QnCoeff.of(sign * mv * mw)
-                terms.append((mult, (0, 0), (canonicalize(v_cut + w_cut),)))
+                terms.append((((0, 0), (canonicalize(v_cut + w_cut),)), mult))
                 if corrected:
                     terms.append(
-                        (
-                            mult.times_n_power(-1) * -1,
-                            (0, 0),
-                            (canonicalize(v_cut), canonicalize(w_cut)),
-                        )
+                        (((0, 0), (canonicalize(v_cut), canonicalize(w_cut))), mult.times_n_power(-1) * -1)
                     )
     return terms
 
 
 @lru_cache(maxsize=65536)
 def _word_bracket(v: CyclicWord, w: CyclicWord, mode: str) -> TracePolynomial:
-    corrected = mode == TRACELESS
-    return TracePolynomial(
-        mode, [((central, factors), c) for c, central, factors in _word_bracket_terms(v, w, corrected)]
-    )
+    return TracePolynomial(mode, _word_bracket_terms(v, w, mode == TRACELESS))
 
 
 def _poly_bracket(f: TracePolynomial, g: TracePolynomial, mode: str) -> TracePolynomial:
@@ -86,10 +78,8 @@ def _poly_bracket(f: TracePolynomial, g: TracePolynomial, mode: str) -> TracePol
                 bx, by = cen_g
                 weight = ax * by - ay * bx
                 if weight:
-                    central = (ax + bx - 1, ay + by - 1)
-                    key = (central, fac_f + fac_g)
-                    term = TracePolynomial(mode, [(key, scale * QnCoeff.of(weight, 1))])
-                    merge_terms(acc, term.items())
+                    key = ((ax + bx - 1, ay + by - 1), _sorted_factors(fac_f + fac_g))
+                    merge_terms(acc, [(key, scale * QnCoeff.of(weight, 1))])
     return TracePolynomial.from_canonical(mode, acc)
 
 
@@ -114,8 +104,9 @@ def bracket(f: TracePolynomial, g: TracePolynomial) -> TracePolynomial:
     return _poly_bracket(f, g, f.mode)
 
 
-def bracket_raw_terms(f: TracePolynomial, g: TracePolynomial) -> list[RawTerm]:
-    """Single-factor bracket terms before canonical mode reduction.
+def bracket_raw_terms(f: TracePolynomial, g: TracePolynomial) -> list[tuple[MonKey, QnCoeff]]:
+    """Single-factor bracket terms before canonical mode reduction, as
+    (key, coefficient) pairs with sorted factors.
 
     Only meaningful for single-monomial, single-factor inputs; used by the
     CLI to display the splice formula before tr A = tr B = 0 is applied.
@@ -123,19 +114,17 @@ def bracket_raw_terms(f: TracePolynomial, g: TracePolynomial) -> list[RawTerm]:
     if f.mode != g.mode:
         raise ValueError(f"mode mismatch: {f.mode} vs {g.mode}")
     corrected = f.mode == TRACELESS
-    merged: dict[tuple, QnCoeff] = {}
+    merged: dict[MonKey, QnCoeff] = {}
     for (cen_f, fac_f), cf in f.items():
         for (cen_g, fac_g), cg in g.items():
             if len(fac_f) != 1 or len(fac_g) != 1 or cen_f != (0, 0) or cen_g != (0, 0):
                 raise ValueError("raw display is defined for single trace factors only")
-            for c, central, factors in _word_bracket_terms(fac_f[0], fac_g[0], corrected):
-                key = (central, tuple(sorted(factors, key=lambda w: (w.degree(), w.runs))))
-                acc = merged.get(key, QnCoeff.zero()) + c * cf * cg
-                if acc.is_zero():
-                    merged.pop(key, None)
-                else:
-                    merged[key] = acc
-    return [(c, central, factors) for (central, factors), c in merged.items()]
+            scale = cf * cg
+            merge_terms(merged, (
+                ((central, _sorted_factors(factors)), c * scale)
+                for (central, factors), c in _word_bracket_terms(fac_f[0], fac_g[0], corrected)
+            ))
+    return list(merged.items())
 
 
 def jacobi_check(f: TracePolynomial, g: TracePolynomial, h: TracePolynomial) -> TracePolynomial:

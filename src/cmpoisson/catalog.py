@@ -2,10 +2,10 @@
 
 The default catalog is built in process from closed-form templates
 (independent of the bracket engine they test).  A template is a list of
-(rational, n-power, words) terms: the default records print it as polynomial
-text, and make_bracketformular_entry builds its leading-law entries from the
-same list without text.  A JSON file of records in the same form can replace
-the default catalog:
+(rational, n-power, words) terms: poly_text prints it as polynomial text with
+grammar's printer, and make_bracketformular_entry builds its leading-law
+entries from the same list without text.  A JSON file of records in the same
+form can replace the default catalog:
 
     {tr A^j, tr B^q}      = jq tr A^{j-1}B^{q-1} - (jq/n) tr A^{j-1} tr B^{q-1}
     {tr A^j B^k, tr AB}   = (j-k) tr A^j B^k
@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .bracket import EXACT, LEADING, BracketCatalogEntry, check_kind
-from .grammar import parse_polynomial
+from .grammar import format_term, join_terms, parse_polynomial
 from .poly import PLAIN, TRACELESS, TracePolynomial
 from .ring import QnCoeff
-from .words import FIRST, SECOND, canonicalize
+from .words import FIRST, SECOND, CyclicWord, canonicalize
 
 MAX_EXPONENT = 5  # the largest exponent of a letter in the default templates
 
@@ -39,86 +39,37 @@ MAX_EXPONENT = 5  # the largest exponent of a letter in the default templates
 Term = tuple[int, int, list[tuple[int, int]]]
 
 
-def word_text(i: int, j: int) -> str | None:
-    """'A^i B^j' with zero exponents dropped; None for the empty word.
-
-    Raises ValueError for a negative exponent, which no text can carry."""
-    if i < 0 or j < 0:
-        raise ValueError("negative exponent in run")
-    parts = []
-    if i:
-        parts.append("A" + (f"^{i}" if i > 1 else ""))
-    if j:
-        parts.append("B" + (f"^{j}" if j > 1 else ""))
-    return " ".join(parts) if parts else None
+def _words(words: Iterable[tuple[int, int]]) -> list[CyclicWord]:
+    """The canonical words A^i B^j; ValueError (from canonicalize) for a
+    negative exponent, which no text can carry."""
+    return [canonicalize(((FIRST, i), (SECOND, j))) for i, j in words]
 
 
-def term_text(rat, n_power: int = 0, words: Iterable[tuple[int, int]] = ()) -> str | None:
-    """One grammar term: rational * n^power * product of tr(A^i B^j) factors.
-
-    Empty-word factors fold into an extra power of n (tr I = n)."""
-    rat = Fraction(rat)
-    if rat == 0:
-        return None
-    factors = []
-    for i, j in words:
-        w = word_text(i, j)
-        if w is None:
-            n_power += 1
-        else:
-            factors.append(f"tr({w})")
-    sign = "-" if rat < 0 else ""
-    mag = -rat if rat < 0 else rat
-    pieces = []
-    if n_power:
-        pieces.append("n" if n_power == 1 else f"n^{n_power}")
-    if mag != 1 or not (pieces or factors):
-        pieces.insert(0, str(mag))
-    pieces.extend(factors)
-    return sign + "*".join(pieces)
-
-
-def poly_text(terms: Iterable[str | None]) -> str:
-    kept = [t for t in terms if t]
-    if not kept:
-        return "0"
-    out = kept[0]
-    for t in kept[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-def ajbk_expected_text(j: int, q: int) -> str:
-    return poly_text(
-        [
-            term_text(j * q, 0, [(j - 1, q - 1)]),
-            term_text(-j * q, -1, [(j - 1, 0), (0, q - 1)]),
-        ]
-    )
+def poly_text(terms: Iterable[Term]) -> str:
+    """The traceless text of a template's terms, in their order, each printed
+    by grammar.format_term with its factors in their order: a zero rational
+    drops its term, and an empty word is one more power of n (tr I = n)."""
+    printed = []
+    for rat, n_power, words in terms:
+        if rat == 0:
+            continue
+        factors = [w for w in _words(words) if not w.is_empty()]
+        n_power += len(words) - len(factors)
+        printed.append(format_term(Fraction(rat), n_power, (0, 0), factors, TRACELESS))
+    return join_terms(printed)
 
 
 def terms_polynomial(terms: Iterable[Term]) -> TracePolynomial:
-    """The traceless polynomial that parse_polynomial gives for the text
-    poly_text([term_text(*t) for t in terms]), term order included, built
-    without the text: a zero rational drops its term, an empty word is one
-    more power of n, and a word is the canonical word of its nonzero runs.
+    """The traceless polynomial that parse_polynomial gives for
+    poly_text(terms), term order included, built without the text; the
+    constructor folds each empty word into a power of n.
 
-    Raises ValueError (from canonicalize) for a word with a negative
-    exponent under a nonzero rational, which has no text the parser
-    accepts."""
-    raw = []
-    for rat, n_power, words in terms:
-        rat = Fraction(rat)
-        if rat == 0:
-            continue
-        factors = []
-        for i, j in words:
-            if i == j == 0:
-                n_power += 1
-            else:
-                factors.append(canonicalize(((FIRST, i), (SECOND, j))))
-        raw.append((((0, 0), tuple(factors)), QnCoeff.of(rat, n_power)))
-    return TracePolynomial(TRACELESS, raw)
+    Raises ValueError for a word with a negative exponent under a nonzero
+    rational, as poly_text does."""
+    return TracePolynomial(
+        TRACELESS,
+        [(((0, 0), tuple(_words(words))), QnCoeff.of(rat, n_power)) for rat, n_power, words in terms if rat != 0],
+    )
 
 
 def law_terms(j: int, k: int, p: int, q: int) -> list[Term]:
@@ -131,10 +82,6 @@ def law_terms(j: int, k: int, p: int, q: int) -> list[Term]:
         (-j * q, -1, [(j - 1, k), (p, q - 1)]),
         (k * p, -1, [(j, k - 1), (p - 1, q)]),
     ]
-
-
-def bracketformular_expected_text(j: int, k: int, p: int, q: int) -> str:
-    return poly_text([term_text(*t) for t in law_terms(j, k, p, q)])
 
 
 def make_bracketformular_entry(j: int, k: int, p: int, q: int) -> BracketCatalogEntry:
@@ -166,9 +113,11 @@ def default_catalog_records() -> list[dict]:
                 {
                     "id": f"power-pair-{j}{q}",
                     "mode": TRACELESS,
-                    "lhs": poly_text([term_text(1, 0, [(j, 0)])]),
-                    "rhs": poly_text([term_text(1, 0, [(0, q)])]),
-                    "expected": ajbk_expected_text(j, q),
+                    "lhs": poly_text([(1, 0, [(j, 0)])]),
+                    "rhs": poly_text([(1, 0, [(0, q)])]),
+                    "expected": poly_text(
+                        [(j * q, 0, [(j - 1, q - 1)]), (-j * q, -1, [(j - 1, 0), (0, q - 1)])]
+                    ),
                     "kind": EXACT,
                 }
             )
@@ -180,9 +129,9 @@ def default_catalog_records() -> list[dict]:
                 {
                     "id": f"weight-{j}{k}",
                     "mode": TRACELESS,
-                    "lhs": poly_text([term_text(1, 0, [(j, k)])]),
+                    "lhs": poly_text([(1, 0, [(j, k)])]),
                     "rhs": "tr(A B)",
-                    "expected": poly_text([term_text(j - k, 0, [(j, k)])]),
+                    "expected": poly_text([(j - k, 0, [(j, k)])]),
                     "kind": EXACT,
                 }
             )
@@ -191,21 +140,21 @@ def default_catalog_records() -> list[dict]:
             {
                 "id": f"single-splice-{j}",
                 "mode": TRACELESS,
-                "lhs": poly_text([term_text(1, 0, [(j, 0)])]),
+                "lhs": poly_text([(1, 0, [(j, 0)])]),
                 "rhs": "tr(B^2)",
-                "expected": poly_text([term_text(2 * j, 0, [(j - 1, 1)])]),
+                "expected": poly_text([(2 * j, 0, [(j - 1, 1)])]),
                 "kind": EXACT,
             }
         )
-    for letter in ("A", "B"):
+    for letter, power in (("A", lambda e: (e, 0)), ("B", lambda e: (0, e))):
         for j in range(1, MAX_EXPONENT + 1):
             for k in range(j, MAX_EXPONENT + 1):
                 records.append(
                     {
                         "id": f"same-letter-{letter}{j}{k}",
                         "mode": TRACELESS,
-                        "lhs": f"tr({letter}^{j})" if j > 1 else f"tr({letter})",
-                        "rhs": f"tr({letter}^{k})" if k > 1 else f"tr({letter})",
+                        "lhs": poly_text([(1, 0, [power(j)])]),
+                        "rhs": poly_text([(1, 0, [power(k)])]),
                         "expected": "0",
                         "kind": EXACT,
                     }
@@ -220,7 +169,7 @@ def default_catalog_records() -> list[dict]:
                         "id": f"center-{scalar.lower()}-{j}{k}",
                         "mode": PLAIN,
                         "lhs": f"tr({scalar})",
-                        "rhs_from_traceless": poly_text([term_text(1, 0, [(j, k)])]),
+                        "rhs_from_traceless": poly_text([(1, 0, [(j, k)])]),
                         "expected": "0",
                         "kind": EXACT,
                     }
@@ -230,9 +179,9 @@ def default_catalog_records() -> list[dict]:
             {
                 "id": f"leading-law-{j}{k}{p}{q}",
                 "mode": TRACELESS,
-                "lhs": poly_text([term_text(1, 0, [(j, k)])]),
-                "rhs": poly_text([term_text(1, 0, [(p, q)])]),
-                "expected": bracketformular_expected_text(j, k, p, q),
+                "lhs": poly_text([(1, 0, [(j, k)])]),
+                "rhs": poly_text([(1, 0, [(p, q)])]),
+                "expected": poly_text(law_terms(j, k, p, q)),
                 "kind": LEADING,
                 "degree_bound": j + k + p + q - 6,
             }

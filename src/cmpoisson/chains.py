@@ -18,24 +18,18 @@ from __future__ import annotations
 from functools import cache
 
 from .bracket import EXACT, LEADING, IdentityReport, bracket, check_identity, check_kind
-from .catalog import check_fields, poly_text, read_records, term_text
+from .catalog import Term, check_fields, poly_text, read_records
 from .grammar import parse_polynomial
 from .modp import ExactPool
 from .poly import TRACELESS, TracePolynomial
 
 
 def _w(i: int, j: int) -> str:
-    return poly_text([term_text(1, 0, [(i, j)])])
+    return poly_text([(1, 0, [(i, j)])])
 
 
 def default_chain_records() -> list[dict]:
     chains: list[dict] = []
-
-    def finish(records: list[dict]) -> list[dict]:
-        for record in records:
-            for idx, step in enumerate(record["steps"]):
-                step["step"] = idx
-        return records
 
     # ladder producing tr A^{k+1}: splice, square, product, extend; its mirror
     # for tr B^{k+1} swaps A and B, which negates each bracket
@@ -43,8 +37,8 @@ def default_chain_records() -> list[dict]:
         def w(i: int, j: int) -> tuple[int, int]:
             return (i, j) if sign > 0 else (j, i)
 
-        def t(rat, n_power: int, *words: tuple[int, int]) -> str | None:
-            return term_text(rat, n_power, [w(*word) for word in words])
+        def t(rat, n_power: int, *words: tuple[int, int]) -> Term:
+            return (rat, n_power, [w(*word) for word in words])
 
         square = _w(*w(2, 0))
         for k in range(2, 6):
@@ -123,7 +117,7 @@ def default_chain_records() -> list[dict]:
             {
                 "lhs": "tr(A^2)",
                 "rhs": _w(0, m),
-                "expected": poly_text([term_text(2 * m, 0, [(1, m - 1)])]),
+                "expected": poly_text([(2 * m, 0, [(1, m - 1)])]),
                 "kind": EXACT,
             }
         ]
@@ -132,7 +126,7 @@ def default_chain_records() -> list[dict]:
                 {
                     "lhs": "tr(A^2)",
                     "rhs": _w(j, m - j),
-                    "expected": poly_text([term_text(2 * (m - j), 0, [(j + 1, m - j - 1)])]),
+                    "expected": poly_text([(2 * (m - j), 0, [(j + 1, m - j - 1)])]),
                     "kind": LEADING,
                     "degree_bound": m - 4,
                 }
@@ -148,13 +142,13 @@ def default_chain_records() -> list[dict]:
                     {
                         "lhs": _w(j, 0),
                         "rhs": "tr(A B)*tr(A B)",
-                        "expected": poly_text([term_text(2 * j, 0, [(j, 0), (1, 1)])]),
+                        "expected": poly_text([(2 * j, 0, [(j, 0), (1, 1)])]),
                         "kind": EXACT,
                     },
                     {
                         "lhs": _w(j, 0),
                         "rhs": "$0",
-                        "expected": poly_text([term_text(2 * j * j, 0, [(j, 0), (j, 0)])]),
+                        "expected": poly_text([(2 * j * j, 0, [(j, 0), (j, 0)])]),
                         "kind": EXACT,
                     },
                 ],
@@ -170,15 +164,15 @@ def default_chain_records() -> list[dict]:
                 "lemma_id": f"product-ladder-j{j}-" + "".join(map(str, exps)),
                 "steps": [
                     {
-                        "lhs": poly_text([term_text(1, 0, [(j, 0), (1, 1)])]),
-                        "rhs": poly_text([term_text(1, 0, [(i, 0) for i in exps])]),
-                        "expected": poly_text([term_text(-total, 0, words)]),
+                        "lhs": poly_text([(1, 0, [(j, 0), (1, 1)])]),
+                        "rhs": poly_text([(1, 0, [(i, 0) for i in exps])]),
+                        "expected": poly_text([(-total, 0, words)]),
                         "kind": EXACT,
                     }
                 ],
             }
         )
-    return finish(chains)
+    return chains
 
 
 def replay_lemma_chain(

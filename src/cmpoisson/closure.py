@@ -280,12 +280,11 @@ def build_closure(
     kept: set = set()
 
     def keep(p: TracePolynomial, tree: Tree, level: int, weight: int) -> None:
-        key = p.canonical_key()
-        if (p.degree() > degree_cap or key in kept or p.weight() != weight
+        if (p.degree() > degree_cap or p in kept or p.weight() != weight
                 or not spans[weight].add(pool.values(p))):
             raise AssertionError(f"closure element {tree} exceeds the degree cap, repeats a kept element, "
                                  f"has another weight than its tree's or is in their span")
-        kept.add(key)
+        kept.add(p)
         room[weight] -= 1
         basis.elements.append(p)
         basis.trees.append(tree)

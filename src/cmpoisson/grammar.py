@@ -21,6 +21,8 @@ Printing of canonical forms is deterministic and round-trips bit-stably.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
+
 from .poly import PLAIN, TRACELESS, MonKey, TracePolynomial, _monomial_order
 from .ring import QnCoeff
 from .words import FIRST, SECOND, CyclicWord, canonicalize
@@ -64,29 +66,32 @@ def format_term(coeff_rat: Fraction, n_power: int, central, factors, mode: str) 
     return sign, "*".join(pieces)
 
 
-def format_terms(terms, mode: str) -> str:
-    """Render a list of (QnCoeff, central, factors) raw terms canonically."""
-    expanded = []
-    for coeff, central, factors in terms:
-        key = (central, tuple(sorted(factors, key=lambda w: (w.degree(), w.runs))))
-        for n_power, rat in sorted(coeff.terms.items(), reverse=True):
-            expanded.append((_monomial_order(key), -n_power, rat, n_power, key))
-    if not expanded:
-        return "0"
-    expanded.sort(key=lambda t: (t[0], t[1]))
+def join_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join format_term's (sign, body) pairs into polynomial text, in order;
+    "0" when there are none."""
     out = []
-    for _, _, rat, n_power, key in expanded:
-        sign, body = format_term(rat, n_power, key[0], key[1], mode)
+    for sign, body in terms:
         if not out:
             out.append(("-" if sign < 0 else "") + body)
         else:
             out.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(out)
+    return " ".join(out) if out else "0"
+
+
+def format_terms(terms: Iterable[tuple[MonKey, QnCoeff]], mode: str) -> str:
+    """Render (key, coefficient) terms whose keys have sorted factors, one
+    printed term per power of n, in the canonical order."""
+    expanded = [
+        (_monomial_order(key), -n_power, rat, key)
+        for key, coeff in terms
+        for n_power, rat in coeff.terms.items()
+    ]
+    expanded.sort(key=lambda t: t[:2])
+    return join_terms(format_term(rat, -neg_power, key[0], key[1], mode) for _, neg_power, rat, key in expanded)
 
 
 def format_polynomial(p: TracePolynomial) -> str:
-    terms = [(coeff, key[0], key[1]) for key, coeff in p.items()]
-    return format_terms(terms, p.mode)
+    return format_terms(p.items(), p.mode)
 
 
 # ----------------------------------------------------------------------

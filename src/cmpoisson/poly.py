@@ -129,13 +129,6 @@ class TracePolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, key: MonKey) -> QnCoeff:
-        return self._terms.get(key, QnCoeff.zero())
-
-    def canonical_key(self):
-        """Hashable canonical identity, usable for dedup."""
-        return (self.mode, tuple(sorted(self._terms.items(), key=lambda kv: _monomial_order(kv[0]))))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TracePolynomial)
@@ -145,7 +138,7 @@ class TracePolynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.canonical_key()))
+            object.__setattr__(self, "_hash", hash((self.mode, frozenset(self._terms.items()))))
         return self._hash
 
     def __repr__(self) -> str:

@@ -11,7 +11,8 @@ equivalent words coincide, so trace factors are always kept in the canonical
 (least) rotation, and canonicalize is the one way from runs to a CyclicWord.
 Canonical form = lexicographically minimal rotation of the flat letter
 sequence under 0 < 1; it begins with a run of the first letter, so only the
-rotations starting at those runs are compared.
+rotations starting at those runs are compared.  CyclicWords have no order of
+their own: the order of trace factors in a monomial is poly's.
 
 Words are immutable, so the exact core memoizes them in bounded lru caches:
 canonicalize by its run tuple (every rotation of a word returns the one
@@ -97,9 +98,6 @@ class CyclicWord:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicWord) and self.runs == other.runs
 
-    def __lt__(self, other: "CyclicWord") -> bool:
-        return _sort_key(self.runs) < _sort_key(other.runs)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -108,10 +106,6 @@ class CyclicWord:
             return "CyclicWord(1)"
         body = " ".join(f"{'ab'[l]}^{e}" if e > 1 else "ab"[l] for l, e in self.runs)
         return f"CyclicWord({body})"
-
-
-def _sort_key(runs: Runs) -> tuple:
-    return (sum(e for _, e in runs), runs)
 
 
 @lru_cache(maxsize=65536)

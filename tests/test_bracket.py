@@ -77,6 +77,9 @@ def test_central_symbols_bracket_like_the_plane():
 def test_raw_terms_show_prereduction_formula():
     raw = bracket_raw_terms(P("tr(A^2)", TRACELESS), P("tr(B^2)", TRACELESS))
     assert format_terms(raw, TRACELESS) == "4*tr(A B) - 4*n^-1*tr(A)*tr(B)"
+    # the corrected terms tr(B)*tr(A) and -tr(A)*tr(B) cancel once their factors are sorted
+    raw = bracket_raw_terms(P("tr(A B)", TRACELESS), P("tr(A B)", TRACELESS))
+    assert raw == [] and format_terms(raw, TRACELESS) == "0"
 
 
 def test_antisymmetry(rng):

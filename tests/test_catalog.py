@@ -9,7 +9,6 @@ import pytest
 from cmpoisson import bracket_traceless, catalog
 from cmpoisson.bracket import EXACT, LEADING, BracketCatalogEntry, verify_catalog
 from cmpoisson.catalog import (
-    bracketformular_expected_text,
     default_catalog_records,
     load_catalog_entries,
     load_catalog_records,
@@ -17,7 +16,6 @@ from cmpoisson.catalog import (
     make_bracketformular_entry,
     poly_text,
     record_to_entry,
-    term_text,
     terms_polynomial,
 )
 from cmpoisson.grammar import PolynomialParseError, parse_polynomial as P
@@ -27,27 +25,55 @@ from conftest import same
 LAW_TUPLES = [t for t in iter_product(range(11), repeat=4) if 0 < sum(t) <= 10]
 
 
-def test_term_text_folds_empty_words():
-    assert term_text(Fraction(2), 0, [(0, 0), (1, 1)]) == "2*n*tr(A B)"
-    assert term_text(1, -1, [(2, 0)]) == "n^-1*tr(A^2)"
-    assert term_text(0, 0, [(1, 1)]) is None
-    assert poly_text([None, "tr(A B)", "-tr(B^2)"]) == "tr(A B) - tr(B^2)"
+def test_poly_text_folds_empty_words():
+    assert poly_text([(Fraction(2), 0, [(0, 0), (1, 1)])]) == "2*n*tr(A B)"
+    assert poly_text([(1, -1, [(2, 0)])]) == "n^-1*tr(A^2)"
+    assert poly_text([(Fraction(-3, 2), -1, [(0, 0), (0, 0)])]) == "-3/2*n"
+    assert poly_text([(0, 0, [(1, 1)])]) == "0"
+    assert poly_text([]) == "0"
+    assert poly_text([(0, 0, [(1, 1)]), (1, 0, [(1, 1)]), (-1, 0, [(0, 2)])]) == "tr(A B) - tr(B^2)"
+    # factors print in the template's order, not the canonical one
+    assert poly_text([(1, 0, [(0, 3), (2, 0)])]) == "tr(B^3)*tr(A^2)"
 
 
 def test_leading_law_expected_for_spec_instance():
     assert (
-        bracketformular_expected_text(2, 1, 1, 2)
+        poly_text(law_terms(2, 1, 1, 2))
         == "3*tr(A^2 B^2) - 4*n^-1*tr(A B)*tr(A B) + n^-1*tr(A^2)*tr(B^2)"
     )
+
+
+# one default record per template family, its texts pinned literally
+PINNED_RECORDS = [
+    {"id": "power-pair-23", "mode": "traceless", "lhs": "tr(A^2)", "rhs": "tr(B^3)",
+     "expected": "6*tr(A B^2) - 6*n^-1*tr(A)*tr(B^2)", "kind": "exact"},
+    {"id": "weight-31", "mode": "traceless", "lhs": "tr(A^3 B)", "rhs": "tr(A B)",
+     "expected": "2*tr(A^3 B)", "kind": "exact"},
+    {"id": "single-splice-3", "mode": "traceless", "lhs": "tr(A^3)", "rhs": "tr(B^2)",
+     "expected": "6*tr(A^2 B)", "kind": "exact"},
+    {"id": "same-letter-B12", "mode": "traceless", "lhs": "tr(B)", "rhs": "tr(B^2)",
+     "expected": "0", "kind": "exact"},
+    {"id": "center-x-21", "mode": "plain", "lhs": "tr(X)", "rhs_from_traceless": "tr(A^2 B)",
+     "expected": "0", "kind": "exact"},
+    {"id": "leading-law-2212", "mode": "traceless", "lhs": "tr(A^2 B^2)", "rhs": "tr(A B^2)",
+     "expected": "2*tr(A^2 B^3) - 4*n^-1*tr(A B^2)*tr(A B) + 2*n^-1*tr(A^2 B)*tr(B^2)",
+     "kind": "leading-mod-degree", "degree_bound": 1},
+]
+
+
+@pytest.mark.parametrize("pinned", PINNED_RECORDS, ids=lambda r: r["id"])
+def test_default_records_print_their_pinned_text(pinned):
+    records = {r["id"]: r for r in default_catalog_records()}
+    assert records[pinned["id"]] == pinned
 
 
 def test_leading_law_entries_equal_the_parse_of_their_text():
     assert len(LAW_TUPLES) == 1000
     for j, k, p, q in LAW_TUPLES:
         entry = make_bracketformular_entry(j, k, p, q)
-        same(entry.lhs, P(poly_text([term_text(1, 0, [(j, k)])]), TRACELESS))
-        same(entry.rhs, P(poly_text([term_text(1, 0, [(p, q)])]), TRACELESS))
-        same(entry.expected, P(bracketformular_expected_text(j, k, p, q), TRACELESS))
+        same(entry.lhs, P(poly_text([(1, 0, [(j, k)])]), TRACELESS))
+        same(entry.rhs, P(poly_text([(1, 0, [(p, q)])]), TRACELESS))
+        same(entry.expected, P(poly_text(law_terms(j, k, p, q)), TRACELESS))
         assert entry.id == f"leading-law-{j}{k}{p}{q}"
         assert entry.kind == LEADING
         assert entry.degree_bound == j + k + p + q - 6
@@ -77,12 +103,12 @@ def test_terms_polynomial_refuses_what_the_parser_refuses():
     with pytest.raises(ValueError, match="negative exponent"):
         terms_polynomial([(1, 0, [(-1, 2)])])
     with pytest.raises(ValueError, match="negative exponent"):
-        term_text(1, 0, [(-1, 2)])
+        poly_text([(1, 0, [(-1, 2)])])
     with pytest.raises(PolynomialParseError):
         P("tr(A^-1 B^2)", TRACELESS)
     # under a zero rational the word is never looked at
     assert terms_polynomial([(0, -1, [(-1, 2)])]).is_zero()
-    assert term_text(0, -1, [(-1, 2)]) is None
+    assert poly_text([(0, -1, [(-1, 2)])]) == "0"
     # an empty word is a power of n; a length-1 word vanishes in traceless mode
     same(terms_polynomial([(3, -1, [(0, 0), (1, 1)])]), P("3*tr(A B)", TRACELESS))
     assert terms_polynomial([(1, 0, [(1, 0)])]).is_zero()

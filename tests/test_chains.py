@@ -11,6 +11,54 @@ from cmpoisson.chains import (
 )
 
 
+# one default chain per family, its step texts pinned literally
+PINNED_CHAINS = {
+    "power-ladder-A-k3": [
+        ("tr(A^3)", "tr(B^2)", "6*tr(A^2 B)", "exact"),
+        ("tr(A^2)", "tr(A B)*tr(A B)", "4*tr(A^2)*tr(A B)", "exact"),
+        ("tr(A^2)", "$1", "8*tr(A^2)*tr(A^2)", "exact"),
+        ("tr(A^2)*tr(A^2)", "tr(A B)", "4*tr(A^2)*tr(A^2)", "exact"),
+        ("tr(A^3)", "tr(A^2 B)", "3*tr(A^4) - 3*n^-1*tr(A^2)*tr(A^2)", "exact"),
+    ],
+    "power-ladder-B-k3": [
+        ("tr(B^3)", "tr(A^2)", "-6*tr(A B^2)", "exact"),
+        ("tr(B^2)", "tr(A B)*tr(A B)", "-4*tr(B^2)*tr(A B)", "exact"),
+        ("tr(B^2)", "$1", "8*tr(B^2)*tr(B^2)", "exact"),
+        ("tr(B^2)*tr(B^2)", "tr(A B)", "-4*tr(B^2)*tr(B^2)", "exact"),
+        ("tr(B^3)", "tr(A B^2)", "-3*tr(B^4) + 3*n^-1*tr(B^2)*tr(B^2)", "exact"),
+    ],
+    "cube-transfer": [
+        ("tr(B^2)", "tr(A^3)", "-6*tr(A^2 B)", "exact"),
+        ("tr(B^2)", "$0", "24*tr(A B^2)", "exact"),
+        ("tr(B^2)", "$1", "-48*tr(B^3)", "exact"),
+    ],
+    "transport-right-p3q2": [
+        ("tr(A^2)", "tr(B^5)", "10*tr(A B^4)", "exact"),
+        ("tr(A^2)", "tr(A B^4)", "8*tr(A^2 B^3)", "leading-mod-degree", 1),
+        ("tr(A^2)", "tr(A^2 B^3)", "6*tr(A^3 B^2)", "leading-mod-degree", 1),
+    ],
+    "kernel-shear-j3": [
+        ("tr(A^3)", "tr(A B)*tr(A B)", "6*tr(A^3)*tr(A B)", "exact"),
+        ("tr(A^3)", "$0", "18*tr(A^3)*tr(A^3)", "exact"),
+    ],
+    "product-ladder-j2-32": [
+        ("tr(A^2)*tr(A B)", "tr(A^3)*tr(A^2)", "-5*tr(A^2)*tr(A^3)*tr(A^2)", "exact"),
+    ],
+}
+
+
+@pytest.mark.parametrize("lemma_id", PINNED_CHAINS)
+def test_default_chains_print_their_pinned_text(lemma_id):
+    record = next(r for r in default_chain_records() if r["lemma_id"] == lemma_id)
+    expected = []
+    for lhs, rhs, text, kind, *bound in PINNED_CHAINS[lemma_id]:
+        step = {"lhs": lhs, "rhs": rhs, "expected": text, "kind": kind}
+        if bound:
+            step["degree_bound"] = bound[0]
+        expected.append(step)
+    assert record == {"lemma_id": lemma_id, "steps": expected}
+
+
 def test_all_shipped_chains_replay_at_n3():
     for record in load_chain_records():
         report = replay_lemma_chain(record, n_value=3, sample_count=30, seed=0)

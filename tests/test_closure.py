@@ -272,9 +272,9 @@ def bracket_first_closure(generators, depth_cap, degree_cap, n_value, seed=0):
     seen = set()
 
     def try_add(p, tree, level):
-        if p.is_zero() or p.degree() > degree_cap or p.canonical_key() in seen:
+        if p.is_zero() or p.degree() > degree_cap or p in seen:
             return False
-        seen.add(p.canonical_key())
+        seen.add(p)
         if not span.add(pool.values(p)):
             return False
         basis.elements.append(p)

@@ -8,7 +8,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpoisson.catalog import bracketformular_expected_text, load_catalog_records
+from cmpoisson.catalog import law_terms, load_catalog_records, poly_text
 from cmpoisson.chains import load_chain_records
 from cmpoisson.grammar import (
     PolynomialParseError,
@@ -216,7 +216,7 @@ def chain_texts() -> list[tuple[str, str]]:
 
 def law_texts() -> list[tuple[str, str]]:
     return [
-        (bracketformular_expected_text(*t), TRACELESS)
+        (poly_text(law_terms(*t)), TRACELESS)
         for t in iter_product(range(11), repeat=4)
         if 0 < sum(t) <= 10
     ]

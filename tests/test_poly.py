@@ -1,11 +1,13 @@
 """Trace polynomial arithmetic, substitutions, degrees, and reduction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmpoisson.cm import CMPoint, MatrixPair, PointEvaluator, evaluate, sample_cm
 from cmpoisson.grammar import format_polynomial as F, parse_polynomial as P
 from cmpoisson.poly import MINUS_INF, PLAIN, TRACELESS, TracePolynomial
 from cmpoisson.ring import QnCoeff
+from cmpoisson.words import FIRST, SECOND, canonicalize
 from conftest import random_polynomial
 
 
@@ -37,6 +39,37 @@ def test_binomial_square():
     s = P("tr(X) + tr(Y)", PLAIN)
     expanded = P("tr(X)*tr(X) + 2*tr(X)*tr(Y) + tr(Y)*tr(Y)", PLAIN)
     assert s * s == expanded
+
+
+# raw terms: factors as raw runs (empty and length-1 words included), central
+# exponents (kept in traceless mode only), a rational and a power of n, drawn
+# from few values so that terms merge and cancel
+RAW_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.lists(st.tuples(st.sampled_from((FIRST, SECOND)), st.integers(0, 2)), max_size=3), max_size=3),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+    ),
+    max_size=6,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from((PLAIN, TRACELESS)), RAW_TERMS, st.randoms(use_true_random=False))
+def test_permuted_raw_terms_build_one_polynomial(mode, terms, random):
+    raw = [
+        ((central if mode == TRACELESS else (0, 0), tuple(canonicalize(r) for r in factors)), QnCoeff.of(rat, n_power))
+        for factors, central, rat, n_power in terms
+    ]
+    permuted = [
+        ((central, tuple(random.sample(factors, len(factors)))), coeff)
+        for (central, factors), coeff in random.sample(raw, len(raw))
+    ]
+    p, q = TracePolynomial(mode, raw), TracePolynomial(mode, permuted)
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
 
 
 def test_mode_mismatch_raises():

@@ -54,6 +54,8 @@ JOBS += [
     ("bracket_superscript_exponent", ["bracket", "tr(A^\u00b2)", "tr(B^2)"]),
     # a word exponent is unsigned: a parse error at the sign
     ("bracket_signed_word_exponent", ["bracket", "tr(A^+2)", "tr(B^2)"]),
+    # every raw splice term cancels: the raw display prints 0
+    ("bracket_raw_cancel", ["bracket", "tr(A B)", "tr(A B)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
     # the largest n whose eigenvalue square is the fixed [-2, 2]^2: its draws pin the bits
     ("sample_traceless_n40", ["sample", "--n", "40", "--count", "2", "--traceless", "--seed", "0"]),
