@@ -309,21 +309,22 @@ def check_points(X: np.ndarray, Y: np.ndarray, prime: int = PRIME) -> None:
         raise ValueError(f"point {int(np.argmin(good))} is not a traceless rank-one point mod {prime}")
 
 class Echelon:
-    """Incremental row echelon form over F_prime.
+    """Incremental reduced row echelon form over F_prime.
 
-    A kept row is stored once, as it is reduced against the earlier rows and
-    scaled to 1 at its pivot, so T, the kept rows' entries at the pivots
-    (T[j, i] = row j at pivot i), is unit upper triangular and T^-1 @ rows is
-    the reduced row echelon form.  T^-1 is kept beside the rows: a new row is
-    reduced by subtracting (its pivot entries @ T^-1) @ rows, and keeping row
-    r appends the column -T^-1 u, where u is the earlier rows at its pivot.
-    Both live in float64 for blas_matmul and double their capacity when full."""
+    Each kept row is 1 at its own pivot and 0 at every other kept pivot, so
+    the kept rows are the unique reduced row echelon form of their span.  A
+    new row is reduced by one product, less its pivot entries @ rows, and
+    keeping a row clears its pivot column from the earlier rows by one
+    rank-one update in int64 (p^2 < 2^63).  The rows live in float64 for
+    blas_matmul, whose slices need p < 2^30, and double their capacity when
+    full."""
 
     def __init__(self, width: int, prime: int = PRIME):
+        if prime >= 2**30:
+            raise ValueError(f"an Echelon needs a prime below 2^30, got {prime}")
         self.prime = prime
         self.pivots: list[int] = []
         self._rows = np.zeros((1, width))
-        self._t_inverse = np.zeros((1, 1))
 
     @property
     def rank(self) -> int:
@@ -331,7 +332,7 @@ class Echelon:
 
     @property
     def rows(self) -> np.ndarray:
-        """The kept rows as stored: each is 0 at the earlier rows' pivots and 1 at its own."""
+        """The kept rows in reduced row echelon form: rows[:, pivots] is the identity."""
         return self._rows[: self.rank].astype(np.int64)
 
     def reduce(self, rows: np.ndarray) -> np.ndarray:
@@ -342,8 +343,8 @@ class Echelon:
         r = self.rank
         if r:
             stack = rows.reshape(-1, rows.shape[-1])
-            c = blas_matmul(stack[:, self.pivots], self._t_inverse[:r, :r], self.prime)
-            rows = ((stack - blas_matmul(c, self._rows[:r], self.prime)) % self.prime).reshape(rows.shape)
+            cleared = blas_matmul(stack[:, self.pivots], self._rows[:r], self.prime)
+            rows = ((stack - cleared) % self.prime).reshape(rows.shape)
         return rows
 
     def add(self, row: np.ndarray) -> bool:
@@ -355,12 +356,10 @@ class Echelon:
         pivot, r = int(nonzero[0]), self.rank
         if r == len(self._rows):
             self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-            self._t_inverse = np.pad(self._t_inverse, (0, r))
-        u = self._rows[:r, pivot].astype(np.int64)
-        # T^-1 u, as u @ (T^-1)^T
-        self._t_inverse[:r, r] = -blas_matmul(u[None], self._t_inverse[:r, :r].T, self.prime)[0] % self.prime
-        self._t_inverse[r, r] = 1
-        self._rows[r] = row * pow(int(row[pivot]), -1, self.prime) % self.prime
+        row = row[pivot:] * pow(int(row[pivot]), -1, self.prime) % self.prime  # 0 before its pivot
+        u = self._rows[:r, pivot, None].astype(np.int64)
+        self._rows[:r, pivot:] = (self._rows[:r, pivot:].astype(np.int64) - u * row) % self.prime
+        self._rows[r, pivot:] = row
         self.pivots.append(pivot)
         return True
 

@@ -18,11 +18,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 JOBS = {
     "closure_n2_seed0": ["closure", "--n", "2", "--seed", "0"],
     "closure_n3_seed0": ["closure", "--n", "3", "--seed", "0"],
+    # 176 elements: saturated at degree 8
+    "closure_n4_seed0": ["closure", "--n", "4", "--seed", "0"],
     "reduce_traceless_n2": ["reduce", "--mode", "traceless", "--n", "2", "tr(A^5 B^3)"],
     "bracket_traceless": ["bracket", "tr(A^3 B^2)", "tr(A B^4)"],
     "verify_n2_seed0": ["verify", "--n", "2", "--seed", "0"],
     "replay_n3_seed0": ["replay", "--n", "3", "--seed", "0"],
     "membership_square_n2": ["membership", "--target", "tr(A^2 B^2)", "--n", "2", "--seed", "0"],
+    "membership_product_n3": ["membership", "--target", "tr(A^2)*tr(A^2)*tr(B^2)*tr(B^2)",
+                              "--n", "3", "--seed", "0"],
 }
 
 

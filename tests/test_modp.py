@@ -188,12 +188,23 @@ def check_echelon_against_gauss_jordan(prime):
         echelon = Echelon(60, prime)
         assert [echelon.add(r) for r in rows] == kept
         assert echelon.pivots == pivots and echelon.rank == len(pivots)
+        # the kept rows are the reduced row echelon form itself
+        assert echelon.rows.tolist() == basis
+        assert (echelon.rows[:, pivots] == np.eye(len(pivots), dtype=np.int64)).all()
         # every reduction is the one against the reduced row echelon form
         for r in rows:
             assert not echelon.reduce(r).any()
         for v in rng.integers(0, prime, size=(5, 60)):
             assert echelon.reduce(v).tolist() == reduce_by(basis, pivots, v, prime)
     assert sum(gauss_jordan(deficient.tolist(), prime)[0]) == 7
+
+
+def test_echelon_needs_a_prime_below_2_to_the_30():
+    # blas_matmul's three 10-bit slices and add's int64 rank-one update both assume it
+    with pytest.raises(ValueError, match="below 2\\^30"):
+        Echelon(10, 1073741827)  # the least prime above 2^30
+    for prime in (PRIME, CHECK_PRIME):
+        assert Echelon(10, prime).prime == prime
 
 
 def test_echelon_reduce_leaves_the_echelon_unchanged():

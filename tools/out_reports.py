@@ -40,6 +40,8 @@ JOBS += [
     ("closure_n3_degree6_depth2_seed2",
      ["closure", "--n", "3", "--degree", "6", "--depth", "2", "--seed", "2"]),
     ("closure_n4", ["closure", "--n", "4", "--seed", "0"]),
+    # 428 elements: its weights keep many more rows than any n <= 3 job
+    ("closure_n4_degree10", ["closure", "--n", "4", "--degree", "10", "--seed", "0"]),
     # depth 0 keeps the generators alone: 3 elements at n = 2
     ("closure_n2_depth0", ["closure", "--n", "2", "--depth", "0", "--seed", "0"]),
     # 49 elements at a degree with 6,836 trace monomials
