@@ -142,10 +142,10 @@ LEADING = "leading-mod-degree"
 
 def check_kind(kind, degree_bound, where: str) -> None:
     """Raise ValueError unless kind is EXACT, or LEADING with an integer
-    degree_bound; where names the identity in the message."""
+    degree_bound (an int, not a bool); where names the identity in the message."""
     if kind not in (EXACT, LEADING):
         raise ValueError(f"{where}: unknown kind {kind!r}, expected {EXACT!r} or {LEADING!r}")
-    if kind == LEADING and not isinstance(degree_bound, int):
+    if kind == LEADING and type(degree_bound) is not int:
         raise ValueError(f"{where}: kind {LEADING!r} needs an integer degree_bound")
 
 

@@ -346,8 +346,6 @@ class GradientPlan:
         for base, central, ids in terms:
             steps: list[list] = []  # [other factors, accumulator, slot index, count]
             for i, f in enumerate(ids):
-                if f not in targets:
-                    continue
                 others = tuple(ids[:i] + ids[i + 1:])
                 if steps and steps[-1][:3] == [others, *targets[f]]:
                     steps[-1][3] += 1  # the same product again: a repeated factor

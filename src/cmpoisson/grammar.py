@@ -195,6 +195,14 @@ def _parse_word(sc: _Scanner, mode: str):
     sc.error(f"letter {bad[0]!r} is not valid in {mode} mode", bad[2])
 
 
+def _eat_star(sc: _Scanner) -> None:
+    """Eat an optional '*', which must lead to an npart or a tr(...) factor."""
+    if sc.eat("*"):
+        star = sc.pos - 1
+        if sc.peek() != "n" and not sc.text.startswith("tr", sc.pos):
+            sc.error("'*' must be followed by n or a tr(...) factor", star)
+
+
 def _parse_term(sc: _Scanner, mode: str, negate: bool) -> tuple[MonKey, QnCoeff]:
     """One raw term: its unsorted monomial key and its coefficient."""
     rational = Fraction(1)
@@ -204,11 +212,11 @@ def _parse_term(sc: _Scanner, mode: str, negate: bool) -> tuple[MonKey, QnCoeff]
     if "0" <= ch <= "9" or ch in "+-":
         rational = _parse_rational(sc)
         have_coeff = True
-        sc.eat("*")
+        _eat_star(sc)
     if sc.peek() == "n":
         n_power = _parse_npart(sc)
         have_coeff = True
-        sc.eat("*")
+        _eat_star(sc)
     central = [0, 0]
     factors: list[CyclicWord] = []
     have_factor = False
@@ -225,7 +233,7 @@ def _parse_term(sc: _Scanner, mode: str, negate: bool) -> tuple[MonKey, QnCoeff]
         else:
             central[value] += 1
         have_factor = True
-        sc.eat("*")
+        _eat_star(sc)
     if not have_factor and not have_coeff:
         sc.error("expected a coefficient or tr(...) factor")
     return (tuple(central), tuple(factors)), QnCoeff.of(-rational if negate else rational, n_power)

@@ -15,8 +15,11 @@ Brackets of monomials are single monomials, so the Lie closure of a monomial
 generator set is spanned by monomials and coverage reduces to an exact
 reachability search on exponent pairs.
 
-Direct products carry the product bracket: same-factor pairs bracket by the
-factor rule, cross-factor brackets vanish, and mixed products follow Leibniz.
+One immutable Element class serves every algebra: a model space
+(LaurentAdapter), the traceless trace polynomials (TraceAdapter) and the
+direct product of any two (ProductSpace), which is an algebra itself, so
+products nest.  The product bracket brackets same-factor pairs by the factor
+rule; cross-factor brackets vanish and mixed products follow Leibniz.
 """
 
 from __future__ import annotations
@@ -44,9 +47,12 @@ def _shift(space: str) -> Expo:
     return SHIFTS[space]
 
 
-def _check_exponent(space: str, e: Expo) -> None:
+def _exponent(space: str, e) -> Expo:
+    """e as an exponent pair of the space: >= 0 where the shift is 1."""
+    e = tuple(e)
     if any(x < 0 and s for x, s in zip(e, _shift(space))):
         raise ValueError(f"{space} monomials need exponents >= 0 where the shift is 1, got {e}")
+    return e
 
 
 def monomial_bracket(space: str, e1: Expo, e2: Expo) -> tuple[int, Expo]:
@@ -58,76 +64,117 @@ def monomial_bracket(space: str, e1: Expo, e2: Expo) -> tuple[int, Expo]:
     return weight, (j + p - sz, k + q - sw)
 
 
-def _add(acc: dict, key, coeff) -> None:
-    """acc[key] += coeff, dropping the key when the sum is zero."""
-    total = acc.pop(key) + coeff if key in acc else coeff
-    if total != 0:
-        acc[key] = total
-
-
-def _bilinear(f_terms: dict, g_terms: dict, rule) -> dict:
-    """Sum over term pairs (k1, c1), (k2, c2) of c1 c2 times rule(k1, k2)'s (key, c) pairs."""
+def _collect(pairs) -> dict:
+    """The {key: coeff} sum of (key, coeff) pairs, without zero coefficients."""
     acc: dict = {}
-    for k1, c1 in f_terms.items():
-        for k2, c2 in g_terms.items():
-            for key, c in rule(k1, k2):
-                _add(acc, key, c1 * c2 * c)
+    for key, c in pairs:
+        total = acc.pop(key) + c if key in acc else c
+        if total != 0:
+            acc[key] = total
     return acc
 
 
-class LaurentPoly2:
-    """Exact two-variable (Laurent) polynomial attached to a model space."""
+def _bilinear(f_terms: dict, g_terms: dict, rule) -> dict:
+    """Sum over term pairs (k1, c1), (k2, c2) of c1 c2 times rule(k1, k2), a {key: c} dict."""
+    return _collect(
+        (key, c1 * c2 * c)
+        for k1, c1 in f_terms.items()
+        for k2, c2 in g_terms.items()
+        for key, c in rule(k1, k2).items()
+    )
 
-    __slots__ = ("space", "terms")
 
-    def __init__(self, space: str, terms: Iterable[tuple[Expo, Fraction]] = ()):
-        _shift(space)
-        acc: dict[Expo, Fraction] = {}
-        for e, c in terms:
-            _check_exponent(space, e)
-            _add(acc, e, Fraction(c))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", acc)
+class Element:
+    """Immutable finite sum of an algebra's monomial keys with exact coefficients.
+
+    The algebra (LaurentAdapter, TraceAdapter or ProductSpace) gives the
+    monomials' products and brackets: one_key(), mul_key(k1, k2) and
+    bracket_key(k1, k2) as {key: coeff} dicts.  Elements mix only with
+    elements of an equal algebra."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra, terms: Iterable = ()):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "terms", _collect(terms))
 
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly2 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def monomial(cls, space: str, e: Expo, coeff=1) -> "LaurentPoly2":
-        return cls(space, [(e, Fraction(coeff))])
+    def _like(self, terms: dict) -> "Element":
+        """An element of this class and algebra whose terms are the zero-free dict terms."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "algebra", self.algebra)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    def _require(self, other: "Element") -> None:
+        if self.algebra != other.algebra:
+            raise ValueError(f"algebra mismatch: {self.algebra!r} vs {other.algebra!r}")
+
+    def __add__(self, other: "Element") -> "Element":
+        self._require(other)
+        return self._like(_collect(chain(self.terms.items(), other.terms.items())))
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + other * -1
+
+    def __mul__(self, other) -> "Element":
+        if not isinstance(other, Element):
+            return self._like(_collect((k, c * other) for k, c in self.terms.items()))
+        self._require(other)
+        return self._like(_bilinear(self.terms, other.terms, self.algebra.mul_key))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Element":
+        if k < 1:
+            raise ValueError(f"{type(self).__name__} ** {k}: the exponent must be >= 1")
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _require_space(self, other: "LaurentPoly2"):
-        if self.space != other.space:
-            raise ValueError(f"space mismatch: {self.space} vs {other.space}")
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        self._require_space(other)
-        return LaurentPoly2(self.space, list(self.terms.items()) + list(other.terms.items()))
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly2)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
+        return isinstance(other, Element) and (self.algebra, self.terms) == (other.algebra, other.terms)
+
+
+def model_bracket(f: Element, g: Element) -> Element:
+    """The bilinear extension of the common algebra's bracket_key.
+
+    On a ProductSpace this is {f1 (x) g1, f2 (x) g2} = {f1,f2} (x) g1 g2 +
+    f1 f2 (x) {g1,g2}: cross-factor brackets vanish and mixed products follow
+    Leibniz."""
+    f._require(g)
+    return f._like(_bilinear(f.terms, g.terms, f.algebra.bracket_key))
+
+
+product_bracket = model_bracket
+
+
+class LaurentPoly2(Element):
+    """Exact two-variable (Laurent) polynomial attached to a model space."""
+
+    __slots__ = ()
+
+    def __init__(self, space: str, terms: Iterable[tuple[Expo, Fraction]] = ()):
+        _shift(space)
+        super().__init__(LaurentAdapter(space), ((_exponent(space, e), Fraction(c)) for e, c in terms))
+
+    @property
+    def space(self) -> str:
+        return self.algebra.space
+
+    @classmethod
+    def monomial(cls, space: str, e: Expo, coeff=1) -> "LaurentPoly2":
+        return cls(space, [(e, coeff)])
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"LaurentPoly2[{self.space}](0)"
-        body = " + ".join(
-            f"{c}*z^{e[0]}*w^{e[1]}" for e, c in sorted(self.terms.items())
-        )
+        body = " + ".join(f"{c}*z^{e[0]}*w^{e[1]}" for e, c in sorted(self.terms.items())) or "0"
         return f"LaurentPoly2[{self.space}]({body})"
-
-
-def model_bracket(f: LaurentPoly2, g: LaurentPoly2) -> LaurentPoly2:
-    """Bilinear extension of the monomial bracket rule of the common space."""
-    f._require_space(g)
-    key = LaurentAdapter(f.space).bracket_key
-    return LaurentPoly2(f.space, _bilinear(f.terms, g.terms, lambda a, b: key(a, b).items()).items())
 
 
 # ----------------------------------------------------------------------
@@ -167,12 +214,8 @@ def model_generation(
     genuinely unreachable on the torus).
     """
     box = coverage_box(space, degree_cap)
-    gens = []
-    for e in generator_exponents:
-        _check_exponent(space, tuple(e))
-        gens.append(tuple(e))
-    work = set(box)
-    work.update(gens)
+    gens = [_exponent(space, e) for e in generator_exponents]
+    work = box | set(gens)
     reached: set[Expo] = set(gens)
     frontier = list(gens)
     while frontier:
@@ -215,9 +258,18 @@ def default_generators(space: str, degree_cap: int) -> list[Expo]:
 # direct products
 # ----------------------------------------------------------------------
 
+def _own_terms(algebra, element: Element) -> dict:
+    """decompose(element) of an algebra whose elements are Elements."""
+    if element.algebra != algebra:
+        raise ValueError(f"{element!r} is not an element of {algebra!r}")
+    return dict(element.terms)
+
+
+@dataclass(frozen=True)
 class LaurentAdapter:
-    def __init__(self, space: str):
-        self.space = space
+    """Model-space factor: exponent pairs of LaurentPoly2 monomials."""
+
+    space: str
 
     def one_key(self):
         return (0, 0)
@@ -229,10 +281,7 @@ class LaurentAdapter:
         weight, target = monomial_bracket(self.space, k1, k2)
         return {} if weight == 0 else {target: Fraction(weight)}
 
-    def decompose(self, poly: LaurentPoly2):
-        if poly.space != self.space:
-            raise ValueError("space mismatch")
-        return dict(poly.terms)
+    decompose = _own_terms
 
 
 class TraceAdapter:
@@ -256,96 +305,41 @@ class TraceAdapter:
         return dict(poly.items())
 
 
-class ProductSpace:
-    """Poisson algebra of a two-factor product, built from factor adapters.
-
-    An adapter (LaurentAdapter, TraceAdapter) exposes one factor's monomials:
-    one_key(), mul_key(k1, k2) and bracket_key(k1, k2) as {key: coeff} dicts,
-    and decompose(poly) into such a dict."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def embed_left(self, poly) -> "ProductElement":
-        rk = self.right.one_key()
-        return ProductElement(
-            self, {(k, rk): c for k, c in self.left.decompose(poly).items()}
-        )
-
-    def embed_right(self, poly) -> "ProductElement":
-        lk = self.left.one_key()
-        return ProductElement(
-            self, {(lk, k): c for k, c in self.right.decompose(poly).items()}
-        )
-
-
 def _tensor(left: dict, right: dict):
     """The (key, coeff) pairs of a left {key: coeff} dict tensor a right one."""
     return (((lk, rk), lc * rc) for lk, lc in left.items() for rk, rc in right.items())
 
 
-class ProductElement:
-    """Finite sum of pure tensors f (x) g with exact coefficients."""
+class ProductSpace:
+    """Poisson algebra of a two-factor product of algebras (see Element), so
+    products nest.  A monomial is a pair (left key, right key); a factor's
+    decompose(poly) gives poly's {key: coeff} dict.  Elements of two
+    ProductSpace objects never mix, even with equal factors."""
 
-    def __init__(self, space: ProductSpace, terms: dict):
-        self.space = space
-        self.terms = {key: c for key, c in terms.items() if c != 0}
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
-    def _require(self, other: "ProductElement"):
-        if self.space is not other.space:
-            raise ValueError("elements from different product spaces")
+    def one_key(self):
+        return (self.left.one_key(), self.right.one_key())
 
-    def __add__(self, other: "ProductElement") -> "ProductElement":
-        self._require(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _add(acc, k, c)
-        return ProductElement(self.space, acc)
+    def mul_key(self, k1, k2):
+        return dict(_tensor(self.left.mul_key(k1[0], k2[0]), self.right.mul_key(k1[1], k2[1])))
 
-    def __sub__(self, other: "ProductElement") -> "ProductElement":
-        return self + other * -1
-
-    def __mul__(self, other) -> "ProductElement":
-        if not isinstance(other, ProductElement):
-            return ProductElement(self.space, {k: c * other for k, c in self.terms.items()})
-        self._require(other)
-        left, right = self.space.left, self.space.right
-        return ProductElement(self.space, _bilinear(
-            self.terms, other.terms,
-            lambda a, b: _tensor(left.mul_key(a[0], b[0]), right.mul_key(a[1], b[1])),
+    def bracket_key(self, k1, k2):
+        """{f1 (x) g1, f2 (x) g2} = {f1,f2} (x) g1 g2 + f1 f2 (x) {g1,g2}."""
+        left, right = self.left, self.right
+        return _collect(chain(
+            _tensor(left.bracket_key(k1[0], k2[0]), right.mul_key(k1[1], k2[1])),
+            _tensor(left.mul_key(k1[0], k2[0]), right.bracket_key(k1[1], k2[1])),
         ))
 
-    __rmul__ = __mul__
+    decompose = _own_terms
 
-    def __pow__(self, k: int) -> "ProductElement":
-        if k < 1:
-            raise ValueError(f"ProductElement ** {k}: the exponent must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+    def embed_left(self, poly) -> Element:
+        rk = self.right.one_key()
+        return Element(self, (((k, rk), c) for k, c in self.left.decompose(poly).items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProductElement)
-            and self.space is other.space
-            and self.terms == other.terms
-        )
-
-
-def product_bracket(f: ProductElement, g: ProductElement) -> ProductElement:
-    """{f1 (x) g1, f2 (x) g2} = {f1,f2} (x) g1 g2 + f1 f2 (x) {g1,g2}.
-
-    Cross-factor brackets vanish; mixed products follow Leibniz through the
-    factor-level expansion.
-    """
-    f._require(g)
-    left, right = f.space.left, f.space.right
-    return ProductElement(f.space, _bilinear(f.terms, g.terms, lambda a, b: chain(
-        _tensor(left.bracket_key(a[0], b[0]), right.mul_key(a[1], b[1])),
-        _tensor(left.mul_key(a[0], b[0]), right.bracket_key(a[1], b[1])),
-    )))
+    def embed_right(self, poly) -> Element:
+        lk = self.left.one_key()
+        return Element(self, (((lk, k), c) for k, c in self.right.decompose(poly).items()))

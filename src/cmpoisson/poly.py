@@ -282,23 +282,6 @@ class TracePolynomial:
                 terms[k] = c
         return TracePolynomial.from_canonical(self.mode, terms)
 
-    def substitute_central(self, x_value=0, y_value=0) -> "TracePolynomial":
-        """Replace the central symbols tr X, tr Y by exact scalars (default 0)."""
-        if self.mode != TRACELESS:
-            return self
-        xv = x_value if isinstance(x_value, QnCoeff) else QnCoeff.of(x_value)
-        yv = y_value if isinstance(y_value, QnCoeff) else QnCoeff.of(y_value)
-        terms = []
-        for (central, factors), coeff in self._terms.items():
-            a, b = central
-            scale = coeff
-            for _ in range(a):
-                scale = scale * xv
-            for _ in range(b):
-                scale = scale * yv
-            terms.append((((0, 0), factors), scale))
-        return TracePolynomial(TRACELESS, terms)
-
     def straighten(self) -> "TracePolynomial":
         """Collapse every trace factor of bidegree (i, j) to the straight word L1^i L2^j.
 

@@ -114,10 +114,10 @@ def _canonical_runs(runs: Runs) -> Runs:
     if len(runs) <= 1:
         return runs
     # Close the cycle: merge first/last runs of equal letter before rotating.
+    # Merged runs alternate, so equal end letters mean at least 3 runs and
+    # the merge leaves at least 2.
     if runs[0][0] == runs[-1][0]:
         runs = ((runs[0][0], runs[0][1] + runs[-1][1]),) + runs[1:-1]
-        if len(runs) == 1:
-            return runs
     # Both letters occur, so the least rotation of the letters begins with a
     # run of FIRST; the end runs differ, so a rotation of the runs there is
     # already merged.

@@ -581,6 +581,16 @@ def two_chains(*bad_steps):
             id="replay-missing-degree-bound",
         ),
         pytest.param(
+            "verify", [{**GOOD_ENTRY, "kind": "leading-mod-degree", "degree_bound": True}],
+            "catalog record 0: kind 'leading-mod-degree' needs an integer degree_bound",
+            id="verify-boolean-degree-bound",
+        ),
+        pytest.param(
+            "replay", two_chains({**GOOD_STEP, "kind": "leading-mod-degree", "degree_bound": False}),
+            "chain 1 step 0: kind 'leading-mod-degree' needs an integer degree_bound",
+            id="replay-boolean-degree-bound",
+        ),
+        pytest.param(
             "verify", [{**GOOD_ENTRY, "kind": "exactt", "degree_bound": 2}],
             "unknown kind 'exactt'", id="verify-unknown-kind",
         ),

@@ -113,6 +113,17 @@ def test_only_ascii_digits_are_digits(text, column):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("tr(A^2)*", 8), ("2*", 2), ("n*", 2), ("tr(A^2)*+tr(B^2)", 8), ("2 * n *", 7), ("n*2", 2)],
+)
+def test_a_star_needs_a_factor_after_it(text, column):
+    # the grammar derives '*' only before an npart or a tr(...) factor
+    with pytest.raises(PolynomialParseError, match="'\\*' must be followed") as err:
+        P(text, TRACELESS)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 # ---------------- the term-by-term build, kept as an oracle ----------------
 
 def term_by_term_parse(text: str, mode: str) -> TracePolynomial:

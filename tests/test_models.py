@@ -245,3 +245,42 @@ def test_product_power_needs_a_positive_exponent(plane_product):
         f ** 0
     assert f ** 1 == f
     assert f ** 3 == f * f * f
+
+
+def test_nested_product_is_an_algebra():
+    plane = LaurentAdapter(PLANE)
+    inner = ProductSpace(plane, plane)
+    outer = ProductSpace(inner, plane)
+
+    def left_left(e):
+        return outer.embed_left(inner.embed_left(mono(PLANE, *e)))
+
+    z, w = left_left((1, 0)), left_left((0, 1))
+    assert product_bracket(z, w) == left_left((0, 0))
+    z_middle = outer.embed_left(inner.embed_right(mono(PLANE, 1, 0)))
+    w_right = outer.embed_right(mono(PLANE, 0, 1))
+    assert product_bracket(z, w_right).is_zero()
+    assert product_bracket(z_middle, w).is_zero()
+    # Leibniz across the factors: {z w', w} = {z, w} w'
+    assert product_bracket(z * w_right, w) == w_right
+
+
+def test_elements_of_different_product_spaces_do_not_mix():
+    plane = LaurentAdapter(PLANE)
+    first, second = ProductSpace(plane, plane), ProductSpace(plane, plane)
+    f = first.embed_left(mono(PLANE, 1, 0))
+    g = second.embed_left(mono(PLANE, 0, 1))
+    for combine in (lambda a, b: a + b, lambda a, b: a * b, product_bracket):
+        with pytest.raises(ValueError):
+            combine(f, g)
+    with pytest.raises(ValueError):
+        ProductSpace(first, plane).embed_left(g)
+    assert f != second.embed_left(mono(PLANE, 1, 0))
+
+
+def test_product_elements_are_immutable(plane_product):
+    f = plane_product.embed_left(mono(PLANE, 1, 0))
+    for name in ("algebra", "terms", "space"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert f == plane_product.embed_left(mono(PLANE, 1, 0))

@@ -56,6 +56,8 @@ JOBS += [
     ("bracket_superscript_exponent", ["bracket", "tr(A^\u00b2)", "tr(B^2)"]),
     # a word exponent is unsigned: a parse error at the sign
     ("bracket_signed_word_exponent", ["bracket", "tr(A^+2)", "tr(B^2)"]),
+    # a '*' must lead to n or a tr(...) factor: a parse error at the star
+    ("bracket_dangling_star", ["bracket", "tr(A^2)*", "tr(B^2)"]),
     # every raw splice term cancels: the raw display prints 0
     ("bracket_raw_cancel", ["bracket", "tr(A B)", "tr(A B)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
