@@ -8,11 +8,11 @@ values are known before the bracket is formed: on invariant functions the
 bracket is Goldman's pairing of gradients, {f, g} = tr(dX_f dY_g) -
 tr(dY_f dX_g) (Invent. Math. 85, 1986), with the traceless parts of the
 splice gradients, so a candidate's value column is paired from the kept
-elements' gradients mod p (GradientPairing).  Only a kept candidate is
-bracketed symbolically and Cayley-Hamilton-reduced at the working matrix
-size.  Its own values then enter the span: the pairing is those values up
-to the rescaling of reduce_pipeline, so the kept elements are the ones that
-bracketing every candidate would keep.  It stops once the basis
+elements' gradients mod p (GradientPairing), and that column is what
+enters the span.  Only a kept candidate is bracketed symbolically and
+Cayley-Hamilton-reduced at the working matrix size: the pairing is its
+values up to the rescaling of reduce_pipeline, so the kept elements are the
+ones that bracketing every candidate would keep.  It stops once the basis
 reaches dimension(n, D), the dimension of the functions of degree <= D on
 the traceless Calogero-Moser space.  By Etingof-Ginzburg (Invent. Math. 147,
 2002) that space's coordinate ring, filtered by degree in X and Y, has
@@ -240,16 +240,17 @@ def build_closure(
     (GradientPairing), taken for PAIRING_CHUNK candidates at a time, and each
     weight's columns in the chunk are reduced against its span in one call.
     A candidate in the span when its chunk starts stays in it, as the span
-    only grows, and is dropped.  The others go through the span test in
-    order, and only one that enlarges the span is bracketed and reduced; its
-    own value row enters the span.  The pairing equals the values of the
-    bracket, and reduce_pipeline only rescales them, so each candidate gets
-    the verdict it would get from its own values, in the same order: the
-    accepted elements, their trees and levels cannot move.  A duplicate or a
-    zero candidate has a column in the span already, so it is never kept.
-    That is checked, not assumed: a kept element that exceeds the degree
-    cap, repeats a kept one, has another weight than its tree's or has values
-    that fail to enlarge the span is a defect, and raises AssertionError."""
+    only grows, and is dropped.  The others meet the span once, in order, in
+    Echelon.add, and only one that enlarges it is bracketed and reduced.  The
+    pairing equals the bracket's values up to the rescaling of reduce_pipeline,
+    and a reduced row echelon form is unique, so the accepted elements, their
+    trees and levels are the ones that judging by values would give.  Level L
+    pairs the elements of level L - 1 with all earlier ones; a level that
+    keeps nothing ends the build.  That is checked, not assumed: a kept
+    element that exceeds the degree cap, has another weight than its tree's,
+    or has values that are no nonzero multiple of its column, which must have
+    just enlarged the span, is a defect and raises AssertionError; so no kept
+    element is 0 or repeats another."""
     generators = list(generators)
     for g in generators:
         if g.mode != TRACELESS:
@@ -257,11 +258,11 @@ def build_closure(
     validate_degree_cap(generators, degree_cap)
     generator_weights = [g.weight() for g in generators]
     # every element lives in the span of its weight's degree <= cap functions on the variety
-    room = weight_dimensions(n_value, degree_cap)
-    span_dimension = sum(room.values())
-    pool_size = max(room.values()) + POOL_MARGIN
+    dims = weight_dimensions(n_value, degree_cap)
+    room = dict(dims)  # each weight's dimension less its kept elements
+    pool_size = max(dims.values()) + POOL_MARGIN
     pool = ExactPool.sample(n_value, pool_size, seed)
-    spans = {k: Echelon(pool_size) for k in room}
+    spans = {k: Echelon(pool_size) for k in dims}
 
     basis = LieClosureBasis(
         generators=generators,
@@ -277,14 +278,15 @@ def build_closure(
     degrees: list[int] = []
     weights: list[int] = []
     pairing = GradientPairing(pool)
-    kept: set = set()
 
-    def keep(p: TracePolynomial, tree: Tree, level: int, weight: int) -> None:
-        if (p.degree() > degree_cap or p in kept or p.weight() != weight
-                or not spans[weight].add(pool.values(p))):
-            raise AssertionError(f"closure element {tree} exceeds the degree cap, repeats a kept element, "
-                                 f"has another weight than its tree's or is in their span")
-        kept.add(p)
+    def keep(p: TracePolynomial, tree: Tree, level: int, weight: int, column: np.ndarray) -> None:
+        values = pool.values(p)
+        at = np.flatnonzero(column)[0]  # column has just entered spans[weight]
+        if (p.degree() > degree_cap or p.weight() != weight
+                or not values[at] or ((values * column[at] - column * values[at]) % pool.prime).any()
+                or spans[weight].rank != dims[weight] - room[weight] + 1):
+            raise AssertionError(f"closure element {tree} exceeds the degree cap, has another weight than its "
+                                 f"tree's, or is no multiple of its column or that column did not enlarge the span")
         room[weight] -= 1
         basis.elements.append(p)
         basis.trees.append(tree)
@@ -295,43 +297,37 @@ def build_closure(
 
     for gi, (g, weight) in enumerate(zip(generators, generator_weights)):
         p = reduce_pipeline(g, n_value)
-        if not p.is_zero() and p.degree() <= degree_cap and spans[weight].reduce(pool.values(p)).any():
-            keep(p, ("gen", gi), 0, weight)
+        values = pool.values(p)
+        if values.any() and p.degree() <= degree_cap and spans[weight].add(values):
+            keep(p, ("gen", gi), 0, weight, values)
 
-    level = 1
-    while level <= depth_cap and len(basis.elements) < span_dimension:
-        added = False
+    last = range(len(basis.elements))  # the elements kept at the level before
+    for level in range(1, depth_cap + 1):
+        if not last or not any(room.values()):
+            break  # the last level kept nothing, or the basis is saturated
         count = len(basis.elements)
         pairs = [
             (i, j)
-            for j in range(count)
+            for j in last
             for i in range(j)
             # the bracket degree is exact: past the cap it cannot come back under it
-            if max(basis.levels[i], basis.levels[j]) == level - 1 and degrees[i] + degrees[j] - 2 <= degree_cap
-            and room.get(weights[i] + weights[j], 0) > 0
+            if degrees[i] + degrees[j] - 2 <= degree_cap and room.get(weights[i] + weights[j], 0) > 0
         ]
         for start in range(0, len(pairs), PAIRING_CHUNK):
             chunk = [(i, j) for i, j in pairs[start:start + PAIRING_CHUNK] if room[weights[i] + weights[j]]]
             targets = [weights[i] + weights[j] for i, j in chunk]
             columns = pairing.columns(chunk)
+            reduced = np.empty_like(columns)
             for k in set(targets):
                 rows = [r for r, t in enumerate(targets) if t == k]
-                columns[rows] = spans[k].reduce(columns[rows])
-            for r in np.flatnonzero(columns.any(axis=1)):
+                reduced[rows] = spans[k].reduce(columns[rows])
+            for r in np.flatnonzero(reduced.any(axis=1)):
                 k = targets[r]
-                if not spans[k].reduce(columns[r]).any():
-                    continue  # in the span of the elements kept since the chunk started
-                i, j = chunk[r]
-                ei, ej = basis.elements[i], basis.elements[j]
-                keep(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level, k)
-                added = True
-                if len(basis.elements) >= span_dimension:
-                    break  # span of degree<=cap functions is saturated
-            if len(basis.elements) >= span_dimension:
-                break
-        if not added:
-            break
-        level += 1
+                if room[k] and spans[k].add(reduced[r]):
+                    i, j = chunk[r]
+                    ei, ej = basis.elements[i], basis.elements[j]
+                    keep(reduce_pipeline(bracket_traceless(ei, ej), n_value), ("br", i, j), level, k, columns[r])
+        last = range(count, len(basis.elements))
     return basis
 
 

@@ -1,6 +1,6 @@
 """Text grammar for trace polynomials.
 
-    poly     := term (('+'|'-') term)*
+    poly     := ('+'|'-')? term (('+'|'-') term)*
     term     := coeff | coeff? ('*'? factor)+
     factor   := 'tr(' wordExpr ')'
     wordExpr := (('A'|'B'|'X'|'Y') ('^' int)?)+

@@ -31,6 +31,16 @@ def test_bracket_prints_raw_and_reduced(capsys):
     assert lines[1] == "reduced: 4*tr(A B)"
 
 
+def test_bracket_of_a_product_prints_only_the_reduced_bracket(tmp_path, capsys):
+    # a product has no raw splice display
+    out_file = tmp_path / "bracket.json"
+    code, out, _ = run(capsys, "bracket", "tr(A^2)*tr(B^2)", "tr(A^2)", "--out", str(out_file))
+    assert code == EXIT_PASS
+    assert out == "-4*tr(A B)*tr(A^2)\n"
+    report = json.loads(out_file.read_text())
+    assert report["raw"] is None and report["result"] == "-4*tr(A B)*tr(A^2)"
+
+
 def test_bracket_plain_mode(capsys):
     code, out, _ = run(capsys, "bracket", "--mode", "plain", "tr(X)", "tr(Y)")
     assert code == EXIT_PASS
@@ -223,6 +233,16 @@ def test_replay_single_chain(capsys):
     assert "pass cube-transfer" in out
 
 
+def test_replay_of_a_chain_with_a_wrong_step_fails(tmp_path, capsys):
+    path, out_file = tmp_path / "chains.json", tmp_path / "replay.json"
+    path.write_text(json.dumps([{"lemma_id": "wrong", "steps": [{**GOOD_STEP, "expected": "3*tr(A B)"}]}]))
+    code, out, _ = run(capsys, "replay", "--catalog", str(path), "--n", "2", "--seed", "0", "--out", str(out_file))
+    assert code == EXIT_FAIL
+    assert out.splitlines() == ["FAIL wrong (1 steps)", "  step 0: exact identity failed tr(A B)"]
+    [chain] = json.loads(out_file.read_text())["chains"]
+    assert chain["passed"] is False and chain["steps"][0]["status"] == "fail"
+
+
 def test_replay_unknown_chain_is_usage_error(capsys):
     code, _, err = run(capsys, "replay", "--chain", "no-such-chain")
     assert code == EXIT_USAGE
@@ -250,6 +270,14 @@ def test_closure_that_stops_short_says_so(capsys):
         "not saturated at depth 1: the basis stops below 41, the dimension of the "
         "functions of degree <= 6 (this does not claim non-generation)"
     )
+
+
+def test_closure_at_n_1_keeps_nothing(capsys):
+    # every generator vanishes under Cayley-Hamilton at n = 1
+    code, out, _ = run(capsys, "closure", "--n", "1", "--seed", "0")
+    assert code == EXIT_PASS
+    assert out.splitlines()[0] == "closure at n=1: 0 independent elements (depth cap 8, degree cap 8)"
+    assert out.splitlines()[1].startswith("not saturated at depth 8: the basis stops below 1,")
 
 
 def test_closure_at_depth_0_keeps_only_the_generators(tmp_path, capsys):

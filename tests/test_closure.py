@@ -16,6 +16,7 @@ from cmpoisson.closure import (
     CHECK_POINTS,
     CHECK_STREAM,
     MEMBERSHIP_STREAM,
+    GradientPairing,
     LieClosureBasis,
     POOL_MARGIN,
     MembershipCertificate,
@@ -307,16 +308,47 @@ CLOSURE_CELLS = [(n, degree, None, seed) for n in (2, 3, 4) for degree in (4, 6,
 SHORT_CELLS = [(3, 6, 2, 2), (4, 8, 2, 0), (4, 10, 1, 1)]  # stop below the dimension
 
 
-@pytest.mark.parametrize("n, degree, depth, seed", CLOSURE_CELLS + SHORT_CELLS)
-def test_value_first_closure_is_the_bracket_first_closure(n, degree, depth, seed):
+# tr A^2 and tr B^2 give tr A B at level 1, and level 2 keeps nothing
+TWO_GENERATOR_CELL = pytest.param(standard_generators()[:2], 3, 6, 10, 0, id="trA2-trB2-3-6-10-0")
+
+
+@pytest.mark.parametrize(
+    "generators, n, degree, depth, seed",
+    [pytest.param(standard_generators(), *cell, id="-".join(map(str, cell))) for cell in CLOSURE_CELLS + SHORT_CELLS]
+    + [TWO_GENERATOR_CELL],
+)
+def test_value_first_closure_is_the_bracket_first_closure(generators, n, degree, depth, seed):
     depth_cap = depth or default_depth_cap(n)
-    want = bracket_first_closure(standard_generators(), depth_cap, degree, n, seed)
-    got = build_closure(standard_generators(), depth_cap, degree, n, seed)
+    want = bracket_first_closure(generators, depth_cap, degree, n, seed)
+    got = build_closure(generators, depth_cap, degree, n, seed)
     assert (got.elements, got.trees, got.levels) == (want.elements, want.trees, want.levels)
     # the oracle judges every weight on one pool of dimension(n, D) + POOL_MARGIN points
     assert got.pool_size == max(weight_dimensions(n, degree).values()) + POOL_MARGIN < want.pool_size
     # the default depth saturates; the short cells stop below the dimension
     assert (len(got.elements) < dimension(n, degree)) == (depth is not None)
+
+
+def patch_columns(monkeypatch, change):
+    """Make every GradientPairing.columns call return change(its columns)."""
+    columns = GradientPairing.columns
+    monkeypatch.setattr(GradientPairing, "columns", lambda self, pairs: change(columns(self, pairs)))
+
+
+def test_judged_columns_may_be_any_nonzero_multiples(monkeypatch):
+    want = build_closure(standard_generators(), 8, 8, 3)
+    patch_columns(monkeypatch, lambda c: c * np.arange(2, len(c) + 2)[:, None] % PRIME)
+    got = build_closure(standard_generators(), 8, 8, 3)
+    assert (got.elements, got.trees, got.levels) == (want.elements, want.trees, want.levels)
+
+
+def test_a_kept_element_off_its_judged_column_is_a_defect(monkeypatch):
+    def corrupt(c):
+        c[:, 0] = (c[:, 0] + 1) % PRIME
+        return c
+
+    patch_columns(monkeypatch, corrupt)
+    with pytest.raises(AssertionError, match=r"closure element \('br', 0, 1\) "):
+        build_closure(standard_generators(), 8, 8, 3)
 
 
 def test_default_depth_caps():

@@ -91,6 +91,15 @@ def test_word_exponent_takes_no_sign(text):
     assert (err.value.line, err.value.column) == (1, 6)
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [("-tr(A B)", "-tr(A B)"), ("- n*tr(A^2)", "-n*tr(A^2)"), ("--2", "2"), ("-+2", "-2"), ("+-2", "-2")],
+)
+def test_a_leading_sign_applies_to_the_first_term(text, want):
+    # poly := ('+'|'-')? term ...: "--2" is -(-2), as "0 - -2" is
+    assert F(P(text, TRACELESS)) == want
+
+
 def test_negative_rational_and_n_powers():
     p = P("-1/2*n^2*tr(X)", PLAIN)
     assert F(p) == "-1/2*n^2*tr(X)"

@@ -48,6 +48,10 @@ JOBS += [
     ("closure_n2_degree12", ["closure", "--n", "2", "--degree", "12", "--seed", "0"]),
     # 176 elements; the basis saturates partway through its last level
     ("closure_n3_degree10", ["closure", "--n", "3", "--degree", "10", "--seed", "0"]),
+    # 1,007 elements: the one closure job past modp.DIRECT_WIDTH, with the longest pair lists
+    ("closure_n10_degree10", ["closure", "--n", "10", "--degree", "10", "--seed", "0"]),
+    # every generator vanishes under Cayley-Hamilton at n = 1: no elements, not saturated
+    ("closure_n1", ["closure", "--n", "1", "--seed", "0"]),
     ("reduce_traceless_n2", ["reduce", "--mode", "traceless", "--n", "2", "tr(A^5 B^3)"]),
     ("reduce_plain_n3", ["reduce", "--mode", "plain", "--n", "3", "tr(X^4 Y^2 X Y)"]),
     ("bracket_traceless", ["bracket", "tr(A^3 B^2)", "tr(A B^4)"]),
@@ -60,6 +64,8 @@ JOBS += [
     ("bracket_dangling_star", ["bracket", "tr(A^2)*", "tr(B^2)"]),
     # every raw splice term cancels: the raw display prints 0
     ("bracket_raw_cancel", ["bracket", "tr(A B)", "tr(A B)"]),
+    # a product has no raw splice display: only the reduced bracket, and "raw": null
+    ("bracket_product_fallback", ["bracket", "tr(A^2)*tr(B^2)", "tr(A^2)"]),
     ("sample_traceless_n3", ["sample", "--n", "3", "--count", "4", "--traceless", "--seed", "0"]),
     # the largest n whose eigenvalue square is the fixed [-2, 2]^2: its draws pin the bits
     ("sample_traceless_n40", ["sample", "--n", "40", "--count", "2", "--traceless", "--seed", "0"]),
