@@ -29,10 +29,13 @@ each weight has its own Echelon, of at most its dimension in
 weight_dimensions(n, D), and one pool of the largest such dimension plus
 POOL_MARGIN points tells every weight's functions apart.  Membership in the
 closure is certified by solving for each weight part of the target mod p on
-fresh exact points, lifting the coefficients to Q(i) and checking the lift
-at points mod a second prime (the rank-condition ideal has no tractable
-symbolic normal form at this scale), so a membership failure is always
-reported as "not found at depth d", never as non-membership.
+fresh exact points, its B-even and B-odd parts at once (every element has
+one B-degree parity, by which the real structure, conjugation composed with
+(X, Y) -> (X, -Y), splits its coefficient into real and imaginary parts),
+lifting the coefficients to Q(i) and checking the lift at points mod a
+second prime (the rank-condition ideal has no tractable symbolic normal
+form at this scale), so a membership failure is always reported as "not
+found at depth d", never as non-membership.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 
 from .bracket import bracket_traceless
 from .flows import FAMILY_IDS, family_hamiltonian
+from .grammar import format_polynomial
 from .modp import CHECK_PRIME, LAMBDAS, PRIME, Echelon, ExactPool, matmul, reconstruct, to_mod_p
 from .poly import TRACELESS, TracePolynomial
 
@@ -119,6 +123,27 @@ def dimension(n_value: int, degree_cap: int) -> int:
 def peak_coefficient(p: TracePolynomial, n_value: int) -> Fraction:
     """The largest coefficient magnitude of p at n = n_value; 0 for p = 0."""
     return max((abs(c.evaluate(n_value)) for _, c in p.items()), default=Fraction(0))
+
+
+def b_parity_parts(p: TracePolynomial) -> dict[int, TracePolynomial]:
+    """p split by the parity of each term's B-degree, central exponents
+    counted: (A, B) -> (A, -B) multiplies a term of B-degree b by (-1)^b.
+    Keyed by 0 (even) and 1 (odd); empty for the zero polynomial."""
+    parts: dict[int, dict] = {}
+    for key, coeff in p.items():
+        (_, b), factors = key
+        b += sum(w.bidegree()[1] for w in factors)
+        parts.setdefault(b % 2, {})[key] = coeff
+    return {beta: TracePolynomial.from_canonical(p.mode, terms) for beta, terms in parts.items()}
+
+
+def b_parity(p: TracePolynomial) -> int:
+    """The B-degree parity of every term of p (0 for the zero polynomial);
+    ValueError naming p when its terms' parities differ."""
+    parts = b_parity_parts(p)
+    if len(parts) > 1:
+        raise ValueError(f"{format_polynomial(p)} mixes B-degree parities: it has terms of even and odd B-degree")
+    return next(iter(parts), 0)
 
 
 def reduce_pipeline(p: TracePolynomial, n_value: int) -> TracePolynomial:
@@ -215,11 +240,13 @@ def build_closure(
     """Breadth-first nested bracketing, pruned by exact span tests mod p, one
     per C* weight, until the basis reaches dimension(n, D).
 
-    Every generator must be weight-homogeneous (ValueError otherwise).  The
-    bracket adds weights and Cayley-Hamilton reduction keeps them, so every
-    element has the weight of its tree, and the functions of degree <= D
-    split into a direct sum over the weights k, of dimensions
-    weight_dimensions(n, D).  A candidate is judged only against the kept
+    Every generator must be weight-homogeneous and of one B-degree parity
+    (ValueError otherwise).  The bracket adds weights and Cayley-Hamilton
+    reduction keeps them, so every element has the weight of its tree; the
+    bracket lowers both degrees by one and the reduction keeps them, so
+    every element has one B-degree parity too, as MembershipChecker needs.
+    The functions of degree <= D split into a direct sum over the weights k,
+    of dimensions weight_dimensions(n, D).  A candidate is judged only against the kept
     elements of its own weight, in that weight's Echelon, on one pool of
     max_k dim_k + POOL_MARGIN random points shared by all weights.  A pair
     whose weight is full, its kept elements numbering dim_k, is never paired:
@@ -257,6 +284,8 @@ def build_closure(
             raise ValueError("closure generators must be traceless-mode polynomials")
     validate_degree_cap(generators, degree_cap)
     generator_weights = [g.weight() for g in generators]
+    for g in generators:
+        b_parity(g)  # ValueError when its B-degree parities differ
     # every element lives in the span of its weight's degree <= cap functions on the variety
     dims = weight_dimensions(n_value, degree_cap)
     room = dict(dims)  # each weight's dimension less its kept elements
@@ -367,17 +396,23 @@ class MembershipChecker:
     """Solves targets against the basis elements mod p on one exact pool, one
     C* weight at a time.
 
-    Certificate coefficients lie in Q(i).  Each target is solved at the pool's
-    points (X, Y), where i = -lambda, and at (X, -Y), where i = lambda (the
-    conjugate embedding).  Half the sum and the difference over 2i of the two
-    solutions are the real and imaginary parts mod p, which rational
-    reconstruction lifts to Q.  The functions split into a direct sum over
-    the weights, so the target's part of weight k is a combination of the
-    elements of weight k alone, and is solved against them in that weight's
-    echelon pair; a part of a weight with no elements must vanish on the
-    pool.  A solve row carries each element's unit vector, so reducing
-    [part values | 0] leaves zeros on the pool exactly when the part is in
-    the span there, and minus the coefficients in the tail.  The lift is
+    Certificate coefficients lie in Q(i), where i = -lambda at the pool's
+    points (X, Y).  At (X, -Y), on the locus of -lambda, i = lambda (the
+    conjugate embedding), and a function of B-degree parity beta takes
+    (-1)^beta times its value at (X, Y); every element has one such parity
+    (ValueError otherwise).  So the target's B-even part T0 and B-odd part
+    T1 are solved for u and w: an element's coefficient is u + w at (X, Y)
+    and (-1)^beta (u - w) at (X, -Y), whose half sum and difference over 2i,
+    the real and imaginary parts, are u and w/i for an even element and w
+    and u/i for an odd one.  Rational reconstruction lifts them to Q.  The
+    functions split into a direct sum over the weights, so the target's part
+    of weight k is a combination of the elements of weight k alone, and is
+    solved against them in that weight's echelon; a part of a weight with no
+    elements must vanish on the pool.  A solve row carries each element's
+    unit vector, so reducing [T0 values | 0] and [T1 values | 0] in one call
+    leaves zeros on the pool exactly when both are in the span there, and
+    minus u and w in the tail; an empty parity part has solution 0 and is
+    not reduced.  The lift is
     accepted only if the whole combination holds exactly at CHECK_POINTS
     points mod CHECK_PRIME, where a wrong lift survives a point with
     probability at most deg/CHECK_PRIME (Schwartz-Zippel).  The pool has
@@ -390,6 +425,7 @@ class MembershipChecker:
         self.members: dict[int, list[int]] = {}  # weight -> indices of its elements
         for j, e in enumerate(basis.elements):
             self.members.setdefault(e.weight(), []).append(j)
+        self.odd = np.array([b_parity(e) for e in basis.elements], dtype=bool)
         largest = max(map(len, self.members.values()), default=0)
         self.sample_count = sample_count = largest + POOL_MARGIN
         n, seed = basis.n_value, basis.seed
@@ -398,16 +434,13 @@ class MembershipChecker:
         self.check_values = np.array(
             [self.check_pool.values(e) for e in basis.elements], dtype=np.int64
         ).reshape(m, CHECK_POINTS).T
-        self.echelons: dict[int, list[Echelon]] = {}
+        self.echelons: dict[int, Echelon] = {}
         for k, members in self.members.items():
-            self.echelons[k] = []
-            for conjugate in (False, True):
-                echelon = Echelon(sample_count + len(members))
-                for j, unit in zip(members, np.eye(len(members), dtype=np.int64)):
-                    echelon.add(np.concatenate([self.pool.values(basis.elements[j], conjugate), unit]))
-                if max(echelon.pivots, default=0) >= sample_count:
-                    raise ValueError("the basis elements are linearly dependent on the membership pool")
-                self.echelons[k].append(echelon)
+            echelon = self.echelons[k] = Echelon(sample_count + len(members))
+            for j, unit in zip(members, np.eye(len(members), dtype=np.int64)):
+                echelon.add(np.concatenate([self.pool.values(basis.elements[j]), unit]))
+            if max(echelon.pivots, default=0) >= sample_count:
+                raise ValueError("the basis elements are linearly dependent on the membership pool")
 
     def check(self, target: TracePolynomial) -> MembershipCertificate:
         basis = self.basis
@@ -424,19 +457,21 @@ class MembershipChecker:
             if not pool.defined(reduced):
                 reason = f"the prime {pool.prime} divides a coefficient denominator of the target at peak 1"
                 return MembershipCertificate(target, "inconclusive", [], self.sample_count, reason)
-        solutions = [np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)]
+        solutions = np.zeros((2, m), dtype=np.int64)  # u and w, from the B-even and B-odd parts
         for k, part in reduced.weight_parts().items():
             members = self.members.get(k, [])
-            echelons = self.echelons.get(k) or [Echelon(self.sample_count)] * 2
-            for conjugate, echelon, solution in zip((False, True), echelons, solutions):
-                values = self.pool.values(part, conjugate)
-                remainder = echelon.reduce(np.concatenate([values, np.zeros(len(members), dtype=np.int64)]))
-                if remainder[: self.sample_count].any():
-                    return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
-                solution[members] = -remainder[self.sample_count:] % PRIME
-        (c1, c2), i = solutions, PRIME - LAMBDAS[PRIME]
-        parts = (c1 + c2) * pow(2, -1, PRIME) % PRIME, (c1 - c2) * pow(2 * i, -1, PRIME) % PRIME
-        lifted = {j: (reconstruct(parts[0][j]), reconstruct(parts[1][j])) for j in np.flatnonzero(c1 | c2)}
+            halves = b_parity_parts(part)
+            tail = np.zeros(len(members), dtype=np.int64)
+            rows = np.array([np.concatenate([self.pool.values(half), tail]) for half in halves.values()])
+            remainder = (self.echelons.get(k) or Echelon(self.sample_count)).reduce(rows)
+            if remainder[:, : self.sample_count].any():
+                return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
+            for beta, row in zip(halves, remainder):
+                solutions[beta, members] = -row[self.sample_count:] % PRIME
+        u, w = solutions
+        # 1/i = -i = lambda
+        re, im = np.where(self.odd, w, u), np.where(self.odd, u, w) * LAMBDAS[PRIME] % PRIME
+        lifted = {j: (reconstruct(re[j]), reconstruct(im[j])) for j in np.flatnonzero(u | w)}
         no_lift = f"no lift of the coefficients holds at {CHECK_POINTS} points mod {CHECK_PRIME}"
         if any(x is None for pair in lifted.values() for x in pair):
             return MembershipCertificate(target, "inconclusive", [], self.sample_count, no_lift)

@@ -271,9 +271,8 @@ class ExactPool:
             self._trace_brackets[(v, w)] = column
         return column
 
-    def values(self, p: TracePolynomial, conjugate: bool = False) -> np.ndarray:
-        """Length-N column of p's values mod prime; with conjugate, at the points
-        (X, -Y) of the -lambda locus, where a term of B-degree k changes by (-1)^k."""
+    def values(self, p: TracePolynomial) -> np.ndarray:
+        """Length-N column of p's values mod prime."""
         total = np.zeros(len(self), dtype=np.int64)
         for (central, factors), coeff in p.items():
             if any(central):
@@ -281,8 +280,6 @@ class ExactPool:
             col = np.full(len(self), _coefficient_value(coeff, self.n, self.prime), dtype=np.int64)
             for w in factors:
                 col = col * self.word_trace(w) % self.prime
-            if conjugate and sum(w.bidegree()[1] for w in factors) % 2:
-                col = -col % self.prime
             total = (total + col) % self.prime
         return total
 

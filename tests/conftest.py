@@ -111,6 +111,17 @@ def straight_product_poly(words: tuple[tuple[int, int], ...]) -> TracePolynomial
     return TracePolynomial(TRACELESS, [(key, QnCoeff.one())])
 
 
+def conjugate_values(pool, p: TracePolynomial) -> np.ndarray:
+    """p's values at the points (X, -Y) of an exact pool: the values at
+    (X, Y) of p with B -> -B, where a term of B-degree b, central exponent
+    counted, changes by (-1)^b."""
+    terms = {}
+    for (central, factors), coeff in p.items():
+        b = central[1] + sum(w.bidegree()[1] for w in factors)
+        terms[(central, factors)] = -coeff if b % 2 else coeff
+    return pool.values(TracePolynomial.from_canonical(p.mode, terms))
+
+
 def same(p: TracePolynomial, q: TracePolynomial) -> None:
     """Equal as polynomials, with the same term order and the same coefficients."""
     assert p.mode == q.mode

@@ -44,7 +44,7 @@ from cmpoisson.modp import (
 )
 from cmpoisson.poly import PLAIN, TRACELESS
 from cmpoisson.span import enumerate_trace_monomials, lstsq_fit, value_matrix
-from conftest import straight_product_poly, straight_word_products
+from conftest import conjugate_values, straight_product_poly, straight_word_products
 
 ZERO = (Fraction(0), Fraction(0))
 
@@ -464,6 +464,31 @@ def test_an_inhomogeneous_generator_is_rejected():
         build_closure(generators, depth_cap=4, degree_cap=6, n_value=3)
 
 
+def test_a_generator_of_mixed_b_parity_is_rejected():
+    # weight 2 in both terms, B-degrees 0 and 1
+    generators = standard_generators() + [P("tr(A^2) + tr(A^3 B)", TRACELESS)]
+    with pytest.raises(ValueError, match=r"tr\(A\^2\) \+ tr\(A\^3 B\) mixes B-degree parities"):
+        build_closure(generators, depth_cap=4, degree_cap=6, n_value=3)
+
+
+def test_the_checker_rejects_an_element_of_mixed_b_parity(basis_n2):
+    # build_closure keeps no such element; a hand-built basis may hold one
+    mixed = P("tr(A^2) + tr(A^3 B)", TRACELESS)
+    basis = LieClosureBasis(
+        generators=[mixed],
+        elements=[mixed],
+        trees=[("gen", 0)],
+        levels=[0],
+        depth_cap=0,
+        degree_cap=basis_n2.degree_cap,
+        n_value=2,
+        seed=0,
+        pool_size=basis_n2.pool_size,
+    )
+    with pytest.raises(ValueError, match=r"tr\(A\^2\) \+ tr\(A\^3 B\) mixes B-degree parities"):
+        MembershipChecker(basis)
+
+
 def test_the_weight_is_the_scaling_flow_grading(basis_n3):
     # tr AB generates the scaling (A, B) -> (e^s A, e^-s B), under which an
     # element of weight k is an eigenvector: {tr AB, e} = -k e, exactly
@@ -477,10 +502,11 @@ def test_the_weight_is_the_scaling_flow_grading(basis_n3):
 
 class UnsplitMembershipChecker:
     """The membership certificate solved against all the elements at once, on
-    a pool of their number plus POOL_MARGIN points.  An oracle for
-    MembershipChecker, which solves each weight part of the target against
-    that weight's elements on a pool of the largest weight's count plus
-    POOL_MARGIN points."""
+    a pool of their number plus POOL_MARGIN points, at (X, Y) and at the
+    conjugate points (X, -Y).  An oracle for MembershipChecker, which solves
+    each weight part of the target against that weight's elements on a pool
+    of the largest weight's count plus POOL_MARGIN points, once for the
+    part's B-even and B-odd halves together."""
 
     def __init__(self, basis):
         self.basis = basis
@@ -493,10 +519,11 @@ class UnsplitMembershipChecker:
             [self.check_pool.values(e) for e in basis.elements], dtype=np.int64
         ).reshape(m, CHECK_POINTS).T
         self.echelons = []
-        for conjugate in (False, True):
+        self.evaluations = (self.pool.values, lambda p: conjugate_values(self.pool, p))  # at (X, Y), (X, -Y)
+        for values in self.evaluations:
             echelon = Echelon(sample_count + m)
             for e, unit in zip(basis.elements, np.eye(m, dtype=np.int64)):
-                echelon.add(np.concatenate([self.pool.values(e, conjugate), unit]))
+                echelon.add(np.concatenate([values(e), unit]))
             assert max(echelon.pivots, default=0) < sample_count
             self.echelons.append(echelon)
 
@@ -511,9 +538,8 @@ class UnsplitMembershipChecker:
             if not pool.defined(reduced):
                 return MembershipCertificate(target, "inconclusive", [], self.sample_count)
         solutions = []
-        for conjugate, echelon in zip((False, True), self.echelons):
-            values = self.pool.values(reduced, conjugate)
-            remainder = echelon.reduce(np.concatenate([values, np.zeros(m, dtype=np.int64)]))
+        for values, echelon in zip(self.evaluations, self.echelons):
+            remainder = echelon.reduce(np.concatenate([values(reduced), np.zeros(m, dtype=np.int64)]))
             if remainder[: self.sample_count].any():
                 return MembershipCertificate(target, "not_found_at_depth", [], self.sample_count)
             solutions.append(-remainder[self.sample_count:] % PRIME)
@@ -534,6 +560,10 @@ class UnsplitMembershipChecker:
 
 
 MIXED_TARGET = "tr(A^2)*tr(B^2) + tr(A^3) + tr(A B^2)"  # weights 0, 3 and -1
+# weight 0 with B-degrees 2 and 1: a B-even and a B-odd part, solved in one call
+MIXED_PARITY_TARGET = "tr(A^2 B^2) + tr(A B)"
+# weights 0 and -1, both B-odd: imaginary coefficients in two weights
+REVERSE_WORDS_TARGET = "tr(A^2 B A B^2) + tr(A B^2 A B)"
 
 
 CRITERION_6 = {n: [straight_product_poly(w) for w in straight_word_products(d)] for n, d in ((2, 6), (3, 8))}
@@ -545,14 +575,19 @@ CRITERION_6 = {n: [straight_product_poly(w) for w in straight_word_products(d)] 
         (2, 8, CRITERION_6[2], {"member": len(CRITERION_6[2])}),
         (3, 10, CRITERION_6[3], {"member": len(CRITERION_6[3])}),
         (3, 10, [P(MIXED_TARGET, TRACELESS)], {"member": 1}),
+        (3, 10, [P(MIXED_PARITY_TARGET, TRACELESS), P(REVERSE_WORDS_TARGET, TRACELESS)], {"member": 2}),
         # depth 1 stops below the dimension: tr(A^3 B^3) and the mixed target
         # are not found, nor is tr(A^2) + tr(A B^2), as no element has weight -1;
         # tr(A B)*tr(A^2) and tr(A^2) are found
         (3, 1, [P(t, TRACELESS) for t in
                 ("tr(A^3 B^3)", "tr(A B)*tr(A^2)", MIXED_TARGET, "tr(A^2) + tr(A B^2)", "tr(A^2)")],
          {"not_found_at_depth": 3, "member": 2}),
+        # depth 1, weight 0: one parity part is an element, tr(A B)*tr(A B) or
+        # tr(A B), and the other, tr(A^3 B^3) or tr(A^2 B^2), is not found
+        (3, 1, [P(t, TRACELESS) for t in ("tr(A B)*tr(A B) + tr(A^3 B^3)", "tr(A^2 B^2) + tr(A B)")],
+         {"not_found_at_depth": 2}),
     ],
-    ids=["criterion6-n2", "criterion6-n3", "mixed-n3", "depth1-n3"],
+    ids=["criterion6-n2", "criterion6-n3", "mixed-n3", "mixed-parity-n3", "depth1-n3", "one-parity-out-depth1-n3"],
 )
 def test_split_membership_is_the_unsplit_membership(n, depth, targets, statuses):
     basis = build_closure(standard_generators(), depth_cap=depth, degree_cap=8, n_value=n, seed=0)

@@ -32,6 +32,8 @@ from cmpoisson.modp import (
 )
 from cmpoisson.poly import TRACELESS
 from cmpoisson.span import SpanTracker, enumerate_trace_monomials
+from cmpoisson.words import FIRST, SECOND
+from conftest import conjugate_values
 
 
 def rank(pool, polys):
@@ -316,10 +318,24 @@ def test_reconstruct_round_trips_within_the_bound():
 
 
 def test_conjugate_values_are_the_values_at_minus_y():
+    # the word traces multiplied out at (X, -Y), which is off the pool's
+    # locus, so no ExactPool evaluates there
     pool = ExactPool.sample(3, 6, seed=5)
-    p = P("tr(A^2 B) - 2*tr(A B)*tr(B^2) + tr(A^3) + 4", TRACELESS)
-    minus_y = P("-tr(A^2 B) + 2*tr(A B)*tr(B^2) + tr(A^3) + 4", TRACELESS)
-    assert pool.values(p, conjugate=True).tolist() == pool.values(minus_y).tolist()
+    p = P("tr(A^2 B) - 2*tr(A B)*tr(B^2) + tr(A^3) + 1/3*tr(A^2 B A B^2) + 4", TRACELESS)
+    letters = {FIRST: pool.X, SECOND: -pool.Y % PRIME}
+    expected = np.zeros(len(pool), dtype=np.int64)
+    for (_, factors), coeff in p.items():
+        column = np.full(len(pool), to_mod_p(coeff.evaluate(3)), dtype=np.int64)
+        for w in factors:
+            product = np.broadcast_to(np.eye(3, dtype=np.int64), pool.X.shape)
+            for letter, exp in w.runs:
+                for _ in range(exp):
+                    product = matmul(product, letters[letter])
+            column = column * (np.trace(product, axis1=1, axis2=2) % PRIME) % PRIME
+        expected = (expected + column) % PRIME
+    assert conjugate_values(pool, p).tolist() == expected.tolist()
+    minus_y = P("-tr(A^2 B) + 2*tr(A B)*tr(B^2) + tr(A^3) - 1/3*tr(A^2 B A B^2) + 4", TRACELESS)
+    assert expected.tolist() == pool.values(minus_y).tolist() != pool.values(p).tolist()
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,11 @@ JOBS += [
     # a target of three weights, 0, 3 and -1, each solved against its own elements
     ("membership_mixed_n3", ["membership", "--target", "tr(A^2)*tr(B^2) + tr(A^3) + tr(A B^2)",
                              "--n", "3", "--seed", "0"]),
+    # tr(A^2 B A B^2) differs from its reverse by an imaginary combination: nonzero imaginary coefficients
+    ("membership_reverse_word_n3", ["membership", "--target", "tr(A^2 B A B^2)", "--n", "3", "--seed", "0"]),
+    # one weight, B-degrees 2 and 1: a B-even and a B-odd part solved together
+    ("membership_mixed_parity_n3", ["membership", "--target", "tr(A^2 B^2) + tr(A B)",
+                                    "--n", "3", "--seed", "0"]),
     # a combination of two generators is a member at depth 0
     ("membership_depth0_n2", ["membership", "--target", "tr(A^2) + 2*tr(B^2)", "--n", "2",
                               "--depth", "0", "--seed", "0"]),
